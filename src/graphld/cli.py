@@ -395,7 +395,8 @@ def cmd_gibbs(args) -> int:
     obj = rep.to_obj()
     for key in ("n", "delta", "threshold", "draws", "accepted",
                 "acceptance_rate", "joint_tv", "joint_se", "leaf_tv",
-                "leaf_se", "degree_marginal_exact", "fast_path"):
+                "leaf_se", "degree_marginal_exact", "fast_path",
+                "exact_joint_tv", "exact_leaf_tv"):
         rows.append([key, repr(obj[key])])
     for cell, w in sorted(rep.joint_emp.items()):
         rows.append([f"joint:{cell[0]},{cell[1]}", repr(w)])

@@ -207,9 +207,9 @@ def _key_payload(key) -> bytes:
         return (
             b"T"
             + a.tree.encoding
-            + bytes([a.pendant_mark & 0xFF])
+            + a.pendant_mark.to_bytes(2, "big")
             + b.tree.encoding
-            + bytes([b.pendant_mark & 0xFF])
+            + b.pendant_mark.to_bytes(2, "big")
         )
     return b"C" + repr(key[1]).encode()
 

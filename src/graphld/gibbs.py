@@ -11,15 +11,17 @@ on the mark vector of a fixed degree sequence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 
-from .measures import DegreeLaw, TreeMeasure
+from .measures import DegreeLaw, TreeMeasure, tv_distance
 from .samplers import integer_degree_counts
 from .trees import CanonicalTree
 
@@ -41,6 +43,14 @@ __all__ = [
 TIE_TOL = 1e-9
 
 BRACKET_MAX = 2.0**60
+
+# Largest exact conditional-MC problem, in table cells: the per-class
+# composition tables plus the convolution work of the lattice-sum laws.
+# Larger problems are sampled by rejection.
+EXACT_TABLE_BUDGET = 1 << 22
+
+# Largest denominator tried when reading an h value as a fraction (0.1 = 1/10).
+_MAX_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -349,7 +359,11 @@ class MCReport:
 
     Frequencies are averages of per-sample empirical laws over accepted
     samples; ``*_tv`` compare them to the solved gamma and psi; ``*_se`` are
-    the largest per-cell standard errors of those averages.
+    the largest per-cell standard errors of those averages.  ``draws`` counts
+    the unconditioned draws up to the first-hitting time of ``min_accepted``
+    acceptances (or all ``samples``).  ``exact_*_tv`` are the TV distances of
+    the exact conditional means, free of Monte Carlo noise; they are None when
+    the problem was sampled by rejection.
     """
 
     n: int
@@ -366,6 +380,8 @@ class MCReport:
     leaf_se: float
     degree_marginal_exact: bool
     fast_path: bool
+    exact_joint_tv: Optional[float] = None
+    exact_leaf_tv: Optional[float] = None
 
     def to_obj(self) -> dict:
         return {
@@ -383,31 +399,42 @@ class MCReport:
             "leaf_se": self.leaf_se,
             "degree_marginal_exact": self.degree_marginal_exact,
             "fast_path": self.fast_path,
+            "exact_joint_tv": self.exact_joint_tv,
+            "exact_leaf_tv": self.exact_leaf_tv,
         }
 
 
-def _tv(p: Dict, q: Dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+def _joint_and_leaf(cell_means, n, classes):
+    """Joint (degree, mark) law and size-biased leaf law from mean cell counts."""
+    total_deg = sum(d * c for d, c in classes)
+    joint = {cell: m / n for cell, m in cell_means.items()}
+    leaf: Dict[int, float] = {}
+    for (d, x), m in cell_means.items():
+        leaf[x] = leaf.get(x, 0.0) + d * m / total_deg
+    return joint, leaf
 
 
 def _finish_report(
     problem, solution, n, delta, threshold, classes, draws, accepted,
-    cell_sums, cell_sqsums, fast_path,
+    cell_sums, cell_sqsums, fast_path, exact_means=None,
 ) -> MCReport:
     if accepted == 0:
         raise RuntimeError("zero accepted samples within the draw budget")
     total_deg = sum(d * c for d, c in classes)
-    joint_emp = {cell: s / (accepted * n) for cell, s in cell_sums.items()}
-    leaf_emp: Dict[int, float] = {}
-    for (d, x), s in cell_sums.items():
-        leaf_emp[x] = leaf_emp.get(x, 0.0) + d * s / (accepted * total_deg)
+    joint_emp, leaf_emp = _joint_and_leaf(
+        {cell: s / accepted for cell, s in cell_sums.items()}, n, classes
+    )
     joint_se = 0.0
     for cell, s in cell_sums.items():
         mean = s / accepted
         var = max(cell_sqsums[cell] / accepted - mean * mean, 0.0)
         joint_se = max(joint_se, math.sqrt(var / accepted) / n)
     leaf_se = joint_se * max(d for d, _ in classes) * n / total_deg
+    exact_joint_tv = exact_leaf_tv = None
+    if exact_means is not None:
+        joint_ex, leaf_ex = _joint_and_leaf(exact_means, n, classes)
+        exact_joint_tv = tv_distance(joint_ex, solution.gamma)
+        exact_leaf_tv = tv_distance(leaf_ex, solution.psi)
     return MCReport(
         n=n,
         delta=delta,
@@ -416,94 +443,239 @@ def _finish_report(
         accepted=accepted,
         acceptance_rate=accepted / draws,
         joint_emp=joint_emp,
-        joint_tv=_tv(joint_emp, solution.gamma),
+        joint_tv=tv_distance(joint_emp, solution.gamma),
         joint_se=joint_se,
         leaf_emp=leaf_emp,
-        leaf_tv=_tv(leaf_emp, solution.psi),
+        leaf_tv=tv_distance(leaf_emp, solution.psi),
         leaf_se=leaf_se,
         degree_marginal_exact=True,
         fast_path=fast_path,
+        exact_joint_tv=exact_joint_tv,
+        exact_leaf_tv=exact_leaf_tv,
     )
 
 
-def conditional_mc(
-    problem: GibbsProblem,
-    n: int,
-    samples: int,
-    rng: np.random.Generator,
-    delta: Optional[float] = None,
-    min_accepted: Optional[int] = None,
-    solution: Optional[GibbsSolution] = None,
-    chunk: int = 1 << 22,
-) -> MCReport:
-    """Rejection sampling of the conditioned mark configuration at size n.
+# ---------------------------------------------------------------- exact path
+#
+# Write h_x = h0 + step * j_x with integers j_x >= 0.  A draw's functional is
+# (h0 * total degree + step * T) / n with T = sum_d d * s_d and s_d the class
+# lattice sum sum_x j_x k_{d,x}, so acceptance is the tail event T >= t_min.
+# The tables below hold the multinomial law of every class's mark counts
+# grouped by s_d, and the law of T; accepted draws are sampled from them
+# directly, with no rejected draws.
 
-    Marks are drawn i.i.d. from nu on the integer degree sequence closest to
-    n * alpha; a draw is accepted when its mean local h-sum strictly exceeds
-    c - delta.  Only the per-degree mark counts matter for both the
-    acceptance event and the reported empirical laws (each vertex occurs as a
-    neighbor exactly degree-many times), so the graph pairing is never
-    sampled.  ``samples`` caps the number of draws; with ``min_accepted`` the
-    loop stops as soon as that many draws were accepted.
+
+def _lattice(hvals: Sequence[float]) -> Tuple[Fraction, Fraction, List[int]]:
+    """Exact (h0, step, j) with h[x] = h0 + step * j[x] and integers j >= 0.
+
+    A value is read as the simplest fraction that converts back to exactly
+    the same float (so 0.1 is 1/10), else as the float's exact binary value.
+    A value set with no common lattice (0, 1, sqrt 2) gets a step so fine that
+    the tables exceed the budget.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if solution is None:
-        solution = solve(problem)
-    delta = problem.delta if delta is None else float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    threshold = problem.c - delta
-    counts = integer_degree_counts(problem.alpha, n)
-    classes = sorted((d, c) for d, c in counts.items() if c > 0)
-    n_x = len(problem.nu)
+    fracs = []
+    for v in hvals:
+        f = Fraction(v).limit_denominator(_MAX_DENOMINATOR)
+        fracs.append(f if float(f) == v else Fraction(v))
+    h0 = min(fracs)
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = [int((f - h0) * den) for f in fracs]
+    g = math.gcd(*nums) or 1
+    return h0, Fraction(g, den), [k // g for k in nums]
 
+
+def _compositions(c: int, k: int) -> np.ndarray:
+    """All k-part compositions of c as rows of an (M, k) integer array."""
+    cuts = np.zeros((1, 0), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(k - 1):
+        reps = c - last + 1
+        idx = np.repeat(np.arange(len(last)), reps)
+        last = last[idx] + np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        cuts = np.column_stack([cuts[idx], last])
+    rows = len(cuts)
+    edges = np.column_stack([np.zeros(rows, np.int64), cuts, np.full(rows, c, np.int64)])
+    return np.diff(edges, axis=1)
+
+
+def _dilate(law: np.ndarray, d: int) -> np.ndarray:
+    """Law of d * s from the law of s."""
+    if d == 0:
+        return np.array([law.sum()])
+    out = np.zeros(d * (len(law) - 1) + 1)
+    out[::d] = law
+    return out
+
+
+@dataclass
+class _CountLaw:
+    """Exact law of the per-class mark counts and of the lattice sum T.
+
+    Per class i: ``comps[i]`` are the mark-count vectors over ``marks``,
+    sorted by their lattice sum ``sums[i]``; ``weights[i]`` their multinomial
+    probabilities; ``laws[i]`` the law of the class lattice sum; ``prefix[i]``
+    the law of sum_{j <= i} d_j s_j.  Acceptance is T >= ``t_min``, of
+    probability ``mass``; ``cell_means`` are the exact conditional means of
+    the (degree, mark) counts.
+    """
+
+    classes: List[Tuple[int, int]]
+    marks: List[int]
+    comps: List[np.ndarray]
+    weights: List[np.ndarray]
+    sums: List[np.ndarray]
+    laws: List[np.ndarray]
+    prefix: List[np.ndarray]
+    t_min: int
+    mass: float
+    cell_means: Dict[Tuple[int, int], float]
+
+
+def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
+    """Tables of the exact path, or None when they would exceed the budget."""
+    marks = [x for x, w in enumerate(problem.nu) if w > 0]
+    h0, step, j = _lattice([problem.hfun[x] for x in marks])
+    span = max(j)
+    total_deg = sum(d * c for d, c in classes)
+    k = len(marks)
+    t_len = total_deg * span + 1
+    cost = k * sum(math.comb(c + k - 1, k - 1) for _, c in classes) + len(classes) * t_len
+    if len(classes) > 1:
+        cost += len(classes) ** 2 * t_len * (max(d * c for d, c in classes) * span + 1)
+    if cost > EXACT_TABLE_BUDGET:
+        return None
+
+    logp = np.log(np.array([problem.nu[x] for x in marks]))
+    jv = np.array(j, dtype=np.int64)
+    comps, weights, sums, laws = [], [], [], []
+    for _, c in classes:
+        kc = _compositions(c, k)
+        sv = kc @ jv
+        order = np.argsort(sv, kind="stable")
+        kc, sv = kc[order], sv[order]
+        w = np.exp(special.gammaln(c + 1) - special.gammaln(kc + 1).sum(axis=1) + kc @ logp)
+        comps.append(kc)
+        weights.append(w)
+        sums.append(sv)
+        laws.append(np.bincount(sv, weights=w, minlength=c * span + 1))
+    dilated = [_dilate(law, d) for (d, _), law in zip(classes, laws)]
+    prefix = list(itertools.accumulate(dilated, np.convolve))
+
+    # accept iff (h0 * total_deg + step * T) / n > threshold + TIE_TOL, exactly
+    t_law = prefix[-1]
+    theta = threshold + TIE_TOL
+    if math.isfinite(theta):
+        t_min = math.floor((Fraction(theta) * n - h0 * total_deg) / step) + 1
+    else:  # -inf accepts every draw, +inf and nan none
+        t_min = 0 if theta < 0 else len(t_law)
+    t_min = min(max(t_min, 0), len(t_law))
+    mass = 1.0 if t_min == 0 else min(float(t_law[t_min:].sum()), 1.0)
+
+    cell_means: Dict[Tuple[int, int], float] = {}
+    for i, (d, _) in enumerate(classes):
+        rest = functools.reduce(
+            np.convolve, (dl for jj, dl in enumerate(dilated) if jj != i), np.ones(1)
+        )
+        tail = np.append(np.cumsum(rest[::-1])[::-1], 0.0)
+        pw = weights[i] * tail[np.clip(t_min - d * sums[i], 0, len(rest))]
+        total = pw.sum()
+        means = pw @ comps[i] / total if total > 0 else np.zeros(k)
+        for x in range(len(problem.nu)):
+            cell_means[(d, x)] = 0.0
+        for x, m in zip(marks, means):
+            cell_means[(d, x)] = float(m)
+    return _CountLaw(list(classes), marks, comps, weights, sums, laws, prefix,
+                     t_min, mass, cell_means)
+
+
+def _binomial_below(rng, samples: int, p: float, limit: int) -> int:
+    """Binomial(samples, p) conditioned to be below ``limit``."""
+    while True:
+        x = rng.binomial(samples, p, size=64)
+        x = x[x < limit]
+        if x.size:
+            return int(x[0])
+
+
+def _sample_exact(law: _CountLaw, rng, samples, min_accepted, n_x):
+    """Draw count, accepted count and accepted cell sums, rejection-free."""
+    mass = law.mass
+    if min_accepted is None:
+        draws, accepted = samples, int(rng.binomial(samples, mass))
+    else:
+        # draws up to the min_accepted-th acceptance: min_accepted plus a
+        # negative binomial, drawn as its Poisson-gamma mixture (numpy's own
+        # sampler overflows for tiny mass).  A Poisson mean beyond
+        # 2 * samples + 1e6 exceeds samples except with probability below
+        # exp(-250000), so the cap is taken as hit without drawing it.
+        y = rng.gamma(min_accepted, (1.0 - mass) / mass)
+        draws = min_accepted + (int(rng.poisson(y)) if y < 2.0 * samples + 1e6 else samples)
+        accepted = min_accepted
+        if draws > samples:
+            draws = samples
+            accepted = _binomial_below(rng, samples, mass, min_accepted)
+
+    t_law = law.prefix[-1]
+    counts = np.zeros(len(t_law), dtype=np.int64)
+    if accepted:
+        tail = t_law[law.t_min:]
+        counts[law.t_min:] = rng.multinomial(accepted, tail / tail.sum())
+
+    # split each accepted T into class sums, last class first
+    s_counts: List[np.ndarray] = [None] * len(law.classes)
+    for i in range(len(law.classes) - 1, -1, -1):
+        d = law.classes[i][0]
+        below = law.prefix[i - 1] if i else np.ones(1)
+        s = np.arange(len(law.laws[i]))
+        got_s = np.zeros(len(s), dtype=np.int64)
+        nxt = np.zeros(len(below), dtype=np.int64)
+        for t in np.flatnonzero(counts):
+            u = t - d * s
+            ok = (u >= 0) & (u < len(below))
+            w = law.laws[i][ok] * below[u[ok]]
+            got = rng.multinomial(counts[t], w / w.sum())
+            got_s[ok] += got
+            np.add.at(nxt, u[ok], got)
+        s_counts[i] = got_s
+        counts = nxt
+
+    cell_sums: Dict[Tuple[int, int], float] = {}
+    cell_sqsums: Dict[Tuple[int, int], float] = {}
+    for i, (d, _) in enumerate(law.classes):
+        comps, w, sv = law.comps[i], law.weights[i], law.sums[i]
+        if (np.diff(sv) > 0).all():
+            # every lattice sum has a single composition
+            comp_counts = s_counts[i][sv]
+        else:
+            starts = np.searchsorted(sv, np.arange(len(law.laws[i]) + 1))
+            comp_counts = np.zeros(len(comps), dtype=np.int64)
+            for sval in np.flatnonzero(s_counts[i]):
+                a, b = starts[sval], starts[sval + 1]
+                ws = w[a:b]
+                comp_counts[a:b] = rng.multinomial(s_counts[i][sval], ws / ws.sum())
+        tot = comp_counts @ comps
+        sq = comp_counts @ (comps * comps)
+        for x in range(n_x):
+            cell_sums[(d, x)] = 0.0
+            cell_sqsums[(d, x)] = 0.0
+        for x, a, b in zip(law.marks, tot, sq):
+            cell_sums[(d, x)] = float(a)
+            cell_sqsums[(d, x)] = float(b)
+    return draws, accepted, cell_sums, cell_sqsums
+
+
+# ---------------------------------------------------------------- rejection
+
+
+def _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted, chunk):
+    """Draw count, accepted count and accepted cell sums by rejection."""
+    n_x = len(problem.nu)
     cell_sums: Dict[Tuple[int, int], float] = {
         (d, x): 0.0 for d, _ in classes for x in range(n_x)
     }
     cell_sqsums: Dict[Tuple[int, int], float] = dict(cell_sums)
     drawn = 0
     accepted = 0
-
-    fast = len(classes) == 1 and n_x == 2
-    if fast:
-        d0, c0 = classes[0]
-        t_of_b = [
-            (d0 * (b * problem.hfun[1] + (c0 - b) * problem.hfun[0])) / n
-            for b in range(c0 + 1)
-        ]
-        ok = [t > threshold + TIE_TOL for t in t_of_b]
-        if not any(ok):
-            raise RuntimeError("conditioning event has empty support at this n")
-        # the event must be a tail set in the mark-1 count for the budget
-        # shortcut; otherwise fall back to the generic path
-        b_min = ok.index(True)
-        fast = all(ok[b_min:])
-    if fast:
-        cdf = np.cumsum(stats.binom.pmf(np.arange(c0 + 1), c0, problem.nu[1]))
-        cdf[-1] = 1.0
-        u_min = 0.0 if b_min == 0 else float(cdf[b_min - 1])
-        sum_b = 0.0
-        sum_b2 = 0.0
-        while drawn < samples and (min_accepted is None or accepted < min_accepted):
-            size = min(chunk, samples - drawn)
-            u = rng.random(size)
-            drawn += size
-            sel = u[u >= u_min]
-            if sel.size:
-                b = np.searchsorted(cdf, sel, side="right")
-                accepted += int(b.size)
-                sum_b += float(b.sum())
-                sum_b2 += float((b.astype(np.float64) ** 2).sum())
-        cell_sums[(d0, 1)] = sum_b
-        cell_sums[(d0, 0)] = accepted * c0 - sum_b
-        cell_sqsums[(d0, 1)] = sum_b2
-        cell_sqsums[(d0, 0)] = accepted * c0 * c0 - 2 * c0 * sum_b + sum_b2
-        return _finish_report(
-            problem, solution, n, delta, threshold, classes, drawn, accepted,
-            cell_sums, cell_sqsums, True,
-        )
-
     nu_vec = np.array(problem.nu)
     h_vec = np.array(problem.hfun)
     gen_chunk = min(chunk, 1 << 20)
@@ -530,9 +702,74 @@ def conditional_mc(
                 for x in range(n_x):
                     cell_sums[(d, x)] += float(kept[:, x].sum())
                     cell_sqsums[(d, x)] += float((kept[:, x] ** 2).sum())
+    return drawn, accepted, cell_sums, cell_sqsums
+
+
+def _binomial_tail(problem, classes, n, threshold) -> bool:
+    """One degree class, two marks, and an acceptance event that is a
+    nonempty tail set in the mark-1 count."""
+    if len(classes) != 1 or len(problem.nu) != 2:
+        return False
+    d0, c0 = classes[0]
+    h0, h1 = problem.hfun
+    ok = [(d0 * (b * h1 + (c0 - b) * h0)) / n > threshold + TIE_TOL
+          for b in range(c0 + 1)]
+    return any(ok) and all(ok[ok.index(True):])
+
+
+def conditional_mc(
+    problem: GibbsProblem,
+    n: int,
+    samples: int,
+    rng: np.random.Generator,
+    delta: Optional[float] = None,
+    min_accepted: Optional[int] = None,
+    solution: Optional[GibbsSolution] = None,
+    chunk: int = 1 << 22,
+) -> MCReport:
+    """Exact sampling of the conditioned mark configuration at size n.
+
+    Marks are drawn i.i.d. from nu on the integer degree sequence closest to
+    n * alpha; a draw is accepted when its mean local h-sum strictly exceeds
+    c - delta.  Only the per-degree mark counts matter for both the
+    acceptance event and the reported empirical laws (each vertex occurs as a
+    neighbor exactly degree-many times), so the graph pairing is never
+    sampled.  ``samples`` caps the number of draws; with ``min_accepted`` the
+    draws stop at the draw that brings the accepted count to that value.
+
+    When h lies on a lattice the accepted draws are sampled directly from
+    their exact law, with no rejected draws, and the report carries the exact
+    conditional TVs.  Otherwise, or when the exact tables would exceed
+    ``EXACT_TABLE_BUDGET`` cells, draws are rejected in batches of at most
+    ``chunk``.
+    """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if min_accepted is not None and min_accepted < 1:
+        raise ValueError("min_accepted must be at least 1")
+    if solution is None:
+        solution = solve(problem)
+    delta = problem.delta if delta is None else float(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    threshold = problem.c - delta
+    counts = integer_degree_counts(problem.alpha, n)
+    classes = sorted((d, c) for d, c in counts.items() if c > 0)
+    fast = _binomial_tail(problem, classes, n, threshold)
+
+    law = _count_law(problem, classes, n, threshold)
+    if law is None:
+        result = _rejection_counts(
+            problem, classes, n, threshold, samples, rng, min_accepted, chunk
+        )
+        exact_means = None
+    else:
+        if law.mass <= 0.0:
+            raise RuntimeError("conditioning event has empty support at this n")
+        result = _sample_exact(law, rng, samples, min_accepted, len(problem.nu))
+        exact_means = law.cell_means
     return _finish_report(
-        problem, solution, n, delta, threshold, classes, drawn, accepted,
-        cell_sums, cell_sqsums, False,
+        problem, solution, n, delta, threshold, classes, *result, fast, exact_means
     )
 
 

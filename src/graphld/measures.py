@@ -397,9 +397,9 @@ def _pair_payload(key: Tuple[HalfEdgeTree, HalfEdgeTree]) -> bytes:
     a, b = key
     return (
         a.tree.encoding
-        + bytes([a.pendant_mark & 0xFF])
+        + a.pendant_mark.to_bytes(2, "big")
         + b.tree.encoding
-        + bytes([b.pendant_mark & 0xFF])
+        + b.pendant_mark.to_bytes(2, "big")
     )
 
 

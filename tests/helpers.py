@@ -1,10 +1,18 @@
-"""Shared builders for tests: raw trees, exact reference laws, small forests."""
+"""Shared builders for tests: raw trees, exact reference laws, small forests,
+and the rejection sampler that conditional Monte Carlo is checked against."""
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+from scipy import stats
+
+from graphld.gibbs import (
+    TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
+)
 from graphld.measures import TreeMeasure
+from graphld.samplers import integer_degree_counts
 from graphld.trees import CanonicalTree
 
 
@@ -118,3 +126,49 @@ def markov_product_measure(deg_law, pair_matrix):
                     t = star(x0, list(combo))
                     acc[t] = acc.get(t, 0.0) + w
     return TreeMeasure(acc, 0.0, 1)
+
+
+def rejection_conditional_mc(problem, n, samples, rng, delta=None,
+                             min_accepted=None, solution=None, chunk=1 << 22):
+    """Conditional Monte Carlo by rejection: the reference sampler.
+
+    One degree class with two marks and a tail-set acceptance event draws
+    the mark-1 count by inversion of its binomial CDF in chunks of uniforms;
+    every other problem draws whole per-class count vectors.  Both stop after
+    the chunk in which ``min_accepted`` acceptances were reached.
+    """
+    if solution is None:
+        solution = solve(problem)
+    delta = problem.delta if delta is None else float(delta)
+    threshold = problem.c - delta
+    counts = integer_degree_counts(problem.alpha, n)
+    classes = sorted((d, c) for d, c in counts.items() if c > 0)
+    if not _binomial_tail(problem, classes, n, threshold):
+        result = _rejection_counts(problem, classes, n, threshold, samples, rng,
+                                   min_accepted, chunk)
+        return _finish_report(problem, solution, n, delta, threshold, classes,
+                              *result, False)
+    (d0, c0), = classes
+    b_min = next(b for b in range(c0 + 1)
+                 if (d0 * (b * problem.hfun[1] + (c0 - b) * problem.hfun[0])) / n
+                 > threshold + TIE_TOL)
+    cdf = np.cumsum(stats.binom.pmf(np.arange(c0 + 1), c0, problem.nu[1]))
+    cdf[-1] = 1.0
+    u_min = 0.0 if b_min == 0 else float(cdf[b_min - 1])
+    drawn = accepted = 0
+    sum_b = sum_b2 = 0.0
+    while drawn < samples and (min_accepted is None or accepted < min_accepted):
+        size = min(chunk, samples - drawn)
+        u = rng.random(size)
+        drawn += size
+        sel = u[u >= u_min]
+        if sel.size:
+            b = np.searchsorted(cdf, sel, side="right")
+            accepted += int(b.size)
+            sum_b += float(b.sum())
+            sum_b2 += float((b.astype(np.float64) ** 2).sum())
+    cell_sums = {(d0, 1): sum_b, (d0, 0): accepted * c0 - sum_b}
+    cell_sqsums = {(d0, 1): sum_b2,
+                   (d0, 0): accepted * c0 * c0 - 2 * c0 * sum_b + sum_b2}
+    return _finish_report(problem, solution, n, delta, threshold, classes,
+                          drawn, accepted, cell_sums, cell_sqsums, True)

@@ -219,6 +219,9 @@ def test_gibbs_worked_instance_solution_and_mc(tmp_path):
     assert int(table["accepted"]) > 0
     assert float(table["joint_tv"]) < 0.05
     assert "joint:2,1" in table
+    # lattice h: the exact conditional TV is reported beside the sampled one
+    assert float(table["exact_joint_tv"]) == pytest.approx(
+        float(table["joint_tv"]), abs=5 * float(table["joint_se"]))
 
 
 def test_gibbs_solver_only_when_samples_zero(tmp_path):

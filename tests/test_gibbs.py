@@ -12,6 +12,7 @@ enumerating the sufficient mark counts.
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import graphld.gibbs as gibbs
 from graphld.gibbs import (
     TIE_TOL,
     GibbsProblem,
@@ -32,7 +34,7 @@ from graphld.measures import DegreeLaw, TreeMeasure, relative_entropy, tv_distan
 from graphld.rates import ReferenceLaw, nbd_rate
 from graphld.samplers import ModelConfig, integer_degree_counts, make_rng
 
-from helpers import star
+from helpers import rejection_conditional_mc, star
 
 LAM_STAR = math.log(3.0) / 2.0
 V_STAR = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -429,3 +431,214 @@ def test_brute_force_agrees_with_tilted_solution(p):
     s = solve(p)
     gamma_bf, v_bf = brute_force_opt(p)
     assert v_bf == pytest.approx(s.value, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# exact path against enumeration and against the rejection oracle
+# ---------------------------------------------------------------------------
+
+
+def degree_classes(p, n):
+    return sorted((d, c) for d, c in integer_degree_counts(p.alpha, n).items() if c > 0)
+
+
+def enumerate_conditional(p, n, threshold):
+    """Acceptance mass and conditional mean (degree, mark) counts, by
+    enumerating every vector of per-class mark counts."""
+    classes = degree_classes(p, n)
+    n_x = len(p.nu)
+    per_class = []
+    for _, c in classes:
+        opts = []
+        for head in itertools.product(range(c + 1), repeat=n_x - 1):
+            if sum(head) <= c:
+                ks = head + (c - sum(head),)
+                w = math.factorial(c)
+                for kx, px in zip(ks, p.nu):
+                    w = w * px**kx / math.factorial(kx)
+                if w > 0:
+                    opts.append((ks, w))
+        per_class.append(opts)
+    masses = []
+    sums = {(d, x): [] for d, _ in classes for x in range(n_x)}
+    for combo in itertools.product(*per_class):
+        t = sum(d * sum(k * h for k, h in zip(ks, p.hfun))
+                for (d, _), (ks, _) in zip(classes, combo)) / n
+        if t > threshold + TIE_TOL:
+            w = math.prod(wk for _, wk in combo)
+            masses.append(w)
+            for (d, _), (ks, _) in zip(classes, combo):
+                for x, k in enumerate(ks):
+                    sums[(d, x)].append(w * k)
+    mass = math.fsum(masses)
+    means = {cell: math.fsum(v) / mass for cell, v in sums.items()} if mass else {}
+    return mass, means
+
+
+def check_exact_tables(p, n):
+    threshold = p.c - p.delta
+    law = gibbs._count_law(p, degree_classes(p, n), n, threshold)
+    assert law is not None
+    mass, means = enumerate_conditional(p, n, threshold)
+    assert law.mass == pytest.approx(mass, abs=1e-12)
+    if mass > 0:
+        assert set(law.cell_means) == set(means)
+        for cell, m in means.items():
+            assert law.cell_means[cell] == pytest.approx(m, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_problems(), st.integers(2, 12))
+def test_exact_tables_match_enumeration(p, n):
+    check_exact_tables(p, n)
+
+
+def test_exact_tables_decimal_h():
+    # 0.1 and 0.3 have no common binary lattice; read as 1/10 and 3/10
+    p = GibbsProblem(DegreeLaw({1: 0.5, 2: 0.5}), (0.2, 0.5, 0.3),
+                     (0.0, 0.1, 0.3), 0.3, 0.02)
+    check_exact_tables(p, 10)
+    assert gibbs._lattice(p.hfun)[1:] == (Fraction(1, 10), [0, 1, 3])
+
+
+def test_compositions_enumerate_once():
+    comps = gibbs._compositions(5, 3)
+    assert comps.shape == (21, 3)
+    assert (comps.sum(axis=1) == 5).all() and (comps >= 0).all()
+    assert len({tuple(r) for r in comps}) == 21
+    assert gibbs._compositions(4, 1).tolist() == [[4]]
+
+
+GENERIC_3MARK = GibbsProblem(DegreeLaw({1: 0.5, 3: 0.5}), (1 / 3, 1 / 3, 1 / 3),
+                             (0.0, 1.0, 2.0), 2.6, 0.05)
+
+
+@pytest.mark.parametrize("p, n", [
+    (canonical_problem(), 20),
+    (two_class_problem(), 16),
+    (GENERIC_3MARK, 20),
+    # lattice sums 0, 2, ..., 9 with 6 reached twice and 1 never
+    (GibbsProblem(DegreeLaw({2: 1.0}), (0.3, 0.3, 0.4), (0.0, 2.0, 3.0), 3.9), 3),
+    # isolated vertices: the degree-0 class leaves T unchanged
+    (GibbsProblem(DegreeLaw({0: 0.25, 2: 0.75}), (0.5, 0.5), (0.0, 1.0), 1.2), 8),
+])
+def test_exact_path_agrees_with_rejection_oracle(p, n):
+    s = solve(p)
+    new = conditional_mc(p, n, 400_000, make_rng(211, n), solution=s)
+    old = rejection_conditional_mc(p, n, 400_000, make_rng(223, n), solution=s)
+    assert new.exact_joint_tv is not None and old.exact_joint_tv is None
+    assert new.fast_path == old.fast_path
+    assert new.draws == old.draws == 400_000
+    rate = old.acceptance_rate
+    assert new.acceptance_rate == pytest.approx(
+        rate, abs=5 * math.sqrt(2 * rate * (1 - rate) / new.draws))
+    for cell, w in old.joint_emp.items():
+        se = math.hypot(new.joint_se, old.joint_se)
+        assert new.joint_emp[cell] == pytest.approx(w, abs=5 * se + 1e-12)
+    for x, w in old.leaf_emp.items():
+        se = math.hypot(new.leaf_se, old.leaf_se)
+        assert new.leaf_emp[x] == pytest.approx(w, abs=5 * se + 1e-12)
+
+
+def check_fallback_matches_enumeration(p, n, seed):
+    s = solve(p)
+    rep = conditional_mc(p, n, 300_000, make_rng(seed), solution=s)
+    assert rep.exact_joint_tv is None and rep.exact_leaf_tv is None
+    assert rep.draws == 300_000
+    mass, means = enumerate_conditional(p, n, p.c - p.delta)
+    assert rep.acceptance_rate == pytest.approx(
+        mass, abs=5 * math.sqrt(mass / rep.draws))
+    for cell, m in means.items():
+        assert rep.joint_emp[cell] == pytest.approx(m / n, abs=5 * rep.joint_se + 1e-12)
+
+
+def test_non_lattice_h_falls_back_to_rejection():
+    p = GibbsProblem(DegreeLaw({2: 1.0}), (1 / 3, 1 / 3, 1 / 3),
+                     (0.0, 1.0, math.sqrt(2.0)), 2.2, 0.05)
+    assert gibbs._count_law(p, degree_classes(p, 12), 12, 2.15) is None
+    check_fallback_matches_enumeration(p, 12, 229)
+
+
+def test_over_budget_falls_back_to_rejection(monkeypatch):
+    p = two_class_problem()
+    monkeypatch.setattr(gibbs, "EXACT_TABLE_BUDGET", 10)
+    check_fallback_matches_enumeration(p, 16, 233)
+
+
+@pytest.mark.parametrize("p, n", [(canonical_problem(delta=2.0), 20),
+                                  (GibbsProblem(DegreeLaw({1: 0.5, 3: 0.5}),
+                                                (0.2, 0.3, 0.5), (0.0, 1.0, 2.0),
+                                                3.0, 3.5), 12)])
+def test_exact_path_accepts_everything(p, n):
+    rep = conditional_mc(p, n, 10**9, make_rng(239), min_accepted=1000)
+    assert rep.acceptance_rate == 1.0
+    assert rep.draws == rep.accepted == 1000
+    # unconditioned means: every cell count is c * nu(x)
+    classes = degree_classes(p, n)
+    joint = {(d, x): c * w / n for d, c in classes for x, w in enumerate(p.nu)}
+    s = solve(p)
+    assert rep.exact_joint_tv == pytest.approx(tv_distance(joint, s.gamma), abs=1e-12)
+
+
+def test_infinite_slack_accepts_everything():
+    p = canonical_problem()
+    rep = conditional_mc(p, 20, 1000, make_rng(271), delta=math.inf)
+    assert rep.acceptance_rate == 1.0 and rep.accepted == 1000
+
+
+def test_exact_path_zero_accepted_under_cap_raises():
+    # acceptance mass 2^-30: the draw cap is hit with no accepted draw
+    p = canonical_problem(c=1.99, delta=0.001)
+    with pytest.raises(RuntimeError, match="zero accepted"):
+        conditional_mc(p, 30, 100_000, make_rng(241), min_accepted=10)
+
+
+def test_exact_path_empty_support_raises():
+    # threshold 2.45 lies above every attainable mean h-sum (at most 2)
+    p = canonical_problem(c=2.5)
+    with pytest.raises(RuntimeError, match="empty support"):
+        conditional_mc(p, 20, 1000, make_rng(251), solution=solve(canonical_problem()))
+
+
+def test_samples_cap_before_min_accepted():
+    p = canonical_problem()
+    mass, _ = enumerate_conditional(p, 20, p.c - p.delta)
+    rep = conditional_mc(p, 20, 100_000, make_rng(257), min_accepted=10**6)
+    assert rep.draws == 100_000
+    assert 0 < rep.accepted < 10**6
+    assert rep.acceptance_rate == pytest.approx(
+        mass, abs=5 * math.sqrt(mass / rep.draws))
+
+
+def test_min_accepted_stops_at_first_hitting_draw():
+    p = two_class_problem()
+    mass, _ = enumerate_conditional(p, 16, p.c - p.delta)
+    reps = [conditional_mc(p, 16, 10**12, make_rng(263, i), min_accepted=200)
+            for i in range(200)]
+    assert all(r.accepted == 200 for r in reps)
+    # draws - 200 is negative binomial: mean 200 (1 - P) / P
+    mean = float(np.mean([r.draws for r in reps]))
+    sd = math.sqrt(200 * (1 - mass)) / mass / math.sqrt(len(reps))
+    assert mean == pytest.approx(200 / mass, abs=5 * sd)
+
+
+def test_min_accepted_must_be_positive():
+    with pytest.raises(ValueError, match="min_accepted"):
+        conditional_mc(canonical_problem(), 20, 100, make_rng(1), min_accepted=0)
+
+
+def test_exact_tv_decreases_and_matches_sampled_tv():
+    p = canonical_problem()
+    s = solve(p)
+    reps = [conditional_mc(p, n, 20_000_000_000, make_rng(269, i),
+                           min_accepted=100_000, solution=s)
+            for i, n in enumerate((20, 40, 80))]
+    exact = [r.exact_joint_tv for r in reps]
+    assert all(b < a for a, b in zip(exact, exact[1:]))
+    leaf = [r.exact_leaf_tv for r in reps]
+    assert all(b < a for a, b in zip(leaf, leaf[1:]))
+    for r in reps:
+        assert r.joint_tv == pytest.approx(r.exact_joint_tv, abs=5 * r.joint_se)
+        assert r.leaf_tv == pytest.approx(r.exact_leaf_tv, abs=5 * r.leaf_se)
+    obj = reps[0].to_obj()
+    assert obj["exact_joint_tv"] == exact[0] and obj["exact_leaf_tv"] == leaf[0]
