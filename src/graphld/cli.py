@@ -47,7 +47,7 @@ from .samplers import (
     sample_fe,
     sample_ugwt,
 )
-from .trees import canonicalize, split_at_child
+from .trees import branch_views, canonicalize
 
 DEFAULT_TOL = 1e-9
 
@@ -99,13 +99,13 @@ def _load_value(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError:
-        raise SystemExit(f"cannot parse {text!r}: not a file or JSON literal")
+        raise ValueError(f"cannot parse {text!r}: not a file or JSON literal") from None
 
 
 def _parse_alpha(value) -> DegreeLaw:
     obj = _load_value(value) if isinstance(value, str) else value
     if not isinstance(obj, dict):
-        raise SystemExit("alpha must be a JSON object mapping degree to weight")
+        raise ValueError("alpha must be a JSON object mapping degree to weight")
     return DegreeLaw({int(k): float(v) for k, v in obj.items()})
 
 
@@ -257,11 +257,8 @@ def _pair_from_size_bias(level: TreeMeasure, h: int):
     sb = size_bias(level)
     acc: Dict[Tuple, List[float]] = {}
     for t, w in sb.items():
-        d = t.root_degree
-        for i in range(d):
-            branch, rest = split_at_child(t, i)
-            key = (branch.truncated(h - 1), rest.truncated(h - 1))
-            acc.setdefault(key, []).append(w / d)
+        for key in branch_views(t, h - 1):
+            acc.setdefault(key, []).append(w / t.root_degree)
     return {k: math.fsum(ws) for k, ws in acc.items()}
 
 
@@ -516,8 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; malformed input of any kind ends in a structured
+    ``bad_input`` error with exit code 2 instead of a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, RuntimeError, KeyError, TypeError, OSError, ArithmeticError) as e:
+        return _structured_error(f"{type(e).__name__}: {e}", "bad_input")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .measures import TreeMeasure, transport_violation
+from .measures import TreeMeasure, _pair_payload, transport_violation
 from .samplers import MarkedGraph
 from .trees import CanonicalTree, HalfEdgeTree
 
@@ -203,14 +203,7 @@ def _swap_key(key):
 
 def _key_payload(key) -> bytes:
     if key[0] == "tree":
-        a, b = key[1], key[2]
-        return (
-            b"T"
-            + a.tree.encoding
-            + a.pendant_mark.to_bytes(2, "big")
-            + b.tree.encoding
-            + b.pendant_mark.to_bytes(2, "big")
-        )
+        return b"T" + _pair_payload(key[1:])
     return b"C" + repr(key[1]).encode()
 
 

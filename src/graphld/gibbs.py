@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize, special
 
-from .measures import DegreeLaw, TreeMeasure, tv_distance
+from .measures import DegreeLaw, TreeMeasure, _check_mark_laws, tv_distance
 from .samplers import integer_degree_counts
 from .trees import CanonicalTree
 
@@ -70,10 +70,8 @@ class GibbsProblem:
     delta: float = 0.05
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", tuple(float(w) for w in self.nu))
+        object.__setattr__(self, "nu", _check_mark_laws(self.nu)[0])
         object.__setattr__(self, "hfun", tuple(float(v) for v in self.hfun))
-        if abs(math.fsum(self.nu) - 1.0) > 1e-12 or min(self.nu) < 0:
-            raise ValueError("nu is not a probability vector")
         if len(self.hfun) != len(self.nu):
             raise ValueError("hfun and nu must have the same length")
         if self.delta <= 0:

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 from .trees import (
     CanonicalTree,
     HalfEdgeTree,
-    split_at_child,
+    branch_views,
     tree_from_obj,
     tree_to_obj,
     truncate,
@@ -28,6 +28,31 @@ def _check_weights(weights: Iterable[float], what: str) -> None:
     total = math.fsum(weights)
     if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"{what} has total mass {total!r}, expected 1 within {MASS_TOL}")
+
+
+def _is_probability(weights: List[float]) -> bool:
+    # the entry bounds reject NaN and +-inf and keep fsum from overflowing
+    return (
+        bool(weights)
+        and all(0.0 <= w <= 1.0 + MASS_TOL for w in weights)
+        and abs(math.fsum(weights) - 1.0) <= MASS_TOL
+    )
+
+
+def _check_mark_laws(nu, xi=None):
+    """(nu, xi) as float tuples, after checking that ``nu`` is a probability
+    vector and ``xi``, when given, a square probability matrix."""
+    nu = tuple(float(w) for w in nu)
+    if not _is_probability(nu):
+        raise ValueError("nu is not a probability vector")
+    if xi is None:
+        return nu, None
+    xi = tuple(tuple(float(w) for w in row) for row in xi)
+    if not _is_probability([w for row in xi for w in row]):
+        raise ValueError("xi is not a probability matrix")
+    if any(len(row) != len(xi) for row in xi):
+        raise ValueError("xi must be square")
+    return nu, xi
 
 
 class TreeMeasure:
@@ -338,6 +363,15 @@ def size_bias(rho: TreeMeasure) -> TreeMeasure:
     )
 
 
+def _pair_weights(u: TreeMeasure, h: int) -> Dict[Tuple[HalfEdgeTree, HalfEdgeTree], float]:
+    """Per pair of depth-(h-1) cut views, the u-mass of root children cut to it."""
+    acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], List[float]] = {}
+    for t, w in u.atoms.items():
+        for key in branch_views(t, h - 1):
+            acc.setdefault(key, []).append(w)
+    return {k: math.fsum(ws) for k, ws in acc.items()}
+
+
 def pair_measure(rho: TreeMeasure, h: Optional[int] = None) -> PairMeasure:
     """Law of the ordered pair of depth-(h-1) half-edge views across a root edge.
 
@@ -352,13 +386,7 @@ def pair_measure(rho: TreeMeasure, h: Optional[int] = None) -> PairMeasure:
     beta = rho.mean_degree()
     if beta <= 0:
         raise ValueError("degenerate pair measure: mean degree is 0")
-    acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], List[float]] = {}
-    for t, w in rho.atoms.items():
-        for i in range(t.root_degree):
-            branch, rest = split_at_child(t, i)
-            key = (branch.truncated(h - 1), rest.truncated(h - 1))
-            acc.setdefault(key, []).append(w)
-    return PairMeasure({k: math.fsum(ws) / beta for k, ws in acc.items()})
+    return PairMeasure({k: w / beta for k, w in _pair_weights(rho, h).items()})
 
 
 def is_admissible(p: PairMeasure, tol: float = ADMISSIBILITY_TOL) -> Tuple[bool, float]:
@@ -432,16 +460,6 @@ def transport_violation(weights, swap, payload, trial_count: int = 20, rng=None)
                 )
             )
     return max(violations)
-
-
-def _pair_weights(u: TreeMeasure, h: int) -> Dict[Tuple[HalfEdgeTree, HalfEdgeTree], float]:
-    acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], List[float]] = {}
-    for t, w in u.atoms.items():
-        for i in range(t.root_degree):
-            branch, rest = split_at_child(t, i)
-            key = (branch.truncated(h - 1), rest.truncated(h - 1))
-            acc.setdefault(key, []).append(w)
-    return {k: math.fsum(ws) for k, ws in acc.items()}
 
 
 def mtp_check(u, h: Optional[int] = None, trial_count: int = 20, rng=None) -> float:

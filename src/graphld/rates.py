@@ -16,6 +16,7 @@ and intermediate forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,8 +26,8 @@ from .measures import (
     MASS_TOL,
     DegreeLaw,
     DepthChain,
-    PairMeasure,
     TreeMeasure,
+    _check_mark_laws,
     entropy,
     is_admissible,
     pair_marginals,
@@ -34,7 +35,7 @@ from .measures import (
     relative_entropy,
     tv_distance,
 )
-from .trees import CanonicalTree, HalfEdgeTree, branch_views, split_at_child
+from .trees import CanonicalTree, HalfEdgeTree, branch_views
 
 GATE_TOL = 1e-9
 POISSON_TAIL = 1e-13
@@ -96,19 +97,6 @@ def matching_entropy_sum(intensity: Dict[Tuple[int, int], float]) -> float:
 
 
 # ---------------------------------------------------------------- reference law
-
-
-def _check_mark_laws(nu, xi) -> Tuple[Tuple[float, ...], Tuple[Tuple[float, ...], ...]]:
-    nu = tuple(float(w) for w in nu)
-    if not nu or min(nu) < 0 or abs(math.fsum(nu) - 1.0) > MASS_TOL:
-        raise ValueError("nu is not a probability vector")
-    xi = tuple(tuple(float(w) for w in row) for row in xi)
-    flat = [w for row in xi for w in row]
-    if not flat or min(flat) < 0 or abs(math.fsum(flat) - 1.0) > MASS_TOL:
-        raise ValueError("xi is not a probability matrix")
-    if any(len(row) != len(xi) for row in xi):
-        raise ValueError("xi must be square")
-    return nu, xi
 
 
 class ReferenceLaw:
@@ -229,20 +217,7 @@ class ReferenceLaw:
 
     def materialize(self, max_atoms: int = 200_000) -> TreeMeasure:
         """The reference law as an explicit depth-1 measure (small supports only)."""
-        entries = {
-            ((yc, yr), x): self.nu[x] * self.xibar[yc][yr]
-            for yc in range(len(self.xibar))
-            for yr in range(len(self.xibar))
-            for x in range(len(self.nu))
-            if self.nu[x] * self.xibar[yc][yr] > 0
-        }
-        atoms = _assemble_stars(
-            self.degree_pmf,
-            {x: w for x, w in enumerate(self.nu) if w > 0},
-            lambda x_o: entries,
-            max_atoms,
-        )
-        return TreeMeasure(atoms, 0.0, 1)
+        return _star_law(self, lambda x_o, x, yc, yr: 1.0, max_atoms)
 
     def to_obj(self) -> dict:
         obj = {"nu": list(self.nu), "xi": [list(r) for r in self.xi]}
@@ -266,20 +241,30 @@ class ReferenceLaw:
 # ------------------------------------------------------- depth-1 reference pair
 
 
-def _assemble_stars(
-    degree_pmf: Dict[int, float],
-    root_weights: Dict[int, float],
-    entries_for: Callable[[int], Dict[Tuple[Tuple[int, int], int], float]],
-    max_atoms: int,
-) -> Dict[CanonicalTree, float]:
-    """Depth-1 atoms root-by-root: degree d and root x get mass
-    pmf(d) * root(x) * multinomial(d; multiset) * prod entry_weight^count."""
+def _star_law(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float], max_atoms: int) -> TreeMeasure:
+    """The reference star law with every leaf entry ((yc, yr), x) below a root
+    of mark x_o reweighted by ``ratio(x_o, x, yc, yr)``, as an explicit depth-1
+    measure: degree d and root x_o get mass
+    pmf(d) * nu(x_o) * multinomial(d; multiset) * prod entry_weight^count."""
+    k = len(law.xibar)
+
+    def entries_for(x_o: int) -> Dict[Tuple[Tuple[int, int], int], float]:
+        ew = {}
+        for yc in range(k):
+            for yr in range(k):
+                for x in range(len(law.nu)):
+                    q = law.nu[x] * law.xibar[yc][yr] * ratio(x_o, x, yc, yr)
+                    if q > 0:
+                        ew[((yc, yr), x)] = q
+        return ew
+
+    root_weights = {x: w for x, w in enumerate(law.nu) if w > 0}
     projected = 0
     per_root = {}
     for x_o in root_weights:
         ew = entries_for(x_o)
         per_root[x_o] = sorted(ew.items())
-        for d in degree_pmf:
+        for d in law.degree_pmf:
             projected += math.comb(len(ew) + d - 1, d) if ew else (1 if d == 0 else 0)
     if projected > max_atoms:
         raise ValueError(
@@ -288,7 +273,7 @@ def _assemble_stars(
     atoms: Dict[CanonicalTree, float] = {}
     for x_o, wx in root_weights.items():
         ew = per_root[x_o]
-        for d, pd in degree_pmf.items():
+        for d, pd in law.degree_pmf.items():
             base = pd * wx
             if base == 0.0:
                 continue
@@ -313,14 +298,13 @@ def _assemble_stars(
                 if w > 0:
                     t = CanonicalTree(x_o, tuple(kids))
                     atoms[t] = atoms.get(t, 0.0) + w
-    return atoms
+    return TreeMeasure(atoms, 0.0, 1)
 
 
-def _sb_stats(mu: TreeMeasure):
-    """Size-biased child statistics of a depth-1 law: the child entry marginal
-    keyed (child mark, child-side edge mark) and the conditional entry law
-    given the root entry (root mark, root-side edge mark)."""
-    pi = pair_measure(mu, 1)
+def _sb_stats(pi):
+    """Size-biased child statistics of a depth-1 law from its pair law: the
+    child entry marginal keyed (child mark, child-side edge mark) and the
+    conditional entry law given the root entry (root mark, root-side edge mark)."""
     first, _, cond = pair_marginals(pi)
     child = {(a.tree.mark, a.pendant_mark): w for a, w in first.items()}
     cond_flat = {
@@ -329,128 +313,84 @@ def _sb_stats(mu: TreeMeasure):
         }
         for b, row in cond.items()
     }
-    return pi, child, cond_flat
+    return child, cond_flat
 
 
-def _indep_ratio(law: ReferenceLaw, child: Dict, x: int, yc: int) -> float:
-    base = law.nu_pmf(x) * law.xibar_marginal(yc)
-    if base == 0.0:
-        return 0.0
-    return child.get((x, yc), 0.0) / base
+def _indep_ratio(law: ReferenceLaw, child: Dict):
+    """Leaf reweighting toward i.i.d. entries from the child marginal."""
+
+    def ratio(x_o: int, x: int, yc: int, yr: int) -> float:
+        base = law.nu_pmf(x) * law.xibar_marginal(yc)
+        if base == 0.0:
+            return 0.0
+        return child.get((x, yc), 0.0) / base
+
+    return ratio
 
 
-def _cond_ratio(law: ReferenceLaw, cond: Dict, x_o: int, x: int, yc: int, yr: int) -> float:
-    row = cond.get((x_o, yr))
-    if row is None:
-        # conditioning entry carries no size-biased mass; any conditional
-        # version is admissible, and ratio 1 keeps the total mass exactly 1
-        return 1.0
-    base = law.nu_pmf(x) * law.xibar_pmf(yc, yr)
-    if base == 0.0:
-        return 0.0
-    return row.get((x, yc), 0.0) * law.xibar_marginal(yr) / base
+def _cond_ratio(law: ReferenceLaw, cond: Dict):
+    """Leaf reweighting toward entries drawn from the conditional given the root entry."""
+
+    def ratio(x_o: int, x: int, yc: int, yr: int) -> float:
+        row = cond.get((x_o, yr))
+        if row is None:
+            # conditioning entry carries no size-biased mass; any conditional
+            # version is admissible, and ratio 1 keeps the total mass exactly 1
+            return 1.0
+        base = law.nu_pmf(x) * law.xibar_pmf(yc, yr)
+        if base == 0.0:
+            return 0.0
+        return row.get((x, yc), 0.0) * law.xibar_marginal(yr) / base
+
+    return ratio
 
 
-def _indep_density(law: ReferenceLaw, child: Dict, t: CanonicalTree) -> float:
+def _leaf_density(law: ReferenceLaw, ratio, t: CanonicalTree) -> float:
+    """Reference star density of ``t`` with each leaf entry reweighted by ``ratio``."""
     dens = law.star_density(t)
     for (yc, yr), sub in t.children:
         if dens == 0.0:
             return 0.0
-        dens *= _indep_ratio(law, child, sub.mark, yc)
+        dens *= ratio(t.mark, sub.mark, yc, yr)
     return dens
 
 
-def _cond_density(law: ReferenceLaw, cond: Dict, t: CanonicalTree) -> float:
-    dens = law.star_density(t)
-    for (yc, yr), sub in t.children:
-        if dens == 0.0:
-            return 0.0
-        dens *= _cond_ratio(law, cond, t.mark, sub.mark, yc, yr)
-    return dens
-
-
-def _require_depth1(mu: TreeMeasure, op: str) -> None:
+def _leaf_stats(mu: TreeMeasure, law: ReferenceLaw, op: str):
+    """The input checks of the leaf laws, then the size-biased statistics of ``mu``."""
     if mu.depth_bound > 1:
         raise ValueError(f"{op} is defined on depth-1 laws")
     mu._require_tree_support(op)
-
-
-def _require_dominated(mu: TreeMeasure, law: ReferenceLaw, op: str) -> None:
+    if mu.mean_degree() <= 0:
+        raise ValueError(f"{op} needs positive mean degree")
     for t, _ in mu.items():
         if law.star_density(t) <= 0.0:
             raise ValueError(f"{op}: input is not absolutely continuous at {t!r}")
+    return _sb_stats(pair_measure(mu, 1))
 
 
 def leaf_indep_law(mu: TreeMeasure, law: ReferenceLaw, max_atoms: int = 200_000) -> TreeMeasure:
     """The reference star law reweighted so leaf entries are i.i.d. from the
     size-biased child marginal of ``mu``; a probability measure dominating
     ``mu`` whenever ``mu`` is dominated by the reference."""
-    _require_depth1(mu, "leaf_indep_law")
-    if mu.mean_degree() <= 0:
-        raise ValueError("leaf_indep_law needs positive mean degree")
-    _require_dominated(mu, law, "leaf_indep_law")
-    _, child, _ = _sb_stats(mu)
-    entries = {
-        ((yc, yr), x): law.nu[x] * law.xibar[yc][yr] * _indep_ratio(law, child, x, yc)
-        for yc in range(len(law.xibar))
-        for yr in range(len(law.xibar))
-        for x in range(len(law.nu))
-    }
-    entries = {e: q for e, q in entries.items() if q > 0}
-    atoms = _assemble_stars(
-        law.degree_pmf,
-        {x: w for x, w in enumerate(law.nu) if w > 0},
-        lambda x_o: entries,
-        max_atoms,
-    )
-    return TreeMeasure(atoms, 0.0, 1)
+    child, _ = _leaf_stats(mu, law, "leaf_indep_law")
+    return _star_law(law, _indep_ratio(law, child), max_atoms)
 
 
 def leaf_cond_law(mu: TreeMeasure, law: ReferenceLaw, max_atoms: int = 200_000) -> TreeMeasure:
     """The reference star law reweighted so leaf entries are conditionally
     i.i.d. given the root entry, from the size-biased conditional of ``mu``."""
-    _require_depth1(mu, "leaf_cond_law")
-    if mu.mean_degree() <= 0:
-        raise ValueError("leaf_cond_law needs positive mean degree")
-    _require_dominated(mu, law, "leaf_cond_law")
-    _, _, cond = _sb_stats(mu)
-
-    def entries_for(x_o: int) -> Dict[Tuple[Tuple[int, int], int], float]:
-        ew = {}
-        for yc in range(len(law.xibar)):
-            for yr in range(len(law.xibar)):
-                for x in range(len(law.nu)):
-                    q = law.nu[x] * law.xibar[yc][yr] * _cond_ratio(law, cond, x_o, x, yc, yr)
-                    if q > 0:
-                        ew[((yc, yr), x)] = q
-        return ew
-
-    atoms = _assemble_stars(
-        law.degree_pmf,
-        {x: w for x, w in enumerate(law.nu) if w > 0},
-        entries_for,
-        max_atoms,
-    )
-    return TreeMeasure(atoms, 0.0, 1)
+    _, cond = _leaf_stats(mu, law, "leaf_cond_law")
+    return _star_law(law, _cond_ratio(law, cond), max_atoms)
 
 
 # --------------------------------------------------------- neighborhood rates
 
 
-def _relent_vs_density(m: TreeMeasure, density: Callable[[CanonicalTree], float]) -> float:
+def _relent_vs_density(m, density: Callable[[object], float]) -> float:
+    """Relative entropy of a tree or pair measure against an atom density."""
     terms = []
-    for t, w in m.items():
-        d = density(t)
-        if d <= 0.0:
-            return math.inf
-        terms.append(w * math.log(w / d))
-    return math.fsum(terms)
-
-
-def _pair_relent_vs_density(p: PairMeasure, density) -> float:
-    terms = []
-    for cell, w in p.items():
-        d = density(cell)
+    for atom, w in m.items():
+        d = density(atom)
         if d <= 0.0:
             return math.inf
         terms.append(w * math.log(w / d))
@@ -465,31 +405,16 @@ def _root_mark_divergence(mu: TreeMeasure, law: ReferenceLaw) -> float:
 def nbd_rate_generic(beta: float, law: ReferenceLaw, mu: TreeMeasure) -> float:
     """Neighborhood rate of a depth-1 law against a reference at mean degree beta.
 
-    Mean-degree-0 case: relative entropy of the root mark law.  Otherwise, the
-    average of the relative entropies against the independent-leaf and the
-    conditional-leaf reweightings of the reference, gated to +inf when the
-    mean degree mismatches, the size-biased pair law is asymmetric, or the
-    input is not dominated by the reference.
+    This is the depth-1 component form, ``component_rate([mu], beta,
+    law).value``.  Mean-degree-0 case: relative entropy of the root mark law.
+    Otherwise, the average of the relative entropies against the
+    independent-leaf and the conditional-leaf reweightings of the reference,
+    gated to +inf when the mean degree mismatches, the size-biased pair law is
+    asymmetric, or the input is not dominated by the reference.
     """
     if mu.depth_bound > 1:
         raise ValueError("nbd_rate_generic is defined on depth-1 laws")
-    if mu.non_tree_mass > MASS_TOL:
-        return math.inf
-    mean = mu.mean_degree()
-    if beta <= 0:
-        return _root_mark_divergence(mu, law) if mean == 0 else math.inf
-    if abs(mean - beta) > GATE_TOL:
-        return math.inf
-    pi = pair_measure(mu, 1)
-    ok, _ = is_admissible(pi)
-    if not ok:
-        return math.inf
-    if any(law.star_density(t) <= 0.0 for t, _ in mu.items()):
-        return math.inf
-    _, child, cond = _sb_stats(mu)
-    h_indep = _relent_vs_density(mu, lambda t: _indep_density(law, child, t))
-    h_cond = _relent_vs_density(mu, lambda t: _cond_density(law, cond, t))
-    return 0.5 * (h_indep + h_cond)
+    return component_rate([mu], beta, law).value
 
 
 def ensemble_reference(ensemble: str, cfg, measure=None) -> Tuple[float, ReferenceLaw, Optional[float]]:
@@ -525,26 +450,16 @@ def ensemble_reference(ensemble: str, cfg, measure=None) -> Tuple[float, Referen
 def nbd_rate(ensemble: str, cfg, mu: TreeMeasure) -> float:
     """Ensemble neighborhood rate of a depth-1 law.
 
-    CM additionally gates on exact degree-law agreement; ER adds the edge
-    density cost of moving the mean degree off kappa.
+    This is the depth-1 component form against the ensemble's reference,
+    ``component_rate([mu], beta, law, ensemble, kappa).value`` with
+    ``(beta, law, kappa) = ensemble_reference(ensemble, cfg, mu)``.  CM
+    additionally gates on exact degree-law agreement; ER adds the edge density
+    cost of moving the mean degree off kappa.
     """
     if mu.depth_bound > 1:
         raise ValueError("nbd_rate is defined on depth-1 laws")
-    ens = ensemble.upper()
-    if mu.non_tree_mass > MASS_TOL:
-        return math.inf
-    if ens == "CM":
-        beta, law, _ = ensemble_reference(ens, cfg)
-        if tv_distance(mu.degree_law(), law.alpha) > GATE_TOL:
-            return math.inf
-        return nbd_rate_generic(beta, law, mu)
-    if ens == "FE":
-        beta, law, _ = ensemble_reference(ens, cfg)
-        return nbd_rate_generic(beta, law, mu)
-    if ens == "ER":
-        bprime, law, kappa = ensemble_reference(ens, cfg, mu)
-        return edge_density_rate(kappa, bprime) + nbd_rate_generic(bprime, law, mu)
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+    beta, law, kappa = ensemble_reference(ensemble, cfg, mu)
+    return component_rate([mu], beta, law, ensemble=ensemble, kappa=kappa).value
 
 
 def vertex_only_rate(beta: float, law: ReferenceLaw, mu: TreeMeasure) -> float:
@@ -558,21 +473,12 @@ def vertex_only_rate(beta: float, law: ReferenceLaw, mu: TreeMeasure) -> float:
         raise ValueError("vertex_only_rate needs a trivial edge mark alphabet")
     if mu.depth_bound > 1:
         raise ValueError("vertex_only_rate is defined on depth-1 laws")
-    if mu.non_tree_mass > MASS_TOL:
-        return math.inf
-    mean = mu.mean_degree()
-    if beta <= 0:
-        return _root_mark_divergence(mu, law) if mean == 0 else math.inf
-    if abs(mean - beta) > GATE_TOL:
-        return math.inf
-    pi = pair_measure(mu, 1)
-    ok, _ = is_admissible(pi)
-    if not ok:
-        return math.inf
-    if any(law.star_density(t) <= 0.0 for t, _ in mu.items()):
-        return math.inf
-    _, _, cond = _sb_stats(mu)
-    h_cond = _relent_vs_density(mu, lambda t: _cond_density(law, cond, t))
+    an = _prepare([mu], beta, law, None, None)
+    if an.short is not None:
+        return an.short
+    pi = an.pis[0]
+    _, cond = _sb_stats(pi)
+    h_cond = _relent_vs_density(mu, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
     first, second, _ = pair_marginals(pi)
     mutual = math.fsum(
         w * math.log(w / (first[a] * second[b])) for (a, b), w in pi.items()
@@ -607,8 +513,7 @@ class ExtensionKernel:
             raise ValueError(f"input law is inadmissible (asymmetry {defect:.3g})")
         acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], Dict[HalfEdgeTree, List[float]]] = {}
         for s, w in rho.items():
-            for i in range(s.root_degree):
-                branch, rest = split_at_child(s, i)
+            for branch, rest in branch_views(s, h):
                 cell = acc.setdefault((rest.truncated(h - 1), branch), {})
                 cell.setdefault(rest, []).append(w)
         laws = {}
@@ -658,8 +563,7 @@ def one_step_extension(rho: TreeMeasure, h: int) -> TreeMeasure:
             continue
         options = []
         backs = []
-        for i in range(s.root_degree):
-            branch, rest = split_at_child(s, i)
+        for branch, rest in branch_views(s, h):
             options.append(list(kernel.law(branch, rest.truncated(h - 1)).items()))
             backs.append(rest.pendant_mark)
         for combo in itertools.product(*options):
@@ -673,10 +577,9 @@ def one_step_extension(rho: TreeMeasure, h: int) -> TreeMeasure:
     return TreeMeasure({t: math.fsum(ws) for t, ws in acc.items()}, 0.0, h + 1)
 
 
-def _cond_from_extension(rho: TreeMeasure, rstar: TreeMeasure, h: int) -> TreeMeasure:
-    """Reweight the extension by the per-branch ratio of view-pair laws."""
-    pi = pair_measure(rho, h)
-    pistar = pair_measure(rstar, h)
+def _cond_from_extension(rstar: TreeMeasure, pi, pistar, h: int) -> TreeMeasure:
+    """Reweight the extension ``rstar`` by the per-branch ratio of the view-pair
+    laws ``pi`` (of the depth-h law) and ``pistar`` (of ``rstar``)."""
     atoms: Dict[CanonicalTree, float] = {}
     for t, w in rstar.items():
         dens = 1.0
@@ -708,9 +611,8 @@ def cond_extension_law(rho: TreeMeasure, h: int, law: Optional[ReferenceLaw] = N
     rho._require_tree_support("cond_extension_law")
     if rho.depth_bound > h:
         raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}")
-    prev = rho.truncated(h - 1)
-    rstar = one_step_extension(prev, h - 1)
-    return _cond_from_extension(rho, rstar, h)
+    rstar = one_step_extension(rho.truncated(h - 1), h - 1)
+    return _cond_from_extension(rstar, pair_measure(rho, h), pair_measure(rstar, h), h)
 
 
 def extension_chain(levels: Union[TreeMeasure, Sequence[TreeMeasure]], depth: int) -> DepthChain:
@@ -782,33 +684,49 @@ class RateReport:
         }
 
 
-def _as_chain(levels) -> DepthChain:
-    if isinstance(levels, DepthChain):
-        return levels
-    return DepthChain(levels)
+@dataclass
+class _ChainAnalysis:
+    """One rate evaluation's view of a depth chain, built by ``_prepare``.
 
-
-def _prepare(levels, beta, law, ensemble, kappa):
-    """Shared gate evaluation; returns (chain, flags, boundary, short-circuit).
-
-    The short-circuit is None when the positive-mean machinery should run,
-    +inf when a gate fails, or a finite value for the mean-degree-0 branch.
+    ``short`` is None when the positive-mean machinery should run, +inf when
+    a gate fails, or the finite mean-degree-0 value.  ``beta`` is re-centred
+    at the measured mean degree for ER once the gates pass.  ``pis[h-1]`` is
+    the pair law of level h, built by the admissibility gate.  An analysis
+    lives for one call: nothing is shared across calls.
     """
-    chain = _as_chain(levels)
+
+    chain: DepthChain
+    ensemble: Optional[str]
+    beta: float
+    flags: Dict[str, object]
+    boundary: float = 0.0
+    short: Optional[float] = None
+    pis: List = field(default_factory=list)
+
+    def extension(self, h: int):
+        """(rho*_h, pi*_h): the one-step extension of level h-1 and its pair law."""
+        rstar = one_step_extension(self.chain.level(h - 1), h - 1)
+        return rstar, pair_measure(rstar, h)
+
+
+def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
+    """The gates shared by every rate form; see ``_ChainAnalysis``."""
+    chain = levels if isinstance(levels, DepthChain) else DepthChain(levels)
     ens = ensemble.upper() if ensemble else None
-    flags: Dict[str, object] = {
+    an = _ChainAnalysis(chain, ens, beta, {
         "extension_exact": chain.extension_exact,
         "neglected_tail": law.neglected_tail,
-    }
+    })
+    flags = an.flags
     tree_ok = all(lv.non_tree_mass <= MASS_TOL for lv in chain.levels)
     flags["tree_supported"] = tree_ok
-    boundary = 0.0
     if not tree_ok:
         if ens == "ER":
             if kappa is None:
                 raise ValueError("ER evaluation needs kappa")
             flags["mean_degree"] = None
-        return chain, flags, boundary, math.inf
+        an.short = math.inf
+        return an
     defect = chain.truncation_defect()
     flags["consistency_defect"] = defect
     if defect > GATE_TOL:
@@ -821,49 +739,37 @@ def _prepare(levels, beta, law, ensemble, kappa):
         match = tv_distance(chain.level(1).degree_law(), law.alpha) <= GATE_TOL
         flags["degree_law_match"] = match
         if not match:
-            return chain, flags, boundary, math.inf
+            an.short = math.inf
+            return an
     if ens == "ER":
         if kappa is None:
             raise ValueError("ER evaluation needs kappa")
-        boundary = edge_density_rate(kappa, mean)
+        an.boundary = edge_density_rate(kappa, mean)
         if law.poisson_mean is None or abs(law.poisson_mean - mean) > GATE_TOL:
             raise ValueError("ER evaluation needs the reference centered at the measured mean degree")
         beta = mean
     if beta <= 0:
-        if mean == 0:
-            return chain, flags, boundary, _root_mark_divergence(chain.level(1), law)
-        return chain, flags, boundary, math.inf
+        an.short = _root_mark_divergence(chain.level(1), law) if mean == 0 else math.inf
+        return an
     if abs(mean - beta) > GATE_TOL:
-        return chain, flags, boundary, math.inf
+        an.short = math.inf
+        return an
+    an.pis = [pair_measure(chain.level(h), h) for h in range(1, len(chain) + 1)]
     worst = 0.0
-    for h in range(1, len(chain) + 1):
-        _, d = is_admissible(pair_measure(chain.level(h), h))
-        worst = max(worst, d)
+    for pi in an.pis:
+        worst = max(worst, is_admissible(pi)[1])
     flags["admissible"] = worst <= GATE_TOL
     flags["admissibility_defect"] = worst
     if worst > GATE_TOL:
-        return chain, flags, boundary, math.inf
+        an.short = math.inf
+        return an
     dominated = all(law.star_density(t) > 0.0 for t, _ in chain.level(1).items())
     flags["absolutely_continuous"] = dominated
     if not dominated:
-        return chain, flags, boundary, math.inf
-    return chain, flags, boundary, None
-
-
-def _gated_report(form, ensemble, beta, chain, flags, boundary, short) -> RateReport:
-    depth = len(chain) if chain is not None else 0
-    value = short if short == math.inf else boundary + short
-    prefix = [] if short == math.inf else [short]
-    return RateReport(
-        form=form,
-        ensemble=ensemble,
-        beta=beta,
-        depth=depth,
-        value=value,
-        boundary=boundary,
-        prefix_totals=prefix,
-        flags=flags,
-    )
+        an.short = math.inf
+        return an
+    an.beta = beta
+    return an
 
 
 def _resolve_depth(chain: DepthChain, depth: Optional[int]) -> Tuple[int, int]:
@@ -884,6 +790,52 @@ def _resolve_depth(chain: DepthChain, depth: Optional[int]) -> Tuple[int, int]:
     return len(chain), depth - len(chain)
 
 
+def _evaluate(form: str, levels, beta, law, ensemble, kappa, depth, totals) -> RateReport:
+    """One rate form over the shared gates; all three forms run through here.
+
+    ``totals(an, law, report, depth)`` yields the form's prefix total at
+    depths 1..depth and records its per-depth terms in ``report``; this
+    function owns the gated short-circuit, the depth padding and the report.
+    """
+    an = _prepare(levels, beta, law, ensemble, kappa)
+    report = RateReport(form=form, ensemble=ensemble, beta=an.beta, depth=len(an.chain),
+                        value=math.inf, boundary=an.boundary, flags=an.flags)
+    if an.short is not None:
+        if an.short != math.inf:
+            report.value = an.boundary + an.short
+            report.prefix_totals.append(an.short)
+        return report
+    evald, padded = _resolve_depth(an.chain, depth)
+    an.flags["padded_depths"] = padded
+    report.prefix_totals.extend(totals(an, law, report, evald))
+    # along declared extensions the summands vanish and the microstate
+    # entropy is unchanged
+    report.prefix_totals += report.prefix_totals[-1:] * padded
+    if report.terms:
+        report.terms += [(0.0, 0.0)] * padded
+    report.j_values += report.j_values[-1:] * padded
+    report.depth = evald + padded
+    report.value = an.boundary + report.prefix_totals[-1]
+    return report
+
+
+def _component_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):
+    total = 0.0
+    for h in range(1, depth + 1):
+        lv = an.chain.level(h)
+        if h == 1:
+            child, cond = _sb_stats(an.pis[0])
+            a = _relent_vs_density(lv, functools.partial(_leaf_density, law, _indep_ratio(law, child)))
+            b = _relent_vs_density(lv, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
+        else:
+            rstar, pistar = an.extension(h)
+            a = relative_entropy(lv, rstar)
+            b = relative_entropy(lv, _cond_from_extension(rstar, an.pis[h - 1], pistar, h))
+        report.terms.append((a, b))
+        total += 0.5 * (a + b)
+        yield total
+
+
 def component_rate(levels, beta: float, law: ReferenceLaw, ensemble: Optional[str] = None,
                    kappa: Optional[float] = None, depth: Optional[int] = None) -> RateReport:
     """Average-of-two-relative-entropies representation, truncated at ``depth``.
@@ -892,86 +844,30 @@ def component_rate(levels, beta: float, law: ReferenceLaw, ensemble: Optional[st
     reweightings of the reference; depth h >= 2 against the one-step
     extension of the previous level and its conditional reweighting.
     """
-    chain, flags, boundary, short = _prepare(levels, beta, law, ensemble, kappa)
-    if short is not None:
-        return _gated_report("component", ensemble, beta, chain, flags, boundary, short)
-    if ensemble and ensemble.upper() == "ER":
-        beta = flags["mean_degree"]
-    evald, padded = _resolve_depth(chain, depth)
-    flags["padded_depths"] = padded
-    terms: List[Tuple[float, float]] = []
-    prefix: List[float] = []
+    return _evaluate("component", levels, beta, law, ensemble, kappa, depth, _component_totals)
+
+
+def _intermediate_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):
     total = 0.0
-    _, child, cond = _sb_stats(chain.level(1))
-    for h in range(1, evald + 1):
-        lv = chain.level(h)
+    for h in range(1, depth + 1):
+        lv = an.chain.level(h)
         if h == 1:
-            a = _relent_vs_density(lv, lambda t: _indep_density(law, child, t))
-            b = _relent_vs_density(lv, lambda t: _cond_density(law, cond, t))
+            a = _relent_vs_density(lv, law.star_density)
+            b = 0.5 * an.beta * _relent_vs_density(an.pis[0], law.pair_density)
         else:
-            rstar = one_step_extension(chain.level(h - 1), h - 1)
+            rstar, pistar = an.extension(h)
             a = relative_entropy(lv, rstar)
-            rhat = _cond_from_extension(lv, rstar, h)
-            b = relative_entropy(lv, rhat)
-        terms.append((a, b))
-        total += 0.5 * (a + b)
-        prefix.append(total)
-    for _ in range(padded):
-        terms.append((0.0, 0.0))
-        prefix.append(total)
-    return RateReport(
-        form="component",
-        ensemble=ensemble,
-        beta=beta,
-        depth=evald + padded,
-        value=boundary + total,
-        boundary=boundary,
-        terms=terms,
-        prefix_totals=prefix,
-        flags=flags,
-    )
+            b = 0.5 * an.beta * relative_entropy(an.pis[h - 1], pistar)
+        report.terms.append((a, b))
+        total += a - b
+        yield total
 
 
 def intermediate_rate(levels, beta: float, law: ReferenceLaw, ensemble: Optional[str] = None,
                       kappa: Optional[float] = None, depth: Optional[int] = None) -> RateReport:
     """Tree-minus-pair relative entropy representation, truncated at ``depth``;
     termwise equal to the component form."""
-    chain, flags, boundary, short = _prepare(levels, beta, law, ensemble, kappa)
-    if short is not None:
-        return _gated_report("intermediate", ensemble, beta, chain, flags, boundary, short)
-    if ensemble and ensemble.upper() == "ER":
-        beta = flags["mean_degree"]
-    evald, padded = _resolve_depth(chain, depth)
-    flags["padded_depths"] = padded
-    terms: List[Tuple[float, float]] = []
-    prefix: List[float] = []
-    total = 0.0
-    for h in range(1, evald + 1):
-        lv = chain.level(h)
-        if h == 1:
-            a = _relent_vs_density(lv, law.star_density)
-            b = 0.5 * beta * _pair_relent_vs_density(pair_measure(lv, 1), law.pair_density)
-        else:
-            rstar = one_step_extension(chain.level(h - 1), h - 1)
-            a = relative_entropy(lv, rstar)
-            b = 0.5 * beta * relative_entropy(pair_measure(lv, h), pair_measure(rstar, h))
-        terms.append((a, b))
-        total += a - b
-        prefix.append(total)
-    for _ in range(padded):
-        terms.append((0.0, 0.0))
-        prefix.append(total)
-    return RateReport(
-        form="intermediate",
-        ensemble=ensemble,
-        beta=beta,
-        depth=evald + padded,
-        value=boundary + total,
-        boundary=boundary,
-        terms=terms,
-        prefix_totals=prefix,
-        flags=flags,
-    )
+    return _evaluate("intermediate", levels, beta, law, ensemble, kappa, depth, _intermediate_totals)
 
 
 def _log_factorial_sum(t: CanonicalTree, h: int) -> float:
@@ -979,6 +875,33 @@ def _log_factorial_sum(t: CanonicalTree, h: int) -> float:
     for view in branch_views(t, h - 1):
         counts[view] = counts.get(view, 0) + 1
     return math.fsum(math.lgamma(c + 1) for c in counts.values())
+
+
+def _combinatorial_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):
+    beta = an.beta
+    level1 = an.chain.level(1)
+    intensity = edge_mark_intensity(level1)
+    normalized = {k: v / beta for k, v in intensity.items()}
+    h_root = entropy(level1.root_mark_law())
+    h_root_nu = _root_mark_divergence(level1, law)
+    h_intensity = relative_entropy(normalized, law.xibar_dict())
+    s_vec = matching_entropy_sum(intensity)
+    base = h_root + h_root_nu + 0.5 * beta * h_intensity + s_vec
+    if an.ensemble == "CM":
+        e_logfact = math.fsum(w * math.lgamma(d + 1) for d, w in law.alpha.items())
+        base += -e_logfact + entropy(law.alpha) - 2.0 * matching_entropy(beta)
+    for h in range(1, depth + 1):
+        lv = an.chain.level(h)
+        efact = math.fsum(w * _log_factorial_sum(t, h) for t, w in lv.items())
+        j = (
+            -matching_entropy(beta)
+            + entropy(lv)
+            - 0.5 * beta * entropy(an.pis[h - 1])
+            - efact
+        )
+        report.j_values.append(j)
+        report.log_factorial_terms.append(efact)
+        yield base - j
 
 
 def combinatorial_rate(levels, beta: float, law: ReferenceLaw, ensemble: Optional[str] = None,
@@ -991,64 +914,16 @@ def combinatorial_rate(levels, beta: float, law: ReferenceLaw, ensemble: Optiona
     entropies, mark divergences and matching entropies minus J at the deepest
     evaluated level.
     """
-    chain, flags, boundary, short = _prepare(levels, beta, law, ensemble, kappa)
-    if short is not None:
-        return _gated_report("combinatorial", ensemble, beta, chain, flags, boundary, short)
-    ens = ensemble.upper() if ensemble else None
-    if ens == "ER":
-        beta = flags["mean_degree"]
-    evald, padded = _resolve_depth(chain, depth)
-    flags["padded_depths"] = padded
-    level1 = chain.level(1)
-    intensity = edge_mark_intensity(level1)
-    normalized = {k: v / beta for k, v in intensity.items()}
-    root_dict = level1.root_mark_law()
-    h_root = entropy(root_dict)
-    h_root_nu = _root_mark_divergence(level1, law)
-    h_intensity = relative_entropy(normalized, law.xibar_dict())
-    s_vec = matching_entropy_sum(intensity)
-    base = h_root + h_root_nu + 0.5 * beta * h_intensity + s_vec
-    if ens == "CM":
-        e_logfact = math.fsum(w * math.lgamma(d + 1) for d, w in law.alpha.items())
-        base += -e_logfact + entropy(law.alpha) - 2.0 * matching_entropy(beta)
-    j_values: List[float] = []
-    efacts: List[float] = []
-    prefix: List[float] = []
-    for h in range(1, evald + 1):
-        lv = chain.level(h)
-        efact = math.fsum(w * _log_factorial_sum(t, h) for t, w in lv.items())
-        j = (
-            -matching_entropy(beta)
-            + entropy(lv)
-            - 0.5 * beta * entropy(pair_measure(lv, h))
-            - efact
-        )
-        j_values.append(j)
-        efacts.append(efact)
-        prefix.append(base - j)
-    for _ in range(padded):
-        # along declared extensions the microstate entropy is unchanged
-        j_values.append(j_values[-1])
-        prefix.append(prefix[-1])
-    diffs = [j_values[i + 1] - j_values[i] for i in range(len(j_values) - 1)]
-    if all(abs(d) <= 1e-12 for d in diffs):
-        direction = "constant"
-    elif all(d <= 1e-12 for d in diffs):
-        direction = "non-increasing"
-    elif all(d >= -1e-12 for d in diffs):
-        direction = "non-decreasing"
-    else:
-        direction = "mixed"
-    flags["j_direction"] = direction
-    return RateReport(
-        form="combinatorial",
-        ensemble=ensemble,
-        beta=beta,
-        depth=evald + padded,
-        value=boundary + prefix[-1],
-        boundary=boundary,
-        prefix_totals=prefix,
-        j_values=j_values,
-        log_factorial_terms=efacts,
-        flags=flags,
-    )
+    report = _evaluate("combinatorial", levels, beta, law, ensemble, kappa, depth, _combinatorial_totals)
+    if report.j_values:
+        diffs = [b - a for a, b in zip(report.j_values, report.j_values[1:])]
+        if all(abs(d) <= 1e-12 for d in diffs):
+            direction = "constant"
+        elif all(d <= 1e-12 for d in diffs):
+            direction = "non-increasing"
+        elif all(d >= -1e-12 for d in diffs):
+            direction = "non-decreasing"
+        else:
+            direction = "mixed"
+        report.flags["j_direction"] = direction
+    return report

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 
-from .measures import MASS_TOL, DegreeLaw
+from .measures import DegreeLaw, _check_mark_laws
 from .trees import LabeledTree
 
 
@@ -138,13 +138,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.ensemble not in ("CM", "FE", "ER"):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if abs(math.fsum(self.nu) - 1.0) > MASS_TOL or min(self.nu) < 0:
-            raise ValueError("nu is not a probability vector")
-        flat = [w for row in self.xi for w in row]
-        if abs(math.fsum(flat) - 1.0) > MASS_TOL or min(flat) < 0:
-            raise ValueError("xi is not a probability matrix")
-        if any(len(row) != len(self.xi) for row in self.xi):
-            raise ValueError("xi must be square")
+        _check_mark_laws(self.nu, self.xi)
         if self.ensemble == "CM" and self.alpha is None:
             raise ValueError("CM needs a degree law alpha")
         if self.ensemble == "ER" and self.kappa is None:
@@ -326,6 +320,7 @@ def assign_marks(g: MarkedGraph, nu: Sequence[float], xi, rng: np.random.Generat
     law (xi + xi^T) / 2."""
     if g.is_marked:
         raise ValueError("graph is already marked")
+    nu, xi = _check_mark_laws(nu, xi)
     xi = np.asarray(xi, dtype=float)
     vmarks = rng.choice(len(nu), size=g.n, p=np.asarray(nu, dtype=float))
     m = len(g.edges)

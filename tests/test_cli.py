@@ -4,11 +4,15 @@ Every invocation runs in-process through ``main`` with artifacts under a tmp
 directory; determinism checks compare output files byte for byte.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphld import __version__
 from graphld.cli import main
@@ -312,3 +316,95 @@ def test_extend_deterministic(tmp_path):
         assert run("extend", "--input", ip, "--depth", 3, "--samples", 500,
                    "--seed", 9, "--out", out) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------- error boundary
+
+
+def _bad_inputs(d):
+    """Files for the malformed-input cases, written under ``d``."""
+    law = ReferenceLaw.poisson(1.0, (1.0,), ((1.0,),))
+    (d / "law.json").write_text(json.dumps(law.to_obj()))
+    ntm = TreeMeasure({star(0, (0,)): 0.5}, 0.5, 1)
+    (d / "ntm.json").write_text(json.dumps({"measure": ntm.to_obj()}))
+    (d / "loop.json").write_text(json.dumps({"n": 2, "edges": [[0, 0]]}))
+    half = {"atoms": [{"tree": {"mark": 0, "children": []}, "weight": 0.5}]}
+    (d / "half.json").write_text(json.dumps(half))
+
+
+BAD_INPUTS = {
+    "cm_odd_total_degree": ["sample", "--ensemble", "cm", "--n", 3,
+                            "--alpha", '{"1": 1.0}', "--out", "g.json"],
+    "fe_too_many_edges": ["sample", "--ensemble", "fe", "--n", 4, "--m", 100,
+                          "--out", "g.json"],
+    "nu_not_json": ["sample", "--ensemble", "er", "--n", 4, "--kappa", 1.0,
+                    "--nu", "notjson", "--out", "g.json"],
+    "rate_non_tree_no_beta": ["rate", "--input", "ntm.json", "--law", "law.json",
+                              "--report", "r.json"],
+    "empirical_self_loop": ["empirical", "--graph", "loop.json", "--out-prefix", "e"],
+    "verify_half_mass": ["verify", "--input", "half.json"],
+    "fe_non_square_xi": ["sample", "--ensemble", "fe", "--n", 10, "--m", 5,
+                         "--nu", "[1.0]", "--xi", "[[0.5,0.5]]", "--out", "g.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_malformed_input_structured_error(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _bad_inputs(tmp_path)
+    assert run(*BAD_INPUTS[case]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["type"] == "bad_input"
+    assert err["error"]["message"]
+    assert not (tmp_path / "g.json").exists()
+
+
+# arbitrary JSON, plus near-valid mark vectors, matrices and degree laws
+WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+JSON_LITERALS = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.integers(-1, 4).map(str) | st.text(max_size=3), kids, max_size=4),
+    max_leaves=8,
+) | st.lists(WEIGHTS, min_size=1, max_size=3) | st.lists(
+    st.lists(WEIGHTS, min_size=1, max_size=2), min_size=1, max_size=2
+) | st.dictionaries(st.integers(0, 4).map(str), WEIGHTS, min_size=1, max_size=3)
+
+VALID_FLAGS = {
+    "sample": {"--nu": "[0.5,0.5]", "--xi": "[[0.25,0.25],[0.25,0.25]]",
+               "--alpha": '{"1": 0.5, "3": 0.5}'},
+    "rate": {"--input": "ntm.json", "--law": "law.json"},
+    "gibbs": {"--alpha": '{"2": 1.0}', "--nu": "[0.5,0.5]", "--hfun": "[0.0,1.0]"},
+}
+FIXED_FLAGS = {
+    "sample": ["--n", 6, "--kappa", 1.0, "--m", 3, "--out", "g.json"],
+    "rate": ["--beta", 1.0, "--report", "r.json"],
+    "gibbs": ["--c", 1.5, "--samples", 0, "--out-prefix", "gb"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(sorted(VALID_FLAGS)),
+    ensemble=st.sampled_from(["cm", "fe", "er"]),
+    data=st.data(),
+)
+def test_cli_fuzz_json_flags_exit_0_or_structured_2(tmp_path_factory, command, ensemble, data):
+    d = tmp_path_factory.mktemp("fuzz")
+    _bad_inputs(d)
+    flags = dict(VALID_FLAGS[command])
+    for flag in data.draw(st.sets(st.sampled_from(sorted(flags)))):
+        flags[flag] = json.dumps(data.draw(JSON_LITERALS, label=flag))
+    argv = [command] + (["--ensemble", ensemble] if command == "sample" else [])
+    argv += [f"{flag}={value}" for flag, value in flags.items()] + FIXED_FLAGS[command]
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(d)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(*argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2)
+    if code == 2:
+        assert "type" in json.loads(out.getvalue().splitlines()[-1])["error"]

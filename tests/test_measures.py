@@ -30,6 +30,9 @@ from graphld.measures import (
     size_bias,
     tv_distance,
 )
+from graphld.gibbs import GibbsProblem
+from graphld.rates import ReferenceLaw
+from graphld.samplers import ModelConfig
 from graphld.trees import CanonicalTree, HalfEdgeTree, random_labeling, split_at_child
 
 from helpers import canon_raw, component_law, eta1_exact, forest_component, random_forest, star
@@ -404,6 +407,30 @@ def test_mtp_check_rejects_non_tree_mass():
     u = TreeMeasure({LEAF0: 0.5}, non_tree_mass=0.5)
     with pytest.raises(ValueError):
         mtp_check(u)
+
+
+# ---------------------------------------------------------------- mark laws
+
+MARK_LAW_USERS = {
+    "ModelConfig": lambda nu, xi: ModelConfig("FE", nu, xi, kappa=1.0),
+    "GibbsProblem": lambda nu, xi: GibbsProblem(DegreeLaw({1: 1.0}), nu, (0.0,) * len(nu), 0.5),
+    "ReferenceLaw": lambda nu, xi: ReferenceLaw.poisson(1.0, nu, xi),
+}
+
+
+@pytest.mark.parametrize("user", sorted(MARK_LAW_USERS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mark_laws_reject_non_finite_entries(user, bad):
+    make = MARK_LAW_USERS[user]
+    make((0.5, 0.5), ((0.25, 0.25), (0.25, 0.25)))
+    for nu in ((bad,), (1.0, bad), (bad, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="nu is not a probability vector"):
+            make(nu, ((1.0,),))
+    if user == "GibbsProblem":
+        return  # vertex marks only
+    for xi in (((bad,),), ((1.0, 0.0), (0.0, bad))):
+        with pytest.raises(ValueError, match="xi is not a probability matrix"):
+            make((1.0,), xi)
 
 
 # ---------------------------------------------------------------- depth chains

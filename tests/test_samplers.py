@@ -209,6 +209,16 @@ def test_assign_marks_point_masses():
         assign_marks(marked, UNIF2, XI_SYM, make_rng(0))
 
 
+def test_assign_marks_validates_mark_laws():
+    g = sample_fe(10, 5, make_rng(9))
+    with pytest.raises(ValueError, match="xi must be square"):
+        assign_marks(g, (1.0,), ((0.5, 0.5),), make_rng(0))
+    with pytest.raises(ValueError, match="nu is not a probability vector"):
+        assign_marks(g, (0.5, 0.4), XI_SYM, make_rng(0))
+    with pytest.raises(ValueError, match="xi is not a probability matrix"):
+        assign_marks(g, UNIF2, ((0.5, math.nan), (0.25, 0.25)), make_rng(0))
+
+
 def test_assign_marks_symmetric_xi_frequencies():
     xi = ((0.1, 0.3), (0.3, 0.3))
     g = sample_fe(2000, 5000, make_rng(11))
