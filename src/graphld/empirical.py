@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .measures import TreeMeasure, _pair_payload, transport_violation
 from .samplers import MarkedGraph
@@ -32,6 +32,66 @@ class ComponentView:
     cycle_detected: bool
 
 
+def _ball(adj, root: int, h: int, banned: Optional[int] = None):
+    """BFS layers of the radius-h ball around ``root`` in the graph without
+    the edge {root, banned}, and whether the subgraph induced on the ball
+    (still without that edge) is a tree."""
+    seen = {root}
+    layers: List[List[int]] = [[root]]
+    for _ in range(h):
+        nxt: List[int] = []
+        for v in layers[-1]:
+            for w in adj[v]:
+                if w not in seen and (v != root or w != banned):
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            break
+        layers.append(nxt)
+    inside = sum(w in seen for v in seen for w in adj[v])
+    if banned in seen:
+        inside -= 2
+    return layers, inside == 2 * (len(seen) - 1)
+
+
+def _view(g: MarkedGraph, adj, u: int, away: Optional[int], views) -> CanonicalTree:
+    """u's mark with, per neighbor w other than ``away``, the edge marks
+    (y(w,u), y(u,w)) and w's view away from u taken from ``views``."""
+    return CanonicalTree(_vmark(g, u), tuple(
+        ((_emark(g, w, u), _emark(g, u, w)), views[(w, u)]) for w in adj[u] if w != away
+    ))
+
+
+def _edge_views(g: MarkedGraph, adj, k: int) -> Dict[Tuple[int, int], CanonicalTree]:
+    """The depth-k view of u away from v for every directed edge (u, v).
+
+    Built in k rounds of message passing over directed edges, as in
+    Weisfeiler-Leman refinement: round j builds every depth-j view from the
+    depth-(j-1) views.  Views unfold the graph along non-backtracking walks.
+    One more round with no neighbor left out gives a vertex's view, which
+    equals its ball tree wherever ``_ball`` finds that ball to be a tree.  A
+    half-edge view equals the ball tree of the graph without the edge up to
+    k = 2; deeper, a short cycle through the removed edge unfolds in it.
+    """
+    leaves = {x: CanonicalTree(x) for x in (set(g.vmarks) if g.is_marked else {0})}
+    views = {(u, v): leaves[_vmark(g, u)] for u in range(g.n) for v in adj[u]}
+    for _ in range(k):
+        # equal views share one object, so the 2m messages hold only the
+        # distinct trees
+        distinct: Dict[CanonicalTree, CanonicalTree] = {}
+        views = {(u, v): distinct.setdefault(t := _view(g, adj, u, v, views), t)
+                 for u, v in views}
+    return views
+
+
+def _root_views(g: MarkedGraph, adj, h: int, roots) -> Iterator[CanonicalTree]:
+    """The depth-h view of each vertex in ``roots``."""
+    if h == 0:
+        return (CanonicalTree(_vmark(g, v)) for v in roots)
+    views = _edge_views(g, adj, h - 1)
+    return (_view(g, adj, v, None, views) for v in roots)
+
+
 def component_view(g: MarkedGraph, root: int, h: int, adj: Optional[List[List[int]]] = None) -> ComponentView:
     """Layers within distance ``h`` of ``root``; cycle_detected is true iff the
     subgraph induced on the ball is not a tree."""
@@ -39,76 +99,8 @@ def component_view(g: MarkedGraph, root: int, h: int, adj: Optional[List[List[in
         raise ValueError("depth must be nonnegative")
     if adj is None:
         adj = g.adjacency()
-    dist = {root: 0}
-    layers: List[List[int]] = [[root]]
-    inside_edges = 0
-    for d in range(1, h + 1):
-        nxt: List[int] = []
-        for v in layers[d - 1]:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        if not nxt:
-            break
-        layers.append(nxt)
-    for v in dist:
-        for w in adj[v]:
-            if w in dist:
-                inside_edges += 1
-    inside_edges //= 2
-    return ComponentView(
-        root, tuple(tuple(sorted(l)) for l in layers), inside_edges != len(dist) - 1
-    )
-
-
-def _tree_from_ball(g: MarkedGraph, adj, root: int, h: int, banned: Optional[int] = None):
-    """The depth-h ball as a raw rooted tree, or None if it contains a cycle.
-
-    ``banned`` removes the edge (root, banned) before exploring, which yields
-    the root-side half-edge view across that edge.
-    """
-    dist = {root: 0}
-    parent = {root: None}
-    order = [root]
-    q = deque([root])
-    inside_edges = 0
-    while q:
-        v = q.popleft()
-        if dist[v] == h:
-            continue
-        for w in adj[v]:
-            if v == root and w == banned:
-                continue
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                order.append(w)
-                q.append(w)
-    for v in dist:
-        for w in adj[v]:
-            if w in dist and not (
-                banned is not None and {v, w} == {root, banned}
-            ):
-                inside_edges += 1
-    if inside_edges // 2 != len(dist) - 1:
-        return None
-    kids: Dict[int, List[int]] = {v: [] for v in dist}
-    for v in order[1:]:
-        kids[parent[v]].append(v)
-
-    def build(v):
-        return (
-            _vmark(g, v),
-            [((_emark(g, w, v), _emark(g, v, w)), build(w)) for w in sorted(kids[v])],
-        )
-
-    return build(root)
-
-
-def _raw_to_canonical(raw) -> CanonicalTree:
-    mark, children = raw
-    return CanonicalTree(mark, tuple((pair, _raw_to_canonical(sub)) for pair, sub in children))
+    layers, is_tree = _ball(adj, root, h)
+    return ComponentView(root, tuple(tuple(sorted(l)) for l in layers), not is_tree)
 
 
 # ---------------------------------------------------------------- measures
@@ -116,19 +108,8 @@ def _raw_to_canonical(raw) -> CanonicalTree:
 
 def neighborhood_measure(g: MarkedGraph) -> TreeMeasure:
     """Uniform-over-vertices law of the depth-1 marked star (always a tree)."""
-    adj = g.adjacency()
-    key_counts: Counter = Counter()
-    for v in range(g.n):
-        key = (
-            _vmark(g, v),
-            tuple(sorted((_emark(g, w, v), _emark(g, v, w), _vmark(g, w)) for w in adj[v])),
-        )
-        key_counts[key] += 1
-    atoms = {}
-    for (x, kids), c in key_counts.items():
-        t = CanonicalTree(x, tuple(((yc, yr), CanonicalTree(xw)) for yc, yr, xw in kids))
-        atoms[t] = c
-    return TreeMeasure.from_counts(atoms, 0, depth_bound=1)
+    stars = _root_views(g, g.adjacency(), 1, range(g.n))
+    return TreeMeasure.from_counts(Counter(stars), 0, depth_bound=1)
 
 
 def component_measure(g: MarkedGraph, h: int) -> TreeMeasure:
@@ -140,15 +121,9 @@ def component_measure(g: MarkedGraph, h: int) -> TreeMeasure:
     if h < 0:
         raise ValueError("depth must be nonnegative")
     adj = g.adjacency()
-    counts: Counter = Counter()
-    non_tree = 0
-    for v in range(g.n):
-        raw = _tree_from_ball(g, adj, v, h)
-        if raw is None:
-            non_tree += 1
-        else:
-            counts[_raw_to_canonical(raw)] += 1
-    return TreeMeasure.from_counts(counts, non_tree, depth_bound=h)
+    roots = [v for v in range(g.n) if _ball(adj, v, h)[1]]
+    counts = Counter(_root_views(g, adj, h, roots))
+    return TreeMeasure.from_counts(counts, g.n - len(roots), depth_bound=h)
 
 
 def empirical_functional(L: TreeMeasure, hfun) -> float:
@@ -168,21 +143,7 @@ def _cyc_signature(g: MarkedGraph, adj, u: int, v: int, d: int):
     """Isomorphism-invariant signature of the doubly rooted (u, v) view when a
     half-edge view is not a tree: directed edge marks plus the multiset of
     (dist-from-u, dist-from-v, mark) over the union of the two depth-d balls."""
-
-    def dists(src):
-        dist = {src: 0}
-        q = deque([src])
-        while q:
-            a = q.popleft()
-            if dist[a] == d:
-                continue
-            for b in adj[a]:
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    q.append(b)
-        return dist
-
-    du, dv = dists(u), dists(v)
+    du, dv = ({w: i for i, layer in enumerate(_ball(adj, s, d)[0]) for w in layer} for s in (u, v))
     profile = tuple(
         sorted(
             (du.get(w, d + 1), dv.get(w, d + 1), _vmark(g, w))
@@ -221,18 +182,17 @@ def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, trial_count: int = 
     if h < 1:
         raise ValueError("h must be at least 1")
     adj = g.adjacency()
+    views = _edge_views(g, adj, h - 1)
     counts: Counter = Counter()
     for u, v in g.edges:
-        raw_u = _tree_from_ball(g, adj, u, h - 1, banned=v)
-        raw_v = _tree_from_ball(g, adj, v, h - 1, banned=u)
-        if raw_u is None or raw_v is None:
-            key_uv = ("cyc", _cyc_signature(g, adj, u, v, h - 1))
-            key_vu = _swap_key(key_uv)
-        else:
-            side_u = HalfEdgeTree(_raw_to_canonical(raw_u), _emark(g, u, v))
-            side_v = HalfEdgeTree(_raw_to_canonical(raw_v), _emark(g, v, u))
+        if _ball(adj, u, h - 1, v)[1] and _ball(adj, v, h - 1, u)[1]:
+            side_u = HalfEdgeTree(views[(u, v)], _emark(g, u, v))
+            side_v = HalfEdgeTree(views[(v, u)], _emark(g, v, u))
             key_uv = ("tree", side_v, side_u)
             key_vu = ("tree", side_u, side_v)
+        else:
+            key_uv = ("cyc", _cyc_signature(g, adj, u, v, h - 1))
+            key_vu = _swap_key(key_uv)
         counts[key_uv] += 1
         counts[key_vu] += 1
     weights = {k: c / g.n for k, c in counts.items()}

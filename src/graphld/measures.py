@@ -24,17 +24,36 @@ MASS_TOL = 1e-12
 ADMISSIBILITY_TOL = 1e-9
 
 
-def _check_weights(weights: Iterable[float], what: str) -> None:
-    total = math.fsum(weights)
+def _in_unit_range(w: float) -> bool:
+    # the bounds reject NaN and +-inf and keep fsum from overflowing
+    return 0.0 <= w <= 1.0 + MASS_TOL
+
+
+def _clean_weights(weights: Mapping, what: str, non_tree_mass: float = 0.0) -> Dict:
+    """The positive entries of ``weights`` as floats.
+
+    Every entry and ``non_tree_mass`` must lie in [0, 1] (within MASS_TOL),
+    and together they must sum to 1 within MASS_TOL.
+    """
+    clean = {}
+    for key, w in weights.items():
+        w = float(w)
+        if not _in_unit_range(w):
+            raise ValueError(f"{what} weight {w!r} is not in [0, 1]")
+        if w > 0:
+            clean[key] = w
+    if not _in_unit_range(non_tree_mass):
+        raise ValueError(f"non_tree_mass {non_tree_mass!r} is not in [0, 1]")
+    total = math.fsum(list(clean.values()) + [non_tree_mass])
     if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"{what} has total mass {total!r}, expected 1 within {MASS_TOL}")
+    return clean
 
 
 def _is_probability(weights: List[float]) -> bool:
-    # the entry bounds reject NaN and +-inf and keep fsum from overflowing
     return (
         bool(weights)
-        and all(0.0 <= w <= 1.0 + MASS_TOL for w in weights)
+        and all(_in_unit_range(w) for w in weights)
         and abs(math.fsum(weights) - 1.0) <= MASS_TOL
     )
 
@@ -71,22 +90,15 @@ class TreeMeasure:
         non_tree_mass: float = 0.0,
         depth_bound: Optional[int] = None,
     ) -> None:
-        clean: Dict[CanonicalTree, float] = {}
-        for t, w in atoms.items():
-            if w < 0:
-                raise ValueError(f"negative weight {w!r}")
-            if w > 0:
-                clean[t] = float(w)
-        if non_tree_mass < 0:
-            raise ValueError("negative non_tree_mass")
-        _check_weights(list(clean.values()) + [non_tree_mass], "tree measure")
+        non_tree_mass = float(non_tree_mass)
+        clean = _clean_weights(atoms, "tree measure", non_tree_mass)
         max_depth = max((t.depth for t in clean), default=0)
         if depth_bound is None:
             depth_bound = max_depth
         elif max_depth > depth_bound:
             raise ValueError(f"atom depth {max_depth} exceeds depth_bound {depth_bound}")
         object.__setattr__(self, "atoms", clean)
-        object.__setattr__(self, "non_tree_mass", float(non_tree_mass))
+        object.__setattr__(self, "non_tree_mass", non_tree_mass)
         object.__setattr__(self, "depth_bound", int(depth_bound))
 
     def __setattr__(self, name, value):
@@ -190,14 +202,7 @@ class PairMeasure:
     __slots__ = ("atoms",)
 
     def __init__(self, atoms: Mapping[Tuple[HalfEdgeTree, HalfEdgeTree], float]) -> None:
-        clean: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], float] = {}
-        for pair, w in atoms.items():
-            if w < 0:
-                raise ValueError(f"negative weight {w!r}")
-            if w > 0:
-                clean[pair] = float(w)
-        _check_weights(clean.values(), "pair measure")
-        object.__setattr__(self, "atoms", clean)
+        object.__setattr__(self, "atoms", _clean_weights(atoms, "pair measure"))
 
     def __setattr__(self, name, value):
         raise AttributeError("PairMeasure is immutable")
@@ -231,16 +236,11 @@ class DegreeLaw:
     __slots__ = ("probs",)
 
     def __init__(self, probs: Mapping[int, float]) -> None:
-        clean: Dict[int, float] = {}
-        for k, w in probs.items():
+        for k in probs:
             if k < 0 or k != int(k):
                 raise ValueError(f"bad degree {k!r}")
-            if w < 0:
-                raise ValueError(f"negative weight {w!r}")
-            if w > 0:
-                clean[int(k)] = float(w)
-        _check_weights(clean.values(), "degree law")
-        object.__setattr__(self, "probs", clean)
+        clean = _clean_weights(probs, "degree law")
+        object.__setattr__(self, "probs", {int(k): w for k, w in clean.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("DegreeLaw is immutable")

@@ -26,6 +26,7 @@ from .measures import (
     MASS_TOL,
     DegreeLaw,
     DepthChain,
+    PairMeasure,
     TreeMeasure,
     _check_mark_laws,
     entropy,
@@ -123,19 +124,26 @@ class ReferenceLaw:
             tail = 0.0
         else:
             b = float(poisson_mean)
+            if not math.isfinite(b):
+                raise ValueError("poisson mean must be finite")
             if b < 0:
                 raise ValueError("poisson mean must be nonnegative")
             if b == 0:
                 pmf, tail = {0: 1.0}, 0.0
             else:
-                pmf = {}
+                pmf, tail = {}, math.inf
                 cap = max(8, int(math.ceil(b)))
                 while True:
-                    pmf = {
+                    longer = {
                         d: math.exp(-b + d * math.log(b) - math.lgamma(d + 1))
                         for d in range(cap + 1)
                     }
-                    tail = 1.0 - math.fsum(pmf.values())
+                    longer_tail = 1.0 - math.fsum(longer.values())
+                    # for means of about 500 and above the tail stalls at a
+                    # rounding floor above POISSON_TAIL: keep the shorter table
+                    if longer_tail >= tail:
+                        break
+                    pmf, tail = longer, longer_tail
                     if tail < POISSON_TAIL:
                         break
                     cap *= 2
@@ -508,14 +516,19 @@ class ExtensionKernel:
         beta = rho.mean_degree()
         if beta <= 0:
             raise ValueError("degenerate kernel: mean degree is 0")
-        ok, defect = is_admissible(pair_measure(rho, h))
-        if not ok:
-            raise ValueError(f"input law is inadmissible (asymmetry {defect:.3g})")
         acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], Dict[HalfEdgeTree, List[float]]] = {}
         for s, w in rho.items():
             for branch, rest in branch_views(s, h):
                 cell = acc.setdefault((rest.truncated(h - 1), branch), {})
                 cell.setdefault(rest, []).append(w)
+        # the cells' total masses over beta are pair_measure(rho, h), bit for bit
+        pi = PairMeasure({
+            (branch, prior): math.fsum(w for ws in cand.values() for w in ws) / beta
+            for (prior, branch), cand in acc.items()
+        })
+        ok, defect = is_admissible(pi)
+        if not ok:
+            raise ValueError(f"input law is inadmissible (asymmetry {defect:.3g})")
         laws = {}
         for key, cand in acc.items():
             sums = {c: math.fsum(ws) for c, ws in cand.items()}

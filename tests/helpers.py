@@ -1,19 +1,22 @@
 """Shared builders for tests: raw trees, exact reference laws, small forests,
-and the rejection sampler that conditional Monte Carlo is checked against."""
+the per-vertex ball trees that graph views are checked against, and the
+rejection sampler that conditional Monte Carlo is checked against."""
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter, deque
 
 import numpy as np
 from scipy import stats
 
+from graphld.empirical import _swap_key
 from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
 from graphld.measures import TreeMeasure
 from graphld.samplers import integer_degree_counts
-from graphld.trees import CanonicalTree
+from graphld.trees import CanonicalTree, HalfEdgeTree
 
 
 def canon_raw(raw):
@@ -98,6 +101,86 @@ def half_edge_view(adj, vmarks, emarks, u, v, depth):
         return (vmarks[w], kids)
 
     return build(u, v, 0)
+
+
+def _vm(g, v):
+    return g.vmarks[v] if g.is_marked else 0
+
+
+def _em(g, a, b):
+    return g.emarks[(a, b)] if g.is_marked else 0
+
+
+def ball_dist(adj, root, h, banned=None):
+    """Distances from ``root`` up to ``h`` in the graph without the edge
+    {root, banned}, and whether the subgraph induced on that ball is a tree."""
+    dist = {root: 0}
+    q = deque([root])
+    while q:
+        v = q.popleft()
+        if dist[v] == h:
+            continue
+        for w in adj[v]:
+            if (v, w) != (root, banned) and w not in dist:
+                dist[w] = dist[v] + 1
+                q.append(w)
+    inside = sum(1 for v in dist for w in adj[v] if w in dist and {v, w} != {root, banned})
+    return dist, inside // 2 == len(dist) - 1
+
+
+def ball_tree(g, adj, root, h, banned=None):
+    """The depth-h ball of ``root`` (without the edge {root, banned}) as a
+    canonical tree, or None if it holds a cycle: the
+    per-vertex construction that the message-passing views are checked against."""
+    dist, is_tree = ball_dist(adj, root, h, banned)
+    if not is_tree:
+        return None
+
+    def build(v, parent):
+        kids = [((_em(g, w, v), _em(g, v, w)), build(w, v)) for w in adj[v]
+                if w in dist and w != parent and {v, w} != {root, banned}]
+        return (_vm(g, v), kids)
+
+    return canon_raw(build(root, None))
+
+
+def oracle_view(adj, root, h):
+    """(layers, cycle flag) of the depth-h ball of ``root``."""
+    dist, is_tree = ball_dist(adj, root, h)
+    return (tuple(tuple(sorted(w for w in dist if dist[w] == d))
+                  for d in range(max(dist.values()) + 1)), not is_tree)
+
+
+def oracle_neighborhood_measure(g):
+    adj = g.adjacency()
+    stars = [canon_raw((_vm(g, v), [((_em(g, w, v), _em(g, v, w)), (_vm(g, w), []))
+                                    for w in adj[v]])) for v in range(g.n)]
+    return TreeMeasure.from_counts(Counter(stars), 0, depth_bound=1)
+
+
+def oracle_component_measure(g, h):
+    adj = g.adjacency()
+    trees = [ball_tree(g, adj, v, h) for v in range(g.n)]
+    return TreeMeasure.from_counts(Counter(t for t in trees if t is not None),
+                                   trees.count(None), depth_bound=h)
+
+
+def oracle_mtp_weights(g, h):
+    """The key weights ``mtp_check_graph`` transports, from per-edge ball trees."""
+    adj = g.adjacency()
+    counts = Counter()
+    for u, v in g.edges:
+        tu, tv = ball_tree(g, adj, u, h - 1, v), ball_tree(g, adj, v, h - 1, u)
+        if tu is None or tv is None:
+            du, dv = ball_dist(adj, u, h - 1)[0], ball_dist(adj, v, h - 1)[0]
+            profile = tuple(sorted((du.get(w, h), dv.get(w, h), _vm(g, w))
+                                   for w in set(du) | set(dv)))
+            key = ("cyc", (_em(g, u, v), _em(g, v, u), profile))
+        else:
+            key = ("tree", HalfEdgeTree(tv, _em(g, v, u)), HalfEdgeTree(tu, _em(g, u, v)))
+        counts[key] += 1
+        counts[_swap_key(key)] += 1
+    return {k: c / g.n for k, c in counts.items()}
 
 
 def markov_product_measure(deg_law, pair_matrix):

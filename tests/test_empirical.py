@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graphld import empirical
 from graphld.empirical import (
     ComponentView,
     component_measure,
@@ -15,11 +18,14 @@ from graphld.empirical import (
     mtp_check_graph,
     neighborhood_measure,
 )
-from graphld.measures import mtp_check, tv_distance
+from graphld.measures import mtp_check, transport_violation, tv_distance
 from graphld.samplers import MarkedGraph, make_rng, sample_er, assign_marks
 from graphld.trees import CanonicalTree
 
-from helpers import canon_raw, component_law, random_forest, star
+from helpers import (
+    canon_raw, component_law, oracle_component_measure, oracle_mtp_weights,
+    oracle_neighborhood_measure, oracle_view, random_forest, star,
+)
 
 
 def graph_from_forest(adj, vmarks, emarks) -> MarkedGraph:
@@ -231,6 +237,40 @@ def test_mtp_graph_and_measure_agree_on_forests():
         assert mtp_check(u2, rng=make_rng(2)) <= 1e-9
         # polymorphic entry point dispatches on the graph as well
         assert mtp_check(g, h=2, rng=make_rng(3)) <= 1e-9
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 25), kappa=st.floats(0.0, 4.0), seed=st.integers(0, 2**32),
+       marked=st.booleans(), h=st.integers(0, 5))
+def test_views_match_ball_tree_oracle(n, kappa, seed, marked, h):
+    # ER graphs this dense have triangles and short cycles, so the cycle
+    # flags and the cycle-signature keys of the MTP are exercised.  Half-edge
+    # views equal the ball trees up to depth 2 (h <= 3); deeper, a short cycle
+    # through the cut edge unfolds in the view, so only the value is compared.
+    g = sample_er(n, min(kappa, n), make_rng(seed, 0))
+    if marked:
+        g = assign_marks(g, (0.5, 0.3, 0.2), ((0.4, 0.1), (0.2, 0.3)), make_rng(seed, 1))
+    assert neighborhood_measure(g).to_obj() == oracle_neighborhood_measure(g).to_obj()
+    assert component_measure(g, h).to_obj() == oracle_component_measure(g, h).to_obj()
+    adj = g.adjacency()
+    for root in range(n):
+        view = component_view(g, root, h, adj)
+        assert (view.layers, view.cycle_detected) == oracle_view(adj, root, h)
+    if h == 0:
+        return
+    seen = []
+
+    def capture(weights, *args):
+        seen.append(weights)
+        return transport_violation(weights, *args)
+
+    with mock.patch.object(empirical, "transport_violation", capture):
+        got = mtp_check_graph(g, h, rng=make_rng(seed, 2))
+    want = oracle_mtp_weights(g, h)
+    if h <= 3:
+        assert seen == [want]
+    assert got == transport_violation(want, empirical._swap_key, empirical._key_payload,
+                                      20, make_rng(seed, 2))
 
 
 def test_local_convergence_toward_reference_stars():

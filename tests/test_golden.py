@@ -3,7 +3,8 @@
 Each case hashes ``json.dumps(obj, sort_keys=True)`` of a report, a measure or
 a list of values and compares it with a SHA-256 digest recorded from the
 implementation before the rate forms, gates and pair views were merged into
-shared routines.  Any change to a single output bit fails the case; a change
+shared routines (``graph_views``: before the graph views were computed by
+message passing).  Any change to a single output bit fails the case; a change
 that is meant to alter outputs must say so and record new digests.
 """
 
@@ -15,7 +16,9 @@ import json
 
 import pytest
 
-from graphld.empirical import component_measure, neighborhood_measure
+from graphld.empirical import (
+    component_measure, component_view, mtp_check_graph, neighborhood_measure,
+)
 from graphld.measures import DegreeLaw, TreeMeasure, pair_measure
 from graphld.rates import (
     ReferenceLaw,
@@ -50,6 +53,7 @@ GOLDEN = {
     "er": "1f8da1f859a6bc24de37cab3661db8ca5e894979debd3be33aaef04b97417e82",
     "forest_chain": "57d82b94efa95fbefc2d746776b00ae5a4228be190f31d86bf7619fd622dcba6",
     "gated": "8b89cc4afd795485026a594ef1ed0e73fc458761af04e215386d5fb5ec0b4de9",
+    "graph_views": "4dea390051335583092e2bf42658884badf354b8a68151fa18d79e57b84dfb71",
     "leaf_and_extension_laws": "a4c1d98e440ae48e041db3c772d28e24dfa8a80434861955a55211619e33ca16",
     "nbd_rates": "35bbf1bcb755c728db2c1f41f2e38dc093425da322cf069ee552d087b8cce9fb",
     "neighborhood_forms": "a2fefefc62d31edd561ec2ae89546131d8c41352f16bcea6c9c15e7324e71b9f",
@@ -153,6 +157,30 @@ def case_nbd_rates():
     return values
 
 
+def case_graph_views():
+    # marked CM, FE and ER graphs plus one unmarked ER graph; all have cycles,
+    # so non_tree_mass > 0 and the MTP sees cycle-signature keys
+    cfg = ModelConfig("CM", HALF, SKEW_XI, alpha=DegreeLaw({1: 0.5, 3: 0.5}))
+    graphs = [
+        assign_marks(sample_cm(300, cfg, make_rng(23, 0)), HALF, SKEW_XI, make_rng(23, 1)),
+        assign_marks(sample_fe(300, 330, make_rng(23, 2)), HALF, SKEW_XI, make_rng(23, 3)),
+        assign_marks(sample_er(300, 2.5, make_rng(23, 4)), HALF, SKEW_XI, make_rng(23, 5)),
+        sample_er(300, 3.0, make_rng(23, 6)),
+    ]
+    out = []
+    for g in graphs:
+        levels = [component_measure(g, h) for h in range(4)]
+        assert levels[3].non_tree_mass > 0
+        views = [component_view(g, r, h) for r in (0, 1, 17, 150, 299) for h in range(4)]
+        out.append([
+            neighborhood_measure(g).to_obj(),
+            [lv.to_obj() for lv in levels],
+            [[[list(l) for l in v.layers], v.cycle_detected] for v in views],
+            [mtp_check_graph(g, h, rng=make_rng(29, h)) for h in (1, 2, 3)],
+        ])
+    return out
+
+
 def case_neighborhood_forms():
     law = ReferenceLaw.fixed_alpha(DegreeLaw({1: 1.0}), HALF, TRIVIAL_XI)
     sym = TreeMeasure({star(0, [1]): 0.3, star(1, [0]): 0.3, star(0, [0]): 0.4}, 0.0, 1)
@@ -182,6 +210,7 @@ CASES = {
     "er": case_er,
     "gated": case_gated,
     "nbd_rates": case_nbd_rates,
+    "graph_views": case_graph_views,
     "neighborhood_forms": case_neighborhood_forms,
     "leaf_and_extension_laws": case_leaf_and_extension_laws,
 }

@@ -67,6 +67,29 @@ def test_tree_measure_validation():
     assert len(m) == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tree_measure_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError):
+        TreeMeasure({LEAF0: 1.0, LEAF1: bad})
+    # a NaN non-tree mass would pass every non_tree_mass > MASS_TOL gate
+    with pytest.raises(ValueError):
+        TreeMeasure({LEAF0: 1.0}, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pair_measure_rejects_non_finite_weights(bad):
+    a, b = split_at_child(S1, 0)
+    with pytest.raises(ValueError):
+        PairMeasure({(a, b): 1.0, (b, a): bad})
+
+
+@pytest.mark.parametrize("probs", [{1: 1.0, 2: math.nan}, {1: 1.0, 2: math.inf},
+                                   {1: 1e308, 2: 1e308}])
+def test_degree_law_rejects_out_of_range_weights(probs):
+    with pytest.raises(ValueError):
+        DegreeLaw(probs)
+
+
 def test_from_counts_and_non_tree_mass():
     m = TreeMeasure.from_counts({LEAF0: 3, S2: 1}, non_tree_count=4)
     assert m.get(LEAF0) == 0.375 and m.get(S2) == 0.125

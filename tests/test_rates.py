@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphld
+from graphld import rates
 from graphld.empirical import component_measure, neighborhood_measure
 from graphld.measures import (
     DegreeLaw,
@@ -178,6 +183,29 @@ def test_reference_roundtrip_and_validation():
         ReferenceLaw.fixed_alpha(alpha, (0.5, 0.6), ((1.0,),))
     with pytest.raises(ValueError):
         ReferenceLaw.poisson(-1.0, (1.0,), ((1.0,),))
+
+
+@pytest.mark.parametrize("mean", [500.0, 1000.0])
+def test_reference_poisson_large_mean_terminates(mean):
+    # the tail stalls at a rounding floor above 1e-13 for these means; run in
+    # a child process so that a regression fails on the timeout instead of
+    # hanging the suite
+    src = os.path.dirname(os.path.dirname(graphld.__file__))
+    code = ("from graphld.rates import ReferenceLaw\n"
+            f"law = ReferenceLaw.poisson({mean!r}, (1.0,), ((1.0,),))\n"
+            "print(len(law.degree_pmf), law.neglected_tail)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    size, tail = out.stdout.split()
+    assert int(size) == 2 * int(mean) + 1
+    assert 0 < float(tail) < 1e-12
+
+
+@pytest.mark.parametrize("mean", [math.nan, math.inf])
+def test_reference_poisson_rejects_non_finite_mean(mean):
+    with pytest.raises(ValueError):
+        ReferenceLaw.poisson(mean, (1.0,), ((1.0,),))
 
 
 # ------------------------------------------------- depth-1 reference pair
@@ -466,6 +494,18 @@ def test_extension_kernel_guards():
     kern = extension_kernel(THREE_PATH, 1)
     with pytest.raises(ValueError):
         kern.law(HalfEdgeTree(CanonicalTree(9), 0), HalfEdgeTree(LEAF, 0))
+
+
+def test_extension_kernel_checks_admissibility_from_its_own_cells(monkeypatch):
+    want = one_step_extension(THREE_PATH, 1)
+
+    def no_pair_measure(*args):
+        raise AssertionError("pair_measure recomputed")
+
+    monkeypatch.setattr(rates, "pair_measure", no_pair_measure)
+    assert one_step_extension(THREE_PATH, 1) == want
+    with pytest.raises(ValueError, match="inadmissible"):
+        extension_kernel(TreeMeasure({star(0, [1]): 1.0}, 0.0, 1), 1)
 
 
 # -------------------------------------------------------- one-step extension
