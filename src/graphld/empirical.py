@@ -76,11 +76,8 @@ def _edge_views(g: MarkedGraph, adj, k: int) -> Dict[Tuple[int, int], CanonicalT
     leaves = {x: CanonicalTree(x) for x in (set(g.vmarks) if g.is_marked else {0})}
     views = {(u, v): leaves[_vmark(g, u)] for u in range(g.n) for v in adj[u]}
     for _ in range(k):
-        # equal views share one object, so the 2m messages hold only the
-        # distinct trees
-        distinct: Dict[CanonicalTree, CanonicalTree] = {}
-        views = {(u, v): distinct.setdefault(t := _view(g, adj, u, v, views), t)
-                 for u, v in views}
+        # trees are interned, so the 2m messages hold only the distinct views
+        views = {(u, v): _view(g, adj, u, v, views) for u, v in views}
     return views
 
 
@@ -173,9 +170,11 @@ def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, trial_count: int = 
 
     For every ordered adjacent pair (u, v) the doubly rooted view is reduced
     to an invariant key: the ordered pair of depth-(h-1) half-edge views when
-    both sides are trees, else a distance-profile signature.  Exchanging the
-    two roots must leave the key-weighted sums unchanged for any finite graph;
-    a nonzero value flags an inconsistency in the view machinery.
+    both sides are trees, else a distance-profile signature.  Every edge adds
+    its key and the key's swap together, so the key weights are
+    swap-symmetric by construction and the result is 0.0 for any graph and
+    any views: the check guards ``_swap_key`` (a swap that is not an
+    involution on the keys would show), not the views themselves.
     """
     if h is None:
         h = 2

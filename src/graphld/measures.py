@@ -2,14 +2,17 @@
 
 Weights are 64-bit floats with a 1e-12 normalization tolerance.  Measures are
 immutable after construction; +inf is a legitimate value of the entropy
-functionals, never an error.
+functionals, never an error.  The laws derived from a ``TreeMeasure`` (its
+truncations, pair weights and pair laws, and in ``graphld.rates`` its
+extension kernels and one-step extensions) are computed once per measure and
+depth and shared by every caller.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .trees import (
     CanonicalTree,
@@ -80,9 +83,13 @@ class TreeMeasure:
     ``non_tree_mass`` holds probability carried by non-tree (cyclic) sample
     points that cannot be represented as atoms; it stays unresolved under
     truncation and blocks operations that need the full support.
+
+    Laws derived from the measure are memoized per depth in ``_memo`` (see
+    ``_memoized``); returned measures are shared, so do not mutate their
+    ``atoms``.
     """
 
-    __slots__ = ("atoms", "non_tree_mass", "depth_bound")
+    __slots__ = ("atoms", "non_tree_mass", "depth_bound", "_memo")
 
     def __init__(
         self,
@@ -100,9 +107,21 @@ class TreeMeasure:
         object.__setattr__(self, "atoms", clean)
         object.__setattr__(self, "non_tree_mass", non_tree_mass)
         object.__setattr__(self, "depth_bound", int(depth_bound))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeMeasure is immutable")
+
+    def _memoized(self, kind: str, h: int, build: Callable[[], object]):
+        """The law ``kind`` of this measure at depth ``h``: ``build()`` on the
+        first request, the stored result afterwards.  A raising ``build``
+        stores nothing."""
+        key = (kind, h)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     @classmethod
     def from_counts(
@@ -148,15 +167,20 @@ class TreeMeasure:
         )
 
     def truncated(self, h: int) -> "TreeMeasure":
-        """Pushforward under depth-``h`` truncation; non-tree mass is carried over."""
+        """Pushforward under depth-``h`` truncation; non-tree mass is carried
+        over.  Computed once per ``h``."""
         if h >= self.depth_bound:
             return self
-        acc: Dict[CanonicalTree, List[float]] = {}
-        for t, w in self.atoms.items():
-            acc.setdefault(truncate(t, h), []).append(w)
-        return TreeMeasure(
-            {t: math.fsum(ws) for t, ws in acc.items()}, self.non_tree_mass, h
-        )
+
+        def build():
+            acc: Dict[CanonicalTree, List[float]] = {}
+            for t, w in self.atoms.items():
+                acc.setdefault(truncate(t, h), []).append(w)
+            return TreeMeasure(
+                {t: math.fsum(ws) for t, ws in acc.items()}, self.non_tree_mass, h
+            )
+
+        return self._memoized("truncated", h, build)
 
     def _require_tree_support(self, op: str) -> None:
         if self.non_tree_mass > MASS_TOL:
@@ -364,29 +388,39 @@ def size_bias(rho: TreeMeasure) -> TreeMeasure:
 
 
 def _pair_weights(u: TreeMeasure, h: int) -> Dict[Tuple[HalfEdgeTree, HalfEdgeTree], float]:
-    """Per pair of depth-(h-1) cut views, the u-mass of root children cut to it."""
-    acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], List[float]] = {}
-    for t, w in u.atoms.items():
-        for key in branch_views(t, h - 1):
-            acc.setdefault(key, []).append(w)
-    return {k: math.fsum(ws) for k, ws in acc.items()}
+    """Per pair of depth-(h-1) cut views, the u-mass of root children cut to it
+    (memoized on ``u``: read, do not mutate)."""
+
+    def build():
+        acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], List[float]] = {}
+        for t, w in u.atoms.items():
+            for key in branch_views(t, h - 1):
+                acc.setdefault(key, []).append(w)
+        return {k: math.fsum(ws) for k, ws in acc.items()}
+
+    return u._memoized("pair_weights", h, build)
 
 
 def pair_measure(rho: TreeMeasure, h: Optional[int] = None) -> PairMeasure:
     """Law of the ordered pair of depth-(h-1) half-edge views across a root edge.
 
     Cell (tau, tau') receives (1/beta) x the rho-expected number of root
-    children whose cut views are (branch, remainder) = (tau, tau').
+    children whose cut views are (branch, remainder) = (tau, tau').  Computed
+    once per (rho, h).
     """
-    rho._require_tree_support("pair_measure")
     if h is None:
         h = rho.depth_bound
-    if rho.depth_bound > h:
-        raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}; truncate first")
-    beta = rho.mean_degree()
-    if beta <= 0:
-        raise ValueError("degenerate pair measure: mean degree is 0")
-    return PairMeasure({k: w / beta for k, w in _pair_weights(rho, h).items()})
+
+    def build():
+        rho._require_tree_support("pair_measure")
+        if rho.depth_bound > h:
+            raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}; truncate first")
+        beta = rho.mean_degree()
+        if beta <= 0:
+            raise ValueError("degenerate pair measure: mean degree is 0")
+        return PairMeasure({k: w / beta for k, w in _pair_weights(rho, h).items()})
+
+    return rho._memoized("pair_measure", h, build)
 
 
 def is_admissible(p: PairMeasure, tol: float = ADMISSIBILITY_TOL) -> Tuple[bool, float]:

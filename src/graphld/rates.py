@@ -40,6 +40,9 @@ from .trees import CanonicalTree, HalfEdgeTree, branch_views
 
 GATE_TOL = 1e-9
 POISSON_TAIL = 1e-13
+# entries of the largest Poisson degree table; the table of mean b needs
+# about 2b to 4b of them, so means above about 65 000 raise ValueError
+POISSON_TABLE_LIMIT = 1 << 18
 
 __all__ = [
     "GATE_TOL",
@@ -105,8 +108,10 @@ class ReferenceLaw:
 
     The root degree follows either a fixed finite law or a Poisson law
     truncated at a cap with neglected tail below 1e-12 (reported in
-    ``neglected_tail``); vertex marks are i.i.d. ``nu`` and each edge carries
-    an ordered mark pair with the symmetrized law ``xibar``.
+    ``neglected_tail``; a table longer than ``POISSON_TABLE_LIMIT`` entries
+    raises ValueError before it is built); vertex marks are i.i.d. ``nu``
+    and each edge carries an ordered mark pair with the symmetrized law
+    ``xibar``.
     """
 
     __slots__ = ("alpha", "poisson_mean", "nu", "xi", "xibar", "degree_pmf", "neglected_tail")
@@ -134,6 +139,11 @@ class ReferenceLaw:
                 pmf, tail = {}, math.inf
                 cap = max(8, int(math.ceil(b)))
                 while True:
+                    if cap + 1 > POISSON_TABLE_LIMIT:
+                        raise ValueError(
+                            f"poisson mean {b!r} needs a degree table of {cap + 1} entries"
+                            f" (limit {POISSON_TABLE_LIMIT})"
+                        )
                     longer = {
                         d: math.exp(-b + d * math.log(b) - math.lgamma(d + 1))
                         for d in range(cap + 1)
@@ -484,7 +494,7 @@ def vertex_only_rate(beta: float, law: ReferenceLaw, mu: TreeMeasure) -> float:
     an = _prepare([mu], beta, law, None, None)
     if an.short is not None:
         return an.short
-    pi = an.pis[0]
+    pi = an.pi(1)
     _, cond = _sb_stats(pi)
     h_cond = _relent_vs_density(mu, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
     first, second, _ = pair_marginals(pi)
@@ -553,7 +563,8 @@ class ExtensionKernel:
 
 
 def extension_kernel(rho: TreeMeasure, h: int) -> ExtensionKernel:
-    return ExtensionKernel(rho, h)
+    """``ExtensionKernel(rho, h)``, built once per (rho, h)."""
+    return rho._memoized("kernel", h, lambda: ExtensionKernel(rho, h))
 
 
 def one_step_extension(rho: TreeMeasure, h: int) -> TreeMeasure:
@@ -561,14 +572,18 @@ def one_step_extension(rho: TreeMeasure, h: int) -> TreeMeasure:
 
     Each root branch is deepened independently from the extension kernel;
     degree-0 atoms pass through unchanged.  The depth-h marginal of the
-    result equals the input on atoms.
+    result equals the input on atoms.  Computed once per (rho, h).
     """
+    return rho._memoized("extension", h, lambda: _extend(rho, h))
+
+
+def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
     rho._require_tree_support("one_step_extension")
     if rho.depth_bound > h:
         raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}")
     if rho.mean_degree() == 0:
         return TreeMeasure(rho.atoms, 0.0, h + 1)
-    kernel = ExtensionKernel(rho, h)
+    kernel = extension_kernel(rho, h)
     acc: Dict[CanonicalTree, List[float]] = {}
     for s, w in rho.items():
         if s.root_degree == 0:
@@ -703,9 +718,9 @@ class _ChainAnalysis:
 
     ``short`` is None when the positive-mean machinery should run, +inf when
     a gate fails, or the finite mean-degree-0 value.  ``beta`` is re-centred
-    at the measured mean degree for ER once the gates pass.  ``pis[h-1]`` is
-    the pair law of level h, built by the admissibility gate.  An analysis
-    lives for one call: nothing is shared across calls.
+    at the measured mean degree for ER once the gates pass.  The laws below
+    are read from the levels' memos, so every form and call on the same
+    chain shares them.
     """
 
     chain: DepthChain
@@ -714,7 +729,10 @@ class _ChainAnalysis:
     flags: Dict[str, object]
     boundary: float = 0.0
     short: Optional[float] = None
-    pis: List = field(default_factory=list)
+
+    def pi(self, h: int) -> PairMeasure:
+        """pi_h: the pair law of level h."""
+        return pair_measure(self.chain.level(h), h)
 
     def extension(self, h: int):
         """(rho*_h, pi*_h): the one-step extension of level h-1 and its pair law."""
@@ -767,10 +785,9 @@ def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
     if abs(mean - beta) > GATE_TOL:
         an.short = math.inf
         return an
-    an.pis = [pair_measure(chain.level(h), h) for h in range(1, len(chain) + 1)]
     worst = 0.0
-    for pi in an.pis:
-        worst = max(worst, is_admissible(pi)[1])
+    for h in range(1, len(chain) + 1):
+        worst = max(worst, is_admissible(an.pi(h))[1])
     flags["admissible"] = worst <= GATE_TOL
     flags["admissibility_defect"] = worst
     if worst > GATE_TOL:
@@ -837,13 +854,13 @@ def _component_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport,
     for h in range(1, depth + 1):
         lv = an.chain.level(h)
         if h == 1:
-            child, cond = _sb_stats(an.pis[0])
+            child, cond = _sb_stats(an.pi(1))
             a = _relent_vs_density(lv, functools.partial(_leaf_density, law, _indep_ratio(law, child)))
             b = _relent_vs_density(lv, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
         else:
             rstar, pistar = an.extension(h)
             a = relative_entropy(lv, rstar)
-            b = relative_entropy(lv, _cond_from_extension(rstar, an.pis[h - 1], pistar, h))
+            b = relative_entropy(lv, _cond_from_extension(rstar, an.pi(h), pistar, h))
         report.terms.append((a, b))
         total += 0.5 * (a + b)
         yield total
@@ -866,11 +883,11 @@ def _intermediate_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateRepo
         lv = an.chain.level(h)
         if h == 1:
             a = _relent_vs_density(lv, law.star_density)
-            b = 0.5 * an.beta * _relent_vs_density(an.pis[0], law.pair_density)
+            b = 0.5 * an.beta * _relent_vs_density(an.pi(1), law.pair_density)
         else:
             rstar, pistar = an.extension(h)
             a = relative_entropy(lv, rstar)
-            b = 0.5 * an.beta * relative_entropy(an.pis[h - 1], pistar)
+            b = 0.5 * an.beta * relative_entropy(an.pi(h), pistar)
         report.terms.append((a, b))
         total += a - b
         yield total
@@ -909,7 +926,7 @@ def _combinatorial_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateRep
         j = (
             -matching_entropy(beta)
             + entropy(lv)
-            - 0.5 * beta * entropy(an.pis[h - 1])
+            - 0.5 * beta * entropy(an.pi(h))
             - efact
         )
         report.j_values.append(j)

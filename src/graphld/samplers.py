@@ -402,7 +402,9 @@ def sample_ugwt(rho_h, h: int, depth: int, rng: np.random.Generator) -> LabeledT
 
     The extension is materialized exactly by iterating the one-step extension
     up to ``depth`` and drawing from the resulting finite law; intended for
-    enumerable supports (the support grows quickly with depth).
+    enumerable supports (the support grows quickly with depth).  The
+    extensions are memoized on ``rho_h`` and its extensions, so repeated
+    draws from the same law build them once.
     """
     from .measures import is_admissible, pair_measure
     from .rates import one_step_extension

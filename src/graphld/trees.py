@@ -5,15 +5,21 @@ carries a mark from a finite alphabet Y; marks are stored as integer indices.
 A rooted marked tree is represented up to isomorphism by a ``CanonicalTree``,
 whose children are kept sorted under a fixed total order, so two labeled trees
 are isomorphic iff their canonical encodings are equal (marked AHU form).
+Trees are hash-consed: while a tree is alive, constructing an equal one
+returns that same object, and the truncations of a tree are computed once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import weakref
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 _HDR = struct.Struct("<HH")
+
+# the live tree of each encoding; an entry lives as long as its tree
+_INTERN: "weakref.WeakValueDictionary[bytes, CanonicalTree]" = weakref.WeakValueDictionary()
 
 __all__ = [
     "CanonicalTree",
@@ -37,28 +43,39 @@ class CanonicalTree:
     ``children`` is a tuple of ``((y_child_side, y_root_side), subtree)``
     entries sorted lexicographically on (edge mark pair, subtree encoding).
     The mark pair stores the child-to-root side first, root-to-child second.
-    Instances are immutable; a compact byte encoding and a 64-bit hash are
-    memoized for use as map keys.
+    Instances are immutable and interned: constructing a tree whose encoding
+    equals that of a live tree returns the live tree, so equal trees are the
+    same object.  A compact byte encoding and a 64-bit hash are memoized for
+    use as map keys; ``truncate`` results are memoized in ``_trunc``.
     """
 
-    __slots__ = ("mark", "children", "depth", "encoding", "_hash")
+    __slots__ = ("mark", "children", "depth", "encoding", "_hash", "_trunc", "__weakref__")
 
-    def __init__(self, mark: int, children: Tuple = ()) -> None:
+    def __new__(cls, mark: int, children: Tuple = ()) -> "CanonicalTree":
         if not 0 <= mark < 0xFFFF:
             raise ValueError("mark index out of range")
-        kids = sorted(children, key=lambda c: (c[0], c[1].encoding))
-        object.__setattr__(self, "mark", int(mark))
-        object.__setattr__(self, "children", tuple(kids))
-        depth = 0 if not kids else 1 + max(sub.depth for _, sub in kids)
-        object.__setattr__(self, "depth", depth)
+        kids = tuple(sorted(children, key=lambda c: (c[0], c[1].encoding)))
         parts = [_HDR.pack(mark, len(kids))]
         for (yc, yr), sub in kids:
             parts.append(_HDR.pack(yc, yr))
             parts.append(sub.encoding)
         enc = b"".join(parts)
+        self = _INTERN.get(enc)
+        if self is not None:
+            return self
+        self = object.__new__(cls)
+        object.__setattr__(self, "mark", int(mark))
+        object.__setattr__(self, "children", kids)
+        depth = 0 if not kids else 1 + max(sub.depth for _, sub in kids)
+        object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "encoding", enc)
         h = int.from_bytes(hashlib.blake2b(enc, digest_size=8).digest(), "little")
         object.__setattr__(self, "_hash", h)
+        _INTERN[enc] = self
+        return self
+
+    def __init__(self, mark: int, children: Tuple = ()) -> None:
+        """Nothing to do: ``__new__`` returns a complete, possibly shared, tree."""
 
     def __setattr__(self, name, value):
         raise AttributeError("CanonicalTree is immutable")
@@ -159,14 +176,25 @@ def canonicalize(t: LabeledTree) -> CanonicalTree:
 
 
 def truncate(t: CanonicalTree, h: int) -> CanonicalTree:
-    """Subtree of vertices within distance `h` of the root."""
+    """Subtree of vertices within distance `h` of the root; computed once per
+    (tree, h) and kept as long as `t` lives."""
     if h < 0:
         raise ValueError("truncation depth must be nonnegative")
     if t.depth <= h:
         return t
-    if h == 0:
-        return CanonicalTree(t.mark)
-    return CanonicalTree(t.mark, tuple((pair, truncate(sub, h - 1)) for pair, sub in t.children))
+    try:
+        memo = t._trunc
+    except AttributeError:
+        memo = {}
+        object.__setattr__(t, "_trunc", memo)
+    cut = memo.get(h)
+    if cut is None:
+        if h == 0:
+            cut = CanonicalTree(t.mark)
+        else:
+            cut = CanonicalTree(t.mark, tuple((pair, truncate(sub, h - 1)) for pair, sub in t.children))
+        memo[h] = cut
+    return cut
 
 
 def split_at_child(t: CanonicalTree, child_index: int) -> Tuple[HalfEdgeTree, HalfEdgeTree]:
@@ -193,13 +221,19 @@ def attach(a: HalfEdgeTree, b: HalfEdgeTree) -> CanonicalTree:
     return CanonicalTree(a.tree.mark, a.tree.children + (entry,))
 
 
-def branch_views(t: CanonicalTree, h: int) -> List[Tuple[HalfEdgeTree, HalfEdgeTree]]:
-    """Per root child, the pair (branch, remainder) truncated at depth `h`."""
+def branch_views(t: CanonicalTree, h: int) -> Tuple[Tuple[HalfEdgeTree, HalfEdgeTree], ...]:
+    """Per root child, the pair (branch, remainder) of ``split_at_child``
+    truncated at depth `h`, as a tuple.
+
+    The remainder is assembled from the children's depth-(h-1) truncations,
+    so the untruncated remainder is never built.
+    """
+    cut = [(pair, truncate(sub, h - 1)) for pair, sub in t.children] if h > 0 else []
     views = []
-    for i in range(t.root_degree):
-        branch, rest = split_at_child(t, i)
-        views.append((branch.truncated(h), rest.truncated(h)))
-    return views
+    for i, ((yc, yr), sub) in enumerate(t.children):
+        rest = CanonicalTree(t.mark, tuple(cut[:i] + cut[i + 1:]))
+        views.append((HalfEdgeTree(truncate(sub, h), yc), HalfEdgeTree(rest, yr)))
+    return tuple(views)
 
 
 def count_branch_pairs(

@@ -1,10 +1,12 @@
 """Shared builders for tests: raw trees, exact reference laws, small forests,
-the per-vertex ball trees that graph views are checked against, and the
+the per-vertex ball trees that graph views are checked against, the
+uncached derived laws that the memoized ones are checked against, and the
 rejection sampler that conditional Monte Carlo is checked against."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 
 import numpy as np
@@ -14,9 +16,11 @@ from graphld.empirical import _swap_key
 from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
-from graphld.measures import TreeMeasure
+from graphld.measures import (
+    PairMeasure, TreeMeasure, _pair_payload, is_admissible, transport_violation,
+)
 from graphld.samplers import integer_degree_counts
-from graphld.trees import CanonicalTree, HalfEdgeTree
+from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child
 
 
 def canon_raw(raw):
@@ -181,6 +185,95 @@ def oracle_mtp_weights(g, h):
         counts[key] += 1
         counts[_swap_key(key)] += 1
     return {k: c / g.n for k, c in counts.items()}
+
+
+# ------------------------------------------- uncached derived laws (oracles)
+
+
+def oracle_truncate(t, h):
+    """Depth-h truncation rebuilt from scratch on every call."""
+    if t.depth <= h:
+        return t
+    if h == 0:
+        return CanonicalTree(t.mark)
+    return CanonicalTree(t.mark, tuple((pair, oracle_truncate(sub, h - 1))
+                                       for pair, sub in t.children))
+
+
+def oracle_branch_views(t, h):
+    """Per root child, ``split_at_child`` truncated at depth h."""
+    views = []
+    for i in range(t.root_degree):
+        branch, rest = split_at_child(t, i)
+        views.append((HalfEdgeTree(oracle_truncate(branch.tree, h), branch.pendant_mark),
+                      HalfEdgeTree(oracle_truncate(rest.tree, h), rest.pendant_mark)))
+    return views
+
+
+def oracle_truncated(m, h):
+    if h >= m.depth_bound:
+        return m
+    acc = {}
+    for t, w in m.atoms.items():
+        acc.setdefault(oracle_truncate(t, h), []).append(w)
+    return TreeMeasure({t: math.fsum(ws) for t, ws in acc.items()}, m.non_tree_mass, h)
+
+
+def oracle_pair_weights(u, h):
+    acc = {}
+    for t, w in u.atoms.items():
+        for key in oracle_branch_views(t, h - 1):
+            acc.setdefault(key, []).append(w)
+    return {k: math.fsum(ws) for k, ws in acc.items()}
+
+
+def oracle_pair_measure(rho, h=None):
+    h = rho.depth_bound if h is None else h
+    beta = rho.mean_degree()
+    return PairMeasure({k: w / beta for k, w in oracle_pair_weights(rho, h).items()})
+
+
+def oracle_mtp_check(u, h=None, trial_count=20, rng=None):
+    h = max(u.depth_bound, 1) if h is None else h
+    return transport_violation(oracle_pair_weights(u, h), lambda k: (k[1], k[0]),
+                               _pair_payload, trial_count, rng)
+
+
+def oracle_one_step_extension(rho, h):
+    """The one-step extension with its kernel rebuilt from oracle views."""
+    beta = rho.mean_degree()
+    if beta == 0:
+        return TreeMeasure(rho.atoms, 0.0, h + 1)
+    acc = {}
+    for s, w in rho.items():
+        for branch, rest in oracle_branch_views(s, h):
+            prior = HalfEdgeTree(oracle_truncate(rest.tree, h - 1), rest.pendant_mark)
+            acc.setdefault((prior, branch), {}).setdefault(rest, []).append(w)
+    pi = PairMeasure({(branch, prior): math.fsum(w for ws in cand.values() for w in ws) / beta
+                      for (prior, branch), cand in acc.items()})
+    if not is_admissible(pi)[0]:
+        raise ValueError("input law is inadmissible")
+    laws = {}
+    for key, cand in acc.items():
+        sums = {c: math.fsum(ws) for c, ws in cand.items()}
+        total = math.fsum(sums.values())
+        laws[key] = {c: v / total for c, v in sorted(sums.items(), key=lambda kv: kv[0].sort_key)}
+    out = {}
+    for s, w in rho.items():
+        if s.root_degree == 0:
+            out.setdefault(s, []).append(w)
+            continue
+        views = oracle_branch_views(s, h)
+        options = [list(laws[(b, HalfEdgeTree(oracle_truncate(r.tree, h - 1), r.pendant_mark))].items())
+                   for b, r in views]
+        for combo in itertools.product(*options):
+            wt = w
+            kids = []
+            for (deeper, p), (_, r) in zip(combo, views):
+                wt *= p
+                kids.append(((deeper.pendant_mark, r.pendant_mark), deeper.tree))
+            out.setdefault(CanonicalTree(s.mark, tuple(kids)), []).append(wt)
+    return TreeMeasure({t: math.fsum(ws) for t, ws in out.items()}, 0.0, h + 1)
 
 
 def markov_product_measure(deg_law, pair_matrix):

@@ -1,0 +1,268 @@
+"""Interned trees and memoized derived laws.
+
+Every memoized or interned path is compared with the uncached oracle in
+``helpers`` by exact ``to_obj`` equality, on the first call and on repeated
+calls at shuffled depths (a memo that ignores the depth fails here).  The
+sharing tests count how often each derived law is built.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import subprocess
+import sys
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import graphld
+from graphld import cli, measures, rates, trees
+from graphld.measures import TreeMeasure, mtp_check, pair_measure
+from graphld.rates import (
+    ExtensionKernel, ReferenceLaw, combinatorial_rate, component_rate,
+    extension_chain, extension_kernel, intermediate_rate, one_step_extension,
+)
+from graphld.samplers import make_rng, sample_ugwt
+from graphld.trees import (
+    CanonicalTree, branch_views, canonicalize, random_labeling, tree_from_obj,
+    tree_to_obj, truncate,
+)
+
+from helpers import (
+    canon_raw, component_law, oracle_branch_views, oracle_mtp_check,
+    oracle_one_step_extension, oracle_pair_measure, oracle_pair_weights,
+    oracle_truncate, oracle_truncated, random_forest, star,
+)
+
+raw_trees = st.recursive(
+    st.tuples(st.integers(0, 1), st.just([])),
+    lambda sub: st.tuples(
+        st.integers(0, 1),
+        st.lists(st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)), sub),
+                 max_size=3),
+    ),
+    max_leaves=7,
+)
+# small measures: a few random trees with integer weights
+raw_measures = st.lists(st.tuples(raw_trees, st.integers(1, 5)), min_size=1, max_size=4)
+depth_orders = st.permutations([0, 1, 2, 3, 4])
+
+
+def measure_of(raw_atoms):
+    counts = {}
+    for raw, c in raw_atoms:
+        t = canon_raw(raw)
+        counts[t] = counts.get(t, 0) + c
+    return TreeMeasure.from_counts(counts)
+
+
+def half_obj(v):
+    return tree_to_obj(v.tree), v.pendant_mark
+
+
+def view_obj(views):
+    return [[half_obj(v) for v in pair] for pair in views]
+
+
+def pair_obj(p):
+    return sorted((json.dumps(view_obj([k])), w) for k, w in p.atoms.items())
+
+
+def kernel_obj(k):
+    return k.h, [(view_obj([c]), [(half_obj(v), p) for v, p in k.law(*c).items()])
+                 for c in k.cells()]
+
+
+def outcome(fn, *args, obj=lambda r: r.to_obj()):
+    """``obj`` of the result, or the exception type it raised."""
+    try:
+        return obj(fn(*args))
+    except ValueError:
+        return ValueError
+
+
+# ------------------------------------------------------------ trees
+
+
+@given(raw_trees, depth_orders)
+@settings(max_examples=80, deadline=None)
+def test_truncate_and_branch_views_match_oracle(raw, order):
+    t = canon_raw(raw)
+    for h in order + order:
+        cut = truncate(t, h)
+        assert tree_to_obj(cut) == tree_to_obj(oracle_truncate(t, h))
+        assert cut is oracle_truncate(t, h)
+        views = branch_views(t, h)
+        assert isinstance(views, tuple)
+        assert view_obj(views) == view_obj(oracle_branch_views(t, h))
+
+
+@given(raw_trees)
+@settings(max_examples=40, deadline=None)
+def test_equal_encodings_are_one_object(raw):
+    t = canon_raw(raw)
+    assert tree_from_obj(tree_to_obj(t)) is t
+    assert canonicalize(random_labeling(t, np.random.default_rng(0))) is t
+    assert CanonicalTree(t.mark, tuple(reversed(t.children))) is t
+
+
+def test_intern_table_does_not_keep_trees_alive():
+    t = CanonicalTree(4321, (((0, 0), CanonicalTree(4322)),))
+    enc, ref = t.encoding, weakref.ref(t)
+    truncate(t, 0)
+    del t
+    gc.collect()
+    assert ref() is None
+    assert enc not in trees._INTERN
+
+
+def test_trees_and_measures_stay_immutable():
+    t = star(0, [1, 1])
+    truncate(t, 0)
+    m = TreeMeasure({t: 1.0})
+    pair_measure(m, 1)
+    for obj, name in ((t, "mark"), (t, "children"), (t, "_trunc"), (t, "other"),
+                      (m, "atoms"), (m, "_memo"), (m, "depth_bound")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
+# ------------------------------------------------------------ measures
+
+
+@given(raw_measures, depth_orders)
+@settings(max_examples=80, deadline=None)
+def test_measure_laws_match_oracle(raw_atoms, order):
+    m = measure_of(raw_atoms)
+    d = m.depth_bound
+    for h in order + order:
+        assert m.truncated(h).to_obj() == oracle_truncated(m, h).to_obj()
+        if h >= 1:
+            want = oracle_mtp_check(m, h, trial_count=3)
+            assert mtp_check(m, h, trial_count=3) == want
+            assert measures._pair_weights(m, h) == oracle_pair_weights(m, h)
+        if m.mean_degree() > 0 and h + d >= 1:
+            assert pair_obj(pair_measure(m, h + d)) == pair_obj(oracle_pair_measure(m, h + d))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 9), st.permutations([0, 1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_one_step_extension_matches_oracle(seed, n, order):
+    adj, vm, em = random_forest(np.random.default_rng(seed), n, n_x=2, n_y=2)
+    u = component_law(adj, vm, em)
+    levels = [u.truncated(h) for h in (1, 2)] + [u]
+    for h in order + order:
+        for rho in levels:
+            hh = max(rho.depth_bound, 1) + h
+            got = outcome(one_step_extension, rho, hh)
+            assert got == outcome(oracle_one_step_extension, rho, hh)
+            got = outcome(extension_kernel, rho, hh, obj=kernel_obj)
+            assert got == outcome(ExtensionKernel, rho, hh, obj=kernel_obj)
+
+
+# ------------------------------------------------------------ sharing
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def small_truth():
+    law = ReferenceLaw.fixed_alpha(graphld.DegreeLaw({1: 0.5, 2: 0.5}), (0.4, 0.6), ((1.0,),))
+    return law, law.materialize()
+
+
+def test_ugwt_draws_build_the_kernel_once(monkeypatch):
+    _, eta1 = small_truth()
+    kernels = count_calls(monkeypatch, ExtensionKernel, "__init__")
+    extensions = count_calls(monkeypatch, rates, "_extend")
+    rng = make_rng(3)
+    deeper = one_step_extension(eta1, 1)
+    draws = [canonicalize(sample_ugwt(eta1, 1, 2, rng)) for _ in range(5)]
+    assert len(kernels) == 1 and len(extensions) == 1
+    assert all(deeper.get(t) > 0 for t in draws)
+
+
+def test_three_forms_build_each_pair_law_once(monkeypatch):
+    law, eta1 = small_truth()
+    chain = extension_chain(eta1, 3)
+    builds = []
+    original = TreeMeasure._memoized
+
+    def recorded(self, kind, h, build):
+        def counted():
+            builds.append((id(self), kind, h))
+            return build()
+        return original(self, kind, h, counted)
+
+    monkeypatch.setattr(TreeMeasure, "_memoized", recorded)
+    for form in (component_rate, intermediate_rate, combinatorial_rate):
+        assert abs(form(chain, 1.5, law, ensemble="CM").value) < 1e-9
+    assert len(builds) == len(set(builds))
+    for h in (1, 2, 3):
+        assert builds.count((id(chain.level(h)), "pair_measure", h)) == 1
+
+
+def test_pair_from_size_bias_does_not_read_the_pair_memo(monkeypatch):
+    _, eta1 = small_truth()
+    level = one_step_extension(eta1, 1)
+    want = oracle_pair_measure(level, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the size-bias cross-check read a memoized law")
+
+    monkeypatch.setattr(TreeMeasure, "_memoized", forbidden)
+    monkeypatch.setattr(measures, "pair_measure", forbidden)
+    recon = cli._pair_from_size_bias(level, 2)
+    assert set(recon) == set(want.atoms)
+    assert max(abs(recon[k] - w) for k, w in want.atoms.items()) < 1e-15
+
+
+# ------------------------------------------------------------ Poisson table
+
+
+def run_child(code, timeout=30):
+    src = os.path.dirname(os.path.dirname(graphld.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_poisson_table_is_bounded_before_it_is_built():
+    # in a child process, so that a regression fails on the timeout or a
+    # MemoryError instead of exhausting the suite's memory
+    out = run_child(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from graphld.rates import POISSON_TABLE_LIMIT, ReferenceLaw\n"
+        "try:\n"
+        "    ReferenceLaw.poisson(1e8, (1.0,), ((1.0,),))\n"
+        "except ValueError as e:\n"
+        "    print(str(POISSON_TABLE_LIMIT) in str(e))\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True"]
+
+
+def test_cli_rate_with_huge_poisson_mean_is_bad_input(tmp_path):
+    law = {"degree": {"type": "poisson", "mean": 1e8}, "nu": [1.0], "xi": [[1.0]]}
+    level = TreeMeasure({star(0, [0]): 1.0})
+    (tmp_path / "m.json").write_text(json.dumps({"measure": level.to_obj()}))
+    out = run_child(
+        "import sys\n"
+        "from graphld.cli import main\n"
+        f"sys.exit(main(['rate', '--input', {str(tmp_path / 'm.json')!r},"
+        f" '--law', {json.dumps(law)!r}, '--report', {str(tmp_path / 'r.json')!r}]))\n")
+    assert out.returncode == 2, out.stderr
+    err = json.loads(out.stdout)["error"]
+    assert err["type"] == "bad_input" and "limit" in err["message"]

@@ -503,7 +503,9 @@ def test_extension_kernel_checks_admissibility_from_its_own_cells(monkeypatch):
         raise AssertionError("pair_measure recomputed")
 
     monkeypatch.setattr(rates, "pair_measure", no_pair_measure)
-    assert one_step_extension(THREE_PATH, 1) == want
+    # a fresh copy: THREE_PATH's own extension is memoized by the call above
+    fresh = TreeMeasure(dict(THREE_PATH.atoms), 0.0, 1)
+    assert one_step_extension(fresh, 1) == want
     with pytest.raises(ValueError, match="inadmissible"):
         extension_kernel(TreeMeasure({star(0, [1]): 1.0}, 0.0, 1), 1)
 
