@@ -273,6 +273,8 @@ def cmd_verify(args) -> int:
         "tol": args.tol,
     }
     tol = args.tol
+    if not tol >= 0:
+        raise ValueError(f"--tol {tol!r} is not a nonnegative number")
     levels = _load_levels(args.input)
     depth = args.depth if args.depth is not None else len(levels)
     rows: List[dict] = []

@@ -7,9 +7,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .measures import TreeMeasure, _pair_payload, transport_violation
+from .measures import TreeMeasure, transport_violation
 from .samplers import MarkedGraph
-from .trees import CanonicalTree, HalfEdgeTree
+from .trees import CanonicalTree, branch_views
 
 
 def _vmark(g: MarkedGraph, v: int) -> int:
@@ -32,25 +32,22 @@ class ComponentView:
     cycle_detected: bool
 
 
-def _ball(adj, root: int, h: int, banned: Optional[int] = None):
-    """BFS layers of the radius-h ball around ``root`` in the graph without
-    the edge {root, banned}, and whether the subgraph induced on the ball
-    (still without that edge) is a tree."""
+def _ball(adj, root: int, h: int):
+    """BFS layers of the radius-h ball around ``root``, and whether the
+    subgraph induced on the ball is a tree."""
     seen = {root}
     layers: List[List[int]] = [[root]]
     for _ in range(h):
         nxt: List[int] = []
         for v in layers[-1]:
             for w in adj[v]:
-                if w not in seen and (v != root or w != banned):
+                if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         if not nxt:
             break
         layers.append(nxt)
     inside = sum(w in seen for v in seen for w in adj[v])
-    if banned in seen:
-        inside -= 2
     return layers, inside == 2 * (len(seen) - 1)
 
 
@@ -67,11 +64,11 @@ def _edge_views(g: MarkedGraph, adj, k: int) -> Dict[Tuple[int, int], CanonicalT
 
     Built in k rounds of message passing over directed edges, as in
     Weisfeiler-Leman refinement: round j builds every depth-j view from the
-    depth-(j-1) views.  Views unfold the graph along non-backtracking walks.
-    One more round with no neighbor left out gives a vertex's view, which
-    equals its ball tree wherever ``_ball`` finds that ball to be a tree.  A
-    half-edge view equals the ball tree of the graph without the edge up to
-    k = 2; deeper, a short cycle through the removed edge unfolds in it.
+    depth-(j-1) views.  Views unfold the graph along non-backtracking walks,
+    so they are trees on any graph.  One more round with no neighbor left out
+    gives a vertex's view, which equals its ball tree wherever ``_ball`` finds
+    that ball to be a tree; ``mtp_check_graph`` checks the views against
+    ``truncate`` and ``branch_views``.
     """
     leaves = {x: CanonicalTree(x) for x in (set(g.vmarks) if g.is_marked else {0})}
     views = {(u, v): leaves[_vmark(g, u)] for u in range(g.n) for v in adj[u]}
@@ -136,63 +133,22 @@ def empirical_functional(L: TreeMeasure, hfun) -> float:
 # ---------------------------------------------------------------- mass transport
 
 
-def _cyc_signature(g: MarkedGraph, adj, u: int, v: int, d: int):
-    """Isomorphism-invariant signature of the doubly rooted (u, v) view when a
-    half-edge view is not a tree: directed edge marks plus the multiset of
-    (dist-from-u, dist-from-v, mark) over the union of the two depth-d balls."""
-    du, dv = ({w: i for i, layer in enumerate(_ball(adj, s, d)[0]) for w in layer} for s in (u, v))
-    profile = tuple(
-        sorted(
-            (du.get(w, d + 1), dv.get(w, d + 1), _vmark(g, w))
-            for w in set(du) | set(dv)
-        )
-    )
-    return (_emark(g, u, v), _emark(g, v, u), profile)
-
-
-def _swap_key(key):
-    tag = key[0]
-    if tag == "tree":
-        return ("tree", key[2], key[1])
-    yu, yv, profile = key[1]
-    swapped = (yv, yu, tuple(sorted((b, a, m) for a, b, m in profile)))
-    return ("cyc", swapped)
-
-
-def _key_payload(key) -> bytes:
-    if key[0] == "tree":
-        return b"T" + _pair_payload(key[1:])
-    return b"C" + repr(key[1]).encode()
-
-
 def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, trial_count: int = 20, rng=None) -> float:
     """Mass-transport violation of the uniform-root law of ``g``.
 
-    For every ordered adjacent pair (u, v) the doubly rooted view is reduced
-    to an invariant key: the ordered pair of depth-(h-1) half-edge views when
-    both sides are trees, else a distance-profile signature.  Every edge adds
-    its key and the key's swap together, so the key weights are
-    swap-symmetric by construction and the result is 0.0 for any graph and
-    any views: the check guards ``_swap_key`` (a swap that is not an
-    involution on the keys would show), not the views themselves.
+    The key of a directed edge (v, w) is the one ``mtp_check`` gives a root
+    edge: the pair that ``branch_views`` cuts from v's depth-h view (unfolded
+    along non-backtracking walks, so a tree on any graph) at its child w.
+    Each vertex adds one count to the key of each of its edges, and the swap
+    of that key comes from w's view.  When ``_edge_views``, ``truncate`` and
+    ``branch_views`` agree, the counts are exactly swap-symmetric and the
+    result is exactly 0.0; a nonzero value means they disagree.
     """
-    if h is None:
-        h = 2
+    h = 2 if h is None else h
     if h < 1:
         raise ValueError("h must be at least 1")
-    adj = g.adjacency()
-    views = _edge_views(g, adj, h - 1)
     counts: Counter = Counter()
-    for u, v in g.edges:
-        if _ball(adj, u, h - 1, v)[1] and _ball(adj, v, h - 1, u)[1]:
-            side_u = HalfEdgeTree(views[(u, v)], _emark(g, u, v))
-            side_v = HalfEdgeTree(views[(v, u)], _emark(g, v, u))
-            key_uv = ("tree", side_v, side_u)
-            key_vu = ("tree", side_u, side_v)
-        else:
-            key_uv = ("cyc", _cyc_signature(g, adj, u, v, h - 1))
-            key_vu = _swap_key(key_uv)
-        counts[key_uv] += 1
-        counts[key_vu] += 1
-    weights = {k: c / g.n for k, c in counts.items()}
-    return transport_violation(weights, _swap_key, _key_payload, trial_count, rng)
+    for t, c in Counter(_root_views(g, g.adjacency(), h, range(g.n))).items():
+        for key in branch_views(t, h - 1):
+            counts[key] += c
+    return transport_violation({k: c / g.n for k, c in counts.items()}, trial_count, rng)

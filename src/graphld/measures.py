@@ -465,45 +465,40 @@ def _pair_payload(key: Tuple[HalfEdgeTree, HalfEdgeTree]) -> bytes:
     )
 
 
-def transport_violation(weights, swap, payload, trial_count: int = 20, rng=None) -> float:
-    """Max |sum_k w(k) (g(k) - g(swap(k)))| over a family of 0/1 functions g.
+def transport_violation(weights, trial_count: int = 20, rng=None) -> float:
+    """Max |sum_k w(k) (g(a, b) - g(b, a))| over a family of 0/1 functions g,
+    for pair keys k = (a, b).
 
-    The family is the greedy indicator 1{w(k) > w(swap(k))}, which maximizes
+    The family is the greedy indicator 1{w(a, b) > w(b, a)}, which maximizes
     the defect over all indicator functions, plus ``trial_count`` seeded hash
-    functions of ``payload(k)`` as an independent guard.
+    functions of ``_pair_payload(k)`` as an independent guard.
     """
-    violations = [
-        math.fsum(
-            w - weights.get(swap(k), 0.0)
-            for k, w in weights.items()
-            if w > weights.get(swap(k), 0.0)
-        )
-    ]
+    excess = (w - weights.get((b, a), 0.0) for (a, b), w in weights.items())
+    violations = [math.fsum(d for d in excess if d > 0)]
     if trial_count > 0:
         import numpy as np
 
         rng = np.random.default_rng(0) if rng is None else rng
         seeds = [int(s) for s in rng.integers(0, 2**62, size=trial_count)]
-        for seed in seeds:
-            violations.append(
-                abs(
-                    math.fsum(
-                        w * (_hash_bit(seed, payload(k)) - _hash_bit(seed, payload(swap(k))))
-                        for k, w in weights.items()
-                    )
-                )
-            )
+        terms = [(w, _pair_payload((a, b)), _pair_payload((b, a)))
+                 for (a, b), w in weights.items()]
+        violations += [
+            abs(math.fsum(w * (_hash_bit(seed, key) - _hash_bit(seed, swapped))
+                          for w, key, swapped in terms))
+            for seed in seeds
+        ]
     return max(violations)
 
 
 def mtp_check(u, h: Optional[int] = None, trial_count: int = 20, rng=None) -> float:
     """Max mass-transport violation over a family of bounded test functions.
 
-    Accepts either an empirical component measure (a TreeMeasure whose atoms
-    are whole components) or a finite marked graph.  Test functions depend on
-    a doubly rooted component only through its pair of depth-(h-1) half-edge
-    views, so both sides are finite sums; the result must be ~0 for any
-    measure arising from a finite graph.
+    Accepts either a TreeMeasure or a finite marked graph (see
+    ``mtp_check_graph``).  Test functions depend on a doubly rooted tree only
+    through its key, the pair of depth-(h-1) half-edge views that
+    ``branch_views`` cuts at a root edge, so both sides are finite sums over
+    the keys of the atoms.  The result is ~0 for a unimodular measure, such
+    as the component law of a finite forest or an exact extension chain.
     """
     if hasattr(u, "edges"):
         from .empirical import mtp_check_graph
@@ -513,9 +508,7 @@ def mtp_check(u, h: Optional[int] = None, trial_count: int = 20, rng=None) -> fl
     if h is None:
         h = max(u.depth_bound, 1)
     weights = _pair_weights(u, h)
-    return transport_violation(
-        weights, lambda k: (k[1], k[0]), _pair_payload, trial_count, rng
-    )
+    return transport_violation(weights, trial_count, rng)
 
 
 # ---------------------------------------------------------------- conveniences

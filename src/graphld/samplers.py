@@ -279,6 +279,8 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator, max_restarts: 
 def sample_fe(n: int, m_n: int, rng: np.random.Generator) -> MarkedGraph:
     """Uniform simple graph with exactly m_n edges (partial Fisher-Yates)."""
     total = _pair_count(n)
+    if m_n < 0:
+        raise ValueError(f"negative m_n = {m_n}")
     if m_n > total:
         raise ValueError(f"m_n = {m_n} exceeds {total} available pairs")
     swap: Dict[int, int] = {}

@@ -12,12 +12,11 @@ from collections import Counter, deque
 import numpy as np
 from scipy import stats
 
-from graphld.empirical import _swap_key
 from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
 from graphld.measures import (
-    PairMeasure, TreeMeasure, _pair_payload, is_admissible, transport_violation,
+    PairMeasure, TreeMeasure, is_admissible, transport_violation,
 )
 from graphld.samplers import integer_degree_counts
 from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child
@@ -115,9 +114,9 @@ def _em(g, a, b):
     return g.emarks[(a, b)] if g.is_marked else 0
 
 
-def ball_dist(adj, root, h, banned=None):
-    """Distances from ``root`` up to ``h`` in the graph without the edge
-    {root, banned}, and whether the subgraph induced on that ball is a tree."""
+def ball_dist(adj, root, h):
+    """Distances from ``root`` up to ``h``, and whether the subgraph induced
+    on that ball is a tree."""
     dist = {root: 0}
     q = deque([root])
     while q:
@@ -125,24 +124,24 @@ def ball_dist(adj, root, h, banned=None):
         if dist[v] == h:
             continue
         for w in adj[v]:
-            if (v, w) != (root, banned) and w not in dist:
+            if w not in dist:
                 dist[w] = dist[v] + 1
                 q.append(w)
-    inside = sum(1 for v in dist for w in adj[v] if w in dist and {v, w} != {root, banned})
+    inside = sum(1 for v in dist for w in adj[v] if w in dist)
     return dist, inside // 2 == len(dist) - 1
 
 
-def ball_tree(g, adj, root, h, banned=None):
-    """The depth-h ball of ``root`` (without the edge {root, banned}) as a
-    canonical tree, or None if it holds a cycle: the
-    per-vertex construction that the message-passing views are checked against."""
-    dist, is_tree = ball_dist(adj, root, h, banned)
+def ball_tree(g, adj, root, h):
+    """The depth-h ball of ``root`` as a canonical tree, or None if it holds
+    a cycle: the per-vertex construction that the message-passing views are
+    checked against."""
+    dist, is_tree = ball_dist(adj, root, h)
     if not is_tree:
         return None
 
     def build(v, parent):
         kids = [((_em(g, w, v), _em(g, v, w)), build(w, v)) for w in adj[v]
-                if w in dist and w != parent and {v, w} != {root, banned}]
+                if w in dist and w != parent]
         return (_vm(g, v), kids)
 
     return canon_raw(build(root, None))
@@ -170,20 +169,22 @@ def oracle_component_measure(g, h):
 
 
 def oracle_mtp_weights(g, h):
-    """The key weights ``mtp_check_graph`` transports, from per-edge ball trees."""
+    """The key weights ``mtp_check_graph`` transports: per directed edge
+    (v, w), the depth-(h-1) non-backtracking unfoldings of w away from v and
+    of v away from w, each unfolded recursively on its own."""
     adj = g.adjacency()
-    counts = Counter()
-    for u, v in g.edges:
-        tu, tv = ball_tree(g, adj, u, h - 1, v), ball_tree(g, adj, v, h - 1, u)
-        if tu is None or tv is None:
-            du, dv = ball_dist(adj, u, h - 1)[0], ball_dist(adj, v, h - 1)[0]
-            profile = tuple(sorted((du.get(w, h), dv.get(w, h), _vm(g, w))
-                                   for w in set(du) | set(dv)))
-            key = ("cyc", (_em(g, u, v), _em(g, v, u), profile))
-        else:
-            key = ("tree", HalfEdgeTree(tv, _em(g, v, u)), HalfEdgeTree(tu, _em(g, u, v)))
-        counts[key] += 1
-        counts[_swap_key(key)] += 1
+    memo = {}
+
+    def unfold(u, away, depth):
+        if (u, away, depth) not in memo:
+            kids = [((_em(g, w, u), _em(g, u, w)), unfold(w, u, depth - 1))
+                    for w in adj[u] if w != away] if depth else []
+            memo[(u, away, depth)] = CanonicalTree(_vm(g, u), tuple(kids))
+        return memo[(u, away, depth)]
+
+    counts = Counter((HalfEdgeTree(unfold(w, v, h - 1), _em(g, w, v)),
+                      HalfEdgeTree(unfold(v, w, h - 1), _em(g, v, w)))
+                     for v in range(g.n) for w in adj[v])
     return {k: c / g.n for k, c in counts.items()}
 
 
@@ -235,8 +236,7 @@ def oracle_pair_measure(rho, h=None):
 
 def oracle_mtp_check(u, h=None, trial_count=20, rng=None):
     h = max(u.depth_bound, 1) if h is None else h
-    return transport_violation(oracle_pair_weights(u, h), lambda k: (k[1], k[0]),
-                               _pair_payload, trial_count, rng)
+    return transport_violation(oracle_pair_weights(u, h), trial_count, rng)
 
 
 def oracle_one_step_extension(rho, h):

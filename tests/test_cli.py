@@ -332,6 +332,8 @@ def _bad_inputs(d):
     (d / "half.json").write_text(json.dumps(half))
 
 
+# a valid measure, so that only the tolerance is malformed
+LEAF_LAW = '{"atoms": [{"tree": {"mark": 0, "children": []}, "weight": 1.0}]}'
 BAD_INPUTS = {
     "cm_odd_total_degree": ["sample", "--ensemble", "cm", "--n", 3,
                             "--alpha", '{"1": 1.0}', "--out", "g.json"],
@@ -345,6 +347,11 @@ BAD_INPUTS = {
     "verify_half_mass": ["verify", "--input", "half.json"],
     "fe_non_square_xi": ["sample", "--ensemble", "fe", "--n", 10, "--m", 5,
                          "--nu", "[1.0]", "--xi", "[[0.5,0.5]]", "--out", "g.json"],
+    "fe_negative_m": ["sample", "--ensemble", "fe", "--n", 10, "--m", -5, "--out", "g.json"],
+    "fe_negative_kappa": ["sample", "--ensemble", "fe", "--n", 10, "--kappa", -2,
+                          "--out", "g.json"],
+    "verify_nan_tol": ["verify", "--input", LEAF_LAW, "--tol", "nan"],
+    "verify_negative_tol": ["verify", "--input", LEAF_LAW, "--tol=-1e-9"],
 }
 
 

@@ -20,7 +20,7 @@ from graphld.empirical import (
 )
 from graphld.measures import mtp_check, transport_violation, tv_distance
 from graphld.samplers import MarkedGraph, make_rng, sample_er, assign_marks
-from graphld.trees import CanonicalTree
+from graphld.trees import CanonicalTree, HalfEdgeTree, branch_views
 
 from helpers import (
     canon_raw, component_law, oracle_component_measure, oracle_mtp_weights,
@@ -244,9 +244,7 @@ def test_mtp_graph_and_measure_agree_on_forests():
        marked=st.booleans(), h=st.integers(0, 5))
 def test_views_match_ball_tree_oracle(n, kappa, seed, marked, h):
     # ER graphs this dense have triangles and short cycles, so the cycle
-    # flags and the cycle-signature keys of the MTP are exercised.  Half-edge
-    # views equal the ball trees up to depth 2 (h <= 3); deeper, a short cycle
-    # through the cut edge unfolds in the view, so only the value is compared.
+    # flags are exercised and the MTP keys come from views that unfold cycles.
     g = sample_er(n, min(kappa, n), make_rng(seed, 0))
     if marked:
         g = assign_marks(g, (0.5, 0.3, 0.2), ((0.4, 0.1), (0.2, 0.3)), make_rng(seed, 1))
@@ -267,10 +265,35 @@ def test_views_match_ball_tree_oracle(n, kappa, seed, marked, h):
     with mock.patch.object(empirical, "transport_violation", capture):
         got = mtp_check_graph(g, h, rng=make_rng(seed, 2))
     want = oracle_mtp_weights(g, h)
-    if h <= 3:
-        assert seen == [want]
-    assert got == transport_violation(want, empirical._swap_key, empirical._key_payload,
-                                      20, make_rng(seed, 2))
+    assert seen == [want]
+    assert got == transport_violation(want, 20, make_rng(seed, 2)) == 0.0
+
+
+def _cyclic_er_graph():
+    g = sample_er(40, 3.0, make_rng(31, 0))
+    g = assign_marks(g, (0.5, 0.5), ((0.4, 0.1), (0.2, 0.3)), make_rng(31, 1))
+    assert any(component_view(g, v, 2).cycle_detected for v in range(g.n))
+    return g
+
+
+def test_mtp_check_graph_fails_on_broken_views():
+    # the swap of each key comes from the other endpoint's view, so a view
+    # routine that disagrees with the others shows as a violation
+    g = _cyclic_er_graph()
+    assert mtp_check_graph(g, 2) == 0.0
+    view = empirical._view
+
+    def backtracking_view(g, adj, u, away, views):
+        return view(g, adj, u, None, views)
+
+    with mock.patch.object(empirical, "_view", backtracking_view):
+        assert mtp_check_graph(g, 2) >= 0.5
+
+    def wrong_pendant(t, h):
+        return tuple((b, HalfEdgeTree(r.tree, b.pendant_mark)) for b, r in branch_views(t, h))
+
+    with mock.patch.object(empirical, "branch_views", wrong_pendant):
+        assert mtp_check_graph(g, 2) > 0
 
 
 def test_local_convergence_toward_reference_stars():

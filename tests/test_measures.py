@@ -414,7 +414,6 @@ def test_mtp_check_flags_plain_gw():
 
 def test_hash_guard_payloads_keep_whole_marks():
     # marks 1 and 257 agree in their low byte; the payloads must still differ
-    from graphld.empirical import _key_payload
     from graphld.measures import _pair_payload
 
     t = star(0, (1,))
@@ -422,8 +421,6 @@ def test_hash_guard_payloads_keep_whole_marks():
     low, high = HalfEdgeTree(t, 1), HalfEdgeTree(t, 257)
     assert _pair_payload((low, other)) != _pair_payload((high, other))
     assert _pair_payload((other, low)) != _pair_payload((other, high))
-    assert _key_payload(("tree", low, other)) != _key_payload(("tree", high, other))
-    assert _key_payload(("tree", other, low)) != _key_payload(("tree", other, high))
 
 
 def test_mtp_check_rejects_non_tree_mass():
