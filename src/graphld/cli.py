@@ -60,16 +60,15 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _with_meta(payload: dict, config: dict) -> dict:
-    out = dict(payload)
-    out["config"] = config
-    out["config_hash"] = _config_hash(config)
-    out["version"] = __version__
-    return out
+def _config(args, *names: str, **parsed) -> dict:
+    """The echoed configuration: the subcommand, the named flags as given, and
+    the parsed form of the others."""
+    return {"subcommand": args.subcommand, **{k: getattr(args, k) for k in names}, **parsed}
+
 
 def _write_json(path: str, payload: dict, config: dict) -> None:
-    blob = json.dumps(_with_meta(payload, config), sort_keys=True,
-                      separators=(",", ":"))
+    meta = {"config": config, "config_hash": _config_hash(config), "version": __version__}
+    blob = json.dumps({**payload, **meta}, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as f:
         f.write(blob + "\n")
 
@@ -102,21 +101,19 @@ def _load_value(text: str):
         raise ValueError(f"cannot parse {text!r}: not a file or JSON literal") from None
 
 
-def _parse_alpha(value) -> DegreeLaw:
-    obj = _load_value(value) if isinstance(value, str) else value
+def _parse_alpha(text: str) -> DegreeLaw:
+    obj = _load_value(text)
     if not isinstance(obj, dict):
         raise ValueError("alpha must be a JSON object mapping degree to weight")
     return DegreeLaw({int(k): float(v) for k, v in obj.items()})
 
 
-def _parse_vector(value) -> Tuple[float, ...]:
-    obj = _load_value(value) if isinstance(value, str) else value
-    return tuple(float(x) for x in obj)
+def _parse_vector(text: str) -> Tuple[float, ...]:
+    return tuple(float(x) for x in _load_value(text))
 
 
-def _parse_matrix(value) -> Tuple[Tuple[float, ...], ...]:
-    obj = _load_value(value) if isinstance(value, str) else value
-    return tuple(tuple(float(x) for x in row) for row in obj)
+def _parse_matrix(text: str) -> Tuple[Tuple[float, ...], ...]:
+    return tuple(tuple(float(x) for x in row) for row in _load_value(text))
 
 
 def _load_levels(value) -> List[TreeMeasure]:
@@ -138,27 +135,19 @@ def _structured_error(message: str, kind: str) -> int:
 
 
 def cmd_sample(args) -> int:
-    config = {
-        "subcommand": "sample",
-        "ensemble": args.ensemble.upper(),
-        "n": args.n,
-        "nu": list(_parse_vector(args.nu)),
-        "xi": [list(r) for r in _parse_matrix(args.xi)],
-        "alpha": {str(k): v for k, v in _parse_alpha(args.alpha).items()}
-        if args.alpha else None,
-        "kappa": args.kappa,
-        "m": args.m,
-        "seed": args.seed,
-    }
     nu = _parse_vector(args.nu)
     xi = _parse_matrix(args.xi)
+    alpha = _parse_alpha(args.alpha) if args.alpha else None
     ens = args.ensemble.upper()
+    config = _config(
+        args, "n", "kappa", "m", "seed", ensemble=ens, nu=list(nu), xi=[list(r) for r in xi],
+        alpha=None if alpha is None else {str(k): v for k, v in alpha.items()},
+    )
     rng = make_rng(args.seed)
     if ens == "CM":
-        if not args.alpha:
+        if alpha is None:
             return _structured_error("CM sampling needs --alpha", "bad_config")
-        cfg = ModelConfig(ensemble="CM", nu=nu, xi=xi, seed=args.seed,
-                          alpha=_parse_alpha(args.alpha))
+        cfg = ModelConfig(ensemble="CM", nu=nu, xi=xi, seed=args.seed, alpha=alpha)
         g = sample_cm(args.n, cfg, rng)
     elif ens == "FE":
         if args.m is None and args.kappa is None:
@@ -185,12 +174,9 @@ def _load_graph(path: str) -> MarkedGraph:
 
 
 def cmd_empirical(args) -> int:
-    config = {
-        "subcommand": "empirical",
-        "graph": args.graph,
-        "depth": args.depth,
-        "out_prefix": args.out_prefix,
-    }
+    if args.depth < 0:
+        raise ValueError(f"--depth {args.depth} is negative")
+    config = _config(args, "graph", "depth", "out_prefix")
     g = _load_graph(args.graph)
     outputs = []
     L = neighborhood_measure(g)
@@ -206,31 +192,31 @@ def cmd_empirical(args) -> int:
     return 0
 
 
+_FORMS = {
+    "component": component_rate,
+    "intermediate": intermediate_rate,
+    "combinatorial": combinatorial_rate,
+}
+
+
+def _spread(vals: List[float]) -> float:
+    """max - min of finite values; else 0.0 if all are equal, inf otherwise."""
+    if all(math.isfinite(v) for v in vals):
+        return max(vals) - min(vals)
+    return 0.0 if len(set(vals)) == 1 else math.inf
+
+
 def cmd_rate(args) -> int:
-    config = {
-        "subcommand": "rate",
-        "ensemble": args.ensemble,
-        "depth": args.depth,
-        "input": args.input,
-        "law": args.law,
-        "beta": args.beta,
-        "kappa": args.kappa,
-        "form": args.form,
-    }
+    config = _config(args, "ensemble", "depth", "input", "law", "beta", "kappa", "form")
     levels = _load_levels(args.input)
     law = ReferenceLaw.from_obj(_load_value(args.law))
     beta = args.beta if args.beta is not None else levels[0].mean_degree()
     ensemble = args.ensemble.upper() if args.ensemble else None
-    forms = {
-        "component": component_rate,
-        "intermediate": intermediate_rate,
-        "combinatorial": combinatorial_rate,
-    }
-    wanted = list(forms) if args.form == "all" else [args.form]
+    wanted = list(_FORMS) if args.form == "all" else [args.form]
     reports = {}
     try:
         for name in wanted:
-            reports[name] = forms[name](
+            reports[name] = _FORMS[name](
                 levels, beta, law, ensemble=ensemble, kappa=args.kappa,
                 depth=args.depth,
             )
@@ -238,11 +224,8 @@ def cmd_rate(args) -> int:
         return _structured_error(str(e), "rate_error")
     payload = {"reports": {k: r.to_obj() for k, r in reports.items()}}
     if len(reports) > 1:
-        vals = [r.value for r in reports.values()]
-        finite = all(math.isfinite(v) for v in vals)
         payload["agreement"] = {
-            "max_spread": (max(vals) - min(vals)) if finite
-            else (0.0 if len(set(vals)) == 1 else math.inf),
+            "max_spread": _spread([r.value for r in reports.values()]),
             "values": {k: r.value for k, r in reports.items()},
         }
     _write_json(args.report, payload, config)
@@ -263,15 +246,7 @@ def _pair_from_size_bias(level: TreeMeasure, h: int):
 
 
 def cmd_verify(args) -> int:
-    config = {
-        "subcommand": "verify",
-        "input": args.input,
-        "law": args.law,
-        "ensemble": args.ensemble,
-        "depth": args.depth,
-        "kappa": args.kappa,
-        "tol": args.tol,
-    }
+    config = _config(args, "input", "law", "ensemble", "depth", "kappa", "tol")
     tol = args.tol
     if not tol >= 0:
         raise ValueError(f"--tol {tol!r} is not a nonnegative number")
@@ -319,19 +294,10 @@ def cmd_verify(args) -> int:
         beta = levels[0].mean_degree()
         ensemble = args.ensemble.upper() if args.ensemble else None
         try:
-            rc = component_rate(levels, beta, law, ensemble=ensemble,
-                                kappa=args.kappa, depth=depth)
-            ri = intermediate_rate(levels, beta, law, ensemble=ensemble,
-                                   kappa=args.kappa, depth=depth)
-            rm = combinatorial_rate(levels, beta, law, ensemble=ensemble,
-                                    kappa=args.kappa, depth=depth)
-            vals = [rc.value, ri.value, rm.value]
-            if all(math.isfinite(v) for v in vals):
-                add("three_form_agreement", f"depth {depth}",
-                    max(vals) - min(vals), max(tol, 1e-8))
-            else:
-                add("three_form_agreement", f"depth {depth}",
-                    0.0 if len(set(vals)) == 1 else math.inf, max(tol, 1e-8))
+            vals = [form(levels, beta, law, ensemble=ensemble, kappa=args.kappa,
+                         depth=depth).value for form in _FORMS.values()]
+            add("three_form_agreement", f"depth {depth}", _spread(vals),
+                max(tol, 1e-8))
         except ValueError as e:
             add("three_form_agreement", str(e), math.inf, max(tol, 1e-8))
     all_pass = all(r["status"] == "PASS" for r in rows)
@@ -353,25 +319,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    config = {
-        "subcommand": "gibbs",
-        "alpha": {str(k): v for k, v in _parse_alpha(args.alpha).items()},
-        "nu": list(_parse_vector(args.nu)),
-        "hfun": list(_parse_vector(args.hfun)),
-        "c": args.c,
-        "delta": args.delta,
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    alpha = _parse_alpha(args.alpha)
+    nu = _parse_vector(args.nu)
+    hfun = _parse_vector(args.hfun)
+    config = _config(args, "c", "delta", "n", "samples", "seed", nu=list(nu),
+                     hfun=list(hfun), alpha={str(k): v for k, v in alpha.items()})
+    if args.samples < 0:
+        raise ValueError(f"--samples {args.samples} is negative")
     try:
-        problem = GibbsProblem(
-            _parse_alpha(args.alpha),
-            _parse_vector(args.nu),
-            _parse_vector(args.hfun),
-            args.c,
-            args.delta,
-        )
+        problem = GibbsProblem(alpha, nu, hfun, args.c, args.delta)
         solution = solve(problem)
     except ValueError as e:
         return _structured_error(str(e), "hypothesis_violation")
@@ -379,7 +335,7 @@ def cmd_gibbs(args) -> int:
     _write_json(sol_path, {"solution": solution.to_obj()}, config)
     print(f"lambda={solution.lam!r} value={solution.value!r}")
     print(f"wrote {sol_path}")
-    if args.samples <= 0:
+    if args.samples == 0:
         print("mc skipped (samples=0)")
         return 0
     try:
@@ -409,13 +365,7 @@ def cmd_gibbs(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    config = {
-        "subcommand": "extend",
-        "input": args.input,
-        "depth": args.depth,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    config = _config(args, "input", "depth", "samples", "seed")
     levels = _load_levels(args.input)
     rho = levels[-1]
     h = rho.depth_bound
@@ -443,8 +393,15 @@ def cmd_extend(args) -> int:
 # ---------------------------------------------------------------- entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that ``main`` reports them as ``bad_input``."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="graphld",
         description="Marked sparse random graphs: sampling, local empirical "
                     "measures, large-deviation rates, Gibbs conditioning.",
@@ -515,12 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one subcommand; malformed input of any kind ends in a structured
-    ``bad_input`` error with exit code 2 instead of a traceback."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; malformed input of any kind, usage errors included,
+    ends in a structured ``bad_input`` error with exit code 2 instead of a
+    traceback."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, RuntimeError, KeyError, TypeError, OSError, ArithmeticError) as e:
+    except (ValueError, RuntimeError, LookupError, TypeError, OSError, ArithmeticError) as e:
         return _structured_error(f"{type(e).__name__}: {e}", "bad_input")
 
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, special
 
 from .measures import DegreeLaw, TreeMeasure, _check_mark_laws, tv_distance
 from .samplers import integer_degree_counts
@@ -336,6 +335,7 @@ def brute_force_opt(
     else:
         t = 0.0
     start = (1 - t) * base + t * corner
+    from scipy import optimize  # here, so that importing graphld does not load scipy
     res = optimize.minimize(
         objective,
         start,
@@ -543,6 +543,7 @@ def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
     if cost > EXACT_TABLE_BUDGET:
         return None
 
+    from scipy import special  # here, so that importing graphld does not load scipy
     logp = np.log(np.array([problem.nu[x] for x in marks]))
     jv = np.array(j, dtype=np.int64)
     comps, weights, sums, laws = [], [], [], []
@@ -741,6 +742,8 @@ def conditional_mc(
     ``EXACT_TABLE_BUDGET`` cells, draws are rejected in batches of at most
     ``chunk``.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if min_accepted is not None and min_accepted < 1:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .measures import DegreeLaw, _check_mark_laws
@@ -19,8 +18,10 @@ from .trees import LabeledTree
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator; distinct (seed, stream) pairs are independent."""
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, stream % 2**64]))
+    """Counter-based generator; distinct (seed, stream) pairs mod 2**64 are independent."""
+    # a uint64 array: a plain list would pass key words >= 2**63 through float64
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------- graph type
@@ -214,18 +215,34 @@ def integer_degree_counts(alpha: DegreeLaw, n: int) -> Dict[int, int]:
     return {k: c for k, c in sorted(floors.items()) if c > 0}
 
 
-def _degree_sequence(cfg: ModelConfig, n: int) -> List[int]:
-    degrees: List[int] = []
+def _degree_counts(cfg: ModelConfig, n: int) -> Dict[int, int]:
+    counts: Dict[int, int] = {}
     for k, w in cfg.alpha.items():
         c = n * w
         if abs(c - round(c)) > 1e-9:
             raise ValueError(f"n * alpha({k}) = {c} is not integral")
-        degrees.extend([k] * round(c))
-    if len(degrees) != n:
+        counts[k] = round(c)
+    if sum(counts.values()) != n:
         raise ValueError("alpha counts do not sum to n")
-    if sum(degrees) % 2:
+    if sum(k * c for k, c in counts.items()) % 2:
         raise ValueError("odd total degree")
-    return degrees
+    return counts
+
+
+def _is_graphical(counts: Dict[int, int]) -> bool:
+    """Erdős–Gallai test on a degree histogram, checked only at the last vertex
+    of each run of equal degrees (Tripathi–Vijay 2003): O(distinct degrees²),
+    which is O(edges) since D distinct degrees need D(D-1)/2 half-edges."""
+    runs = sorted(counts.items(), reverse=True)
+    if any(d < 0 for d, _ in runs) or sum(d * c for d, c in runs) % 2:
+        return False
+    k = head = 0
+    for i, (d, c) in enumerate(runs):
+        k += c
+        head += d * c
+        if head > k * (k - 1) + sum(min(e, k) * m for e, m in runs[i + 1:]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------- pair indexing
@@ -257,10 +274,10 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator, max_restarts: 
     containing a self-loop or multi-edge restarts from scratch, which leaves
     the uniform law on simple realizations.
     """
-    degrees = _degree_sequence(cfg, n)
-    if not nx.is_graphical(degrees):
+    counts = _degree_counts(cfg, n)
+    if not _is_graphical(counts):
         raise ValueError("degree sequence is not graphical")
-    stubs = np.repeat(np.arange(n), degrees)
+    stubs = np.repeat(np.arange(n), np.repeat(list(counts), list(counts.values())))
     if stubs.size == 0:
         return MarkedGraph(n, [])
     for _ in range(max_restarts):

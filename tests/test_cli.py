@@ -10,10 +10,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphld
 from graphld import __version__
 from graphld.cli import main
 from graphld.measures import TreeMeasure
@@ -330,6 +333,7 @@ def _bad_inputs(d):
     (d / "loop.json").write_text(json.dumps({"n": 2, "edges": [[0, 0]]}))
     half = {"atoms": [{"tree": {"mark": 0, "children": []}, "weight": 0.5}]}
     (d / "half.json").write_text(json.dumps(half))
+    (d / "edge.json").write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
 
 
 # a valid measure, so that only the tolerance is malformed
@@ -352,6 +356,16 @@ BAD_INPUTS = {
                           "--out", "g.json"],
     "verify_nan_tol": ["verify", "--input", LEAF_LAW, "--tol", "nan"],
     "verify_negative_tol": ["verify", "--input", LEAF_LAW, "--tol=-1e-9"],
+    # usage errors that argparse itself detects
+    "verify_tol_read_as_option": ["verify", "--input", LEAF_LAW, "--tol", "-1e-9"],
+    "fe_m_not_int": ["sample", "--ensemble", "fe", "--n", 10, "--m", "abc",
+                     "--out", "g.json"],
+    "unknown_subcommand": ["frobnicate", "--out", "g.json"],
+    "empirical_negative_depth": ["empirical", "--graph", "edge.json", "--depth", -1,
+                                 "--out-prefix", "e"],
+    "gibbs_negative_samples": ["gibbs", "--alpha", '{"2": 1.0}', "--nu", "[0.5,0.5]",
+                               "--hfun", "[0.0,1.0]", "--c", 1.5, "--samples", -1,
+                               "--out-prefix", "gb"],
 }
 
 
@@ -359,11 +373,65 @@ BAD_INPUTS = {
 def test_malformed_input_structured_error(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _bad_inputs(tmp_path)
+    before = sorted(os.listdir(tmp_path))
     assert run(*BAD_INPUTS[case]) == 2
-    err = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr()
+    err = json.loads(out.out)
     assert err["error"]["type"] == "bad_input"
     assert err["error"]["message"]
-    assert not (tmp_path / "g.json").exists()
+    assert out.err == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        run(*argv)
+    assert stop.value.code == 0
+    assert "usage: graphld" in capsys.readouterr().out
+
+
+def test_gibbs_n_zero_is_mc_error(tmp_path, capsys):
+    assert run("gibbs", "--alpha", '{"2": 1.0}', "--nu", "[0.5,0.5]",
+               "--hfun", "[0.0,1.0]", "--c", 1.5, "--n", 0, "--samples", 10,
+               "--out-prefix", tmp_path / "gb") == 2
+    err = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert err["error"]["type"] == "mc_error"
+    assert "n must be at least 1" in err["error"]["message"]
+
+
+# ---------------------------------------------------------------- runtime imports
+
+
+def _child(code, cwd):
+    src = os.path.dirname(os.path.dirname(graphld.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_neither_networkx_nor_scipy(tmp_path):
+    res = _child(
+        "import sys, graphld, graphld.cli\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))",
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_sample_cm_runs_without_networkx(tmp_path):
+    res = _child(
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from graphld.cli import main\n"
+        "sys.exit(main(['sample', '--ensemble', 'cm', '--n', '20', '--alpha',"
+        " '{\"1\": 0.5, \"3\": 0.5}', '--seed', '3', '--out', 'g.json']))",
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    g = MarkedGraph.from_obj(json.loads((tmp_path / "g.json").read_text())["graph"])
+    assert g.degree_histogram() == {1: 10, 3: 10}
 
 
 # arbitrary JSON, plus near-valid mark vectors, matrices and degree laws

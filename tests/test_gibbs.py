@@ -356,6 +356,9 @@ def test_conditional_mc_input_validation():
     p = canonical_problem()
     with pytest.raises(ValueError):
         conditional_mc(p, 20, 0, make_rng(1))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            conditional_mc(p, n, 10, make_rng(1))
     with pytest.raises(ValueError):
         conditional_mc(p, 20, 100, make_rng(1), delta=-0.1)
 

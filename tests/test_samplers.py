@@ -8,15 +8,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from graphld.measures import DegreeLaw, TreeMeasure, tv_distance
 from graphld.samplers import (
     MarkedGraph,
     ModelConfig,
+    _is_graphical,
     _unrank_pair,
     assign_marks,
     integer_degree_counts,
@@ -48,6 +52,21 @@ def test_make_rng_reproducible_and_streams():
     c = make_rng(42, stream=1).integers(0, 2**63, size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("key_a, key_b", [
+    ((-1,), (0,)),
+    ((7, -1), (7, 0)),
+    ((2**63,), (2**63 + 5,)),
+], ids=["seed_-1_vs_0", "stream_-1_vs_0", "seed_2**63_vs_2**63+5"])
+def test_make_rng_key_words_above_2_63_keep_their_own_streams(key_a, key_b):
+    # a key word >= 2**63 (every negative seed mod 2**64 among them) must not
+    # pass through float64, where it collides with another seed and warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = make_rng(*key_a).integers(0, 2**63, size=5)
+        b = make_rng(*key_b).integers(0, 2**63, size=5)
+    assert not np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- graph type
@@ -141,6 +160,30 @@ def test_cm_infeasible_inputs():
         sample_cm(2, cm_cfg({3: 0.5, 1: 0.5}), make_rng(0))  # not graphical
     with pytest.raises(ValueError):
         sample_cm(3, cm_cfg({1: 0.5, 3: 0.5}), make_rng(0))  # n*alpha not integral
+
+
+# short sequences around n: empty, all zeros, odd sums and degrees >= n
+DEGREE_SEQUENCES = st.lists(st.integers(-1, 12), max_size=10) | st.lists(
+    st.integers(0, 4), max_size=10)
+
+
+@settings(max_examples=500, deadline=None)
+@given(DEGREE_SEQUENCES)
+@example([])
+@example([0, 0, 0])
+@example([1, 1, 1])
+@example([2, 2])
+@example([3, 3, 3, 3])
+@example([-1, 1])
+def test_is_graphical_matches_networkx(degrees):
+    nx = pytest.importorskip("networkx")
+    assert _is_graphical(Counter(degrees)) == nx.is_graphical(degrees)
+
+
+def test_is_graphical_cost_follows_distinct_degrees():
+    # one run of 10**7 vertices is one inequality, not a loop over n
+    assert _is_graphical({3: 10**7 - 1, 1: 1})
+    assert not _is_graphical({10**7: 1, 0: 10**7 - 1})
 
 
 def test_cm_empty_degrees():
