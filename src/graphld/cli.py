@@ -369,6 +369,10 @@ def cmd_extend(args) -> int:
     levels = _load_levels(args.input)
     rho = levels[-1]
     h = rho.depth_bound
+    if args.samples < 0:
+        raise ValueError(f"--samples {args.samples} is negative")
+    if args.depth < max(h, 1):
+        raise ValueError(f"--depth {args.depth} is below 1 or the input's depth {h}")
     if args.samples > 0:
         rng = make_rng(args.seed)
         counts: Dict = {}

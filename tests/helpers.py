@@ -16,7 +16,7 @@ from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
 from graphld.measures import (
-    PairMeasure, TreeMeasure, is_admissible, transport_violation,
+    PairMeasure, TreeMeasure, _hash_bit, _pair_payload, is_admissible,
 )
 from graphld.samplers import integer_degree_counts
 from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child
@@ -234,9 +234,26 @@ def oracle_pair_measure(rho, h=None):
     return PairMeasure({k: w / beta for k, w in oracle_pair_weights(rho, h).items()})
 
 
+def oracle_transport_violation(weights, trial_count=20, rng=None):
+    """``transport_violation`` hashing every key and its swap in every trial."""
+    excess = (w - weights.get((b, a), 0.0) for (a, b), w in weights.items())
+    violations = [math.fsum(d for d in excess if d > 0)]
+    if trial_count > 0:
+        rng = np.random.default_rng(0) if rng is None else rng
+        seeds = [int(s) for s in rng.integers(0, 2**62, size=trial_count)]
+        terms = [(w, _pair_payload((a, b)), _pair_payload((b, a)))
+                 for (a, b), w in weights.items()]
+        violations += [
+            abs(math.fsum(w * (_hash_bit(seed, key) - _hash_bit(seed, swapped))
+                          for w, key, swapped in terms))
+            for seed in seeds
+        ]
+    return max(violations)
+
+
 def oracle_mtp_check(u, h=None, trial_count=20, rng=None):
     h = max(u.depth_bound, 1) if h is None else h
-    return transport_violation(oracle_pair_weights(u, h), trial_count, rng)
+    return oracle_transport_violation(oracle_pair_weights(u, h), trial_count, rng)
 
 
 def oracle_one_step_extension(rho, h):

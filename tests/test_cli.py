@@ -334,6 +334,8 @@ def _bad_inputs(d):
     half = {"atoms": [{"tree": {"mark": 0, "children": []}, "weight": 0.5}]}
     (d / "half.json").write_text(json.dumps(half))
     (d / "edge.json").write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    edge_law = TreeMeasure({star(0, (0,)): 1.0}, 0.0, 1)
+    (d / "edge_L.json").write_text(json.dumps({"measure": edge_law.to_obj()}))
 
 
 # a valid measure, so that only the tolerance is malformed
@@ -366,6 +368,12 @@ BAD_INPUTS = {
     "gibbs_negative_samples": ["gibbs", "--alpha", '{"2": 1.0}', "--nu", "[0.5,0.5]",
                                "--hfun", "[0.0,1.0]", "--c", 1.5, "--samples", -1,
                                "--out-prefix", "gb"],
+    # the depth-1 law of a single edge, extended to no deeper depth
+    "extend_negative_depth": ["extend", "--input", "edge_L.json", "--depth", -1,
+                              "--out", "x.json"],
+    "extend_zero_depth": ["extend", "--input", "edge_L.json", "--depth", 0, "--out", "x.json"],
+    "extend_negative_samples": ["extend", "--input", "edge_L.json", "--depth", 2,
+                                "--samples", -3, "--out", "x.json"],
 }
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphld import empirical
+from graphld import empirical, measures
 from graphld.empirical import (
     ComponentView,
     component_measure,
@@ -294,6 +294,36 @@ def test_mtp_check_graph_fails_on_broken_views():
 
     with mock.patch.object(empirical, "branch_views", wrong_pendant):
         assert mtp_check_graph(g, 2) > 0
+
+
+def test_mtp_check_graph_hashes_only_where_transport_can_fail():
+    # the key weights of a graph are exactly swap-symmetric, so the hash
+    # trials hash no key; under a broken view routine they are not, and each
+    # payload of an asymmetric key is hashed once per trial
+    g = _cyclic_er_graph()
+    calls = []
+    hash_bit = measures._hash_bit
+    view = empirical._view
+
+    def counting_hash_bit(seed, payload):
+        calls.append(payload)
+        return hash_bit(seed, payload)
+
+    def backtracking_view(g, adj, u, away, views):
+        return view(g, adj, u, None, views)
+
+    with mock.patch.object(measures, "_hash_bit", counting_hash_bit):
+        assert mtp_check_graph(g, 2) == 0.0
+        assert calls == []
+        with mock.patch.object(empirical, "_view", backtracking_view):
+            assert mtp_check_graph(g, 2) >= 0.5
+    assert len(calls) > 0
+    assert len(calls) == 20 * len(set(calls))
+
+
+def test_mtp_check_graph_rejects_negative_trial_count():
+    with pytest.raises(ValueError, match="negative"):
+        mtp_check_graph(_cyclic_er_graph(), 2, trial_count=-1)
 
 
 def test_local_convergence_toward_reference_stars():

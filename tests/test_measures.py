@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from graphld.measures import (
     pair_measure,
     relative_entropy,
     size_bias,
+    transport_violation,
     tv_distance,
 )
 from graphld.gibbs import GibbsProblem
@@ -35,7 +37,10 @@ from graphld.rates import ReferenceLaw
 from graphld.samplers import ModelConfig
 from graphld.trees import CanonicalTree, HalfEdgeTree, random_labeling, split_at_child
 
-from helpers import canon_raw, component_law, eta1_exact, forest_component, random_forest, star
+from helpers import (
+    canon_raw, component_law, eta1_exact, forest_component, oracle_transport_violation,
+    random_forest, star,
+)
 
 # ---------------------------------------------------------------- fixtures
 
@@ -421,6 +426,68 @@ def test_hash_guard_payloads_keep_whole_marks():
     low, high = HalfEdgeTree(t, 1), HalfEdgeTree(t, 257)
     assert _pair_payload((low, other)) != _pair_payload((high, other))
     assert _pair_payload((other, low)) != _pair_payload((other, high))
+
+
+HALF_EDGES = [HalfEdgeTree(t, m) for t in POOL for m in (0, 1)]
+# (kind, i, j, weight): a symmetric pair, a pair one ulp apart, a one-sided
+# key, or a self-swap key (a, a)
+_TRANSPORT_ENTRY = st.tuples(
+    st.sampled_from(["symmetric", "ulp", "one_sided", "self"]),
+    st.integers(0, len(HALF_EDGES) - 1),
+    st.integers(0, len(HALF_EDGES) - 1),
+    st.one_of(st.floats(0.0, 1.0), st.integers(0, 50).map(lambda c: c / 7)),
+)
+
+
+def _transport_weights(entries):
+    weights = {}
+    for kind, i, j, w in entries:
+        a, b = HALF_EDGES[i], HALF_EDGES[j]
+        if kind == "self":
+            weights[(a, a)] = w
+        elif kind == "one_sided":
+            weights[(a, b)] = w
+        else:
+            weights[(a, b)] = w
+            weights[(b, a)] = w if kind == "symmetric" else math.nextafter(w, math.inf)
+    return weights
+
+
+def _fsum_values(fn, *args):
+    """``fn(*args)`` and every ``math.fsum`` value it took, in order."""
+    fsum, seen = math.fsum, []
+
+    def recording(terms):
+        seen.append(fsum(terms))
+        return seen[-1]
+
+    with mock.patch("math.fsum", recording):
+        return fn(*args), seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(_TRANSPORT_ENTRY, max_size=12), trial_count=st.sampled_from([0, 1, 20]),
+       seed=st.integers(0, 2**32))
+def test_transport_violation_matches_hash_every_key_oracle(entries, trial_count, seed):
+    # skipping the keys that cancel against their swap changes neither the
+    # value nor the draws taken from rng; the greedy sum bounds every hash
+    # trial, so each trial's sum is compared as well, not only the max
+    weights = _transport_weights(entries)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, got_sums = _fsum_values(transport_violation, weights, trial_count, rng)
+    want, want_sums = _fsum_values(oracle_transport_violation, weights, trial_count, oracle_rng)
+    assert got == want
+    assert got_sums == want_sums
+    assert len(got_sums) == 1 + trial_count
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_negative_trial_count_is_rejected():
+    u = component_law(*random_forest(np.random.default_rng(5), 6))
+    with pytest.raises(ValueError, match="negative"):
+        transport_violation({}, -1)
+    with pytest.raises(ValueError, match="negative"):
+        mtp_check(u, trial_count=-3)
 
 
 def test_mtp_check_rejects_non_tree_mass():
