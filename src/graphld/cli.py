@@ -147,7 +147,7 @@ def cmd_sample(args) -> int:
     if ens == "CM":
         if alpha is None:
             return _structured_error("CM sampling needs --alpha", "bad_config")
-        cfg = ModelConfig(ensemble="CM", nu=nu, xi=xi, seed=args.seed, alpha=alpha)
+        cfg = ModelConfig(ensemble="CM", nu=nu, xi=xi, alpha=alpha)
         g = sample_cm(args.n, cfg, rng)
     elif ens == "FE":
         if args.m is None and args.kappa is None:
@@ -384,7 +384,7 @@ def cmd_extend(args) -> int:
         )
         payload = {"measure": out.to_obj(), "mode": "sampled"}
     else:
-        chain = extension_chain(rho, args.depth)
+        chain = extension_chain(levels, args.depth)
         payload = {
             "levels": [chain.level(i).to_obj() for i in range(1, len(chain) + 1)],
             "mode": "exact",

@@ -86,14 +86,12 @@ def _root_views(g: MarkedGraph, adj, h: int, roots) -> Iterator[CanonicalTree]:
     return (_view(g, adj, v, None, views) for v in roots)
 
 
-def component_view(g: MarkedGraph, root: int, h: int, adj: Optional[List[List[int]]] = None) -> ComponentView:
+def component_view(g: MarkedGraph, root: int, h: int) -> ComponentView:
     """Layers within distance ``h`` of ``root``; cycle_detected is true iff the
     subgraph induced on the ball is not a tree."""
     if h < 0:
         raise ValueError("depth must be nonnegative")
-    if adj is None:
-        adj = g.adjacency()
-    layers, is_tree = _ball(adj, root, h)
+    layers, is_tree = _ball(g.adjacency(), root, h)
     return ComponentView(root, tuple(tuple(sorted(l)) for l in layers), not is_tree)
 
 
@@ -133,7 +131,7 @@ def empirical_functional(L: TreeMeasure, hfun) -> float:
 # ---------------------------------------------------------------- mass transport
 
 
-def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, trial_count: int = 20, rng=None) -> float:
+def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, rng=None) -> float:
     """Mass-transport violation of the uniform-root law of ``g``.
 
     The key of a directed edge (v, w) is the one ``mtp_check`` gives a root
@@ -151,4 +149,4 @@ def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, trial_count: int = 
     for t, c in Counter(_root_views(g, g.adjacency(), h, range(g.n))).items():
         for key in branch_views(t, h - 1):
             counts[key] += c
-    return transport_violation({k: c / g.n for k, c in counts.items()}, trial_count, rng)
+    return transport_violation({k: c / g.n for k, c in counts.items()}, rng)

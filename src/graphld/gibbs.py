@@ -45,8 +45,9 @@ BRACKET_MAX = 2.0**60
 
 # Largest exact conditional-MC problem, in table cells: the per-class
 # composition tables plus the convolution work of the lattice-sum laws.
-# Larger problems are sampled by rejection.
+# Larger problems are sampled by rejection, in batches of REJECTION_BATCH.
 EXACT_TABLE_BUDGET = 1 << 22
+REJECTION_BATCH = 1 << 20
 
 # Largest denominator tried when reading an h value as a fraction (0.1 = 1/10).
 _MAX_DENOMINATOR = 10**6
@@ -275,9 +276,7 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
     return GibbsSolution(lam, gamma, psi, mu_star, value, residuals)
 
 
-def brute_force_opt(
-    problem: GibbsProblem, resolution: float = 1e-12
-) -> Tuple[Dict[Tuple[int, int], float], float]:
+def brute_force_opt(problem: GibbsProblem) -> Tuple[Dict[Tuple[int, int], float], float]:
     """Directly minimize H(gamma || alpha x nu) on the constraint polytope.
 
     Independent of the tilted closed form: sequential quadratic programming
@@ -343,7 +342,7 @@ def brute_force_opt(
         method="SLSQP",
         bounds=[(0.0, None)] * len(cells),
         constraints=constraints,
-        options={"maxiter": 500, "ftol": resolution},
+        options={"maxiter": 500, "ftol": 1e-12},
     )
     if not res.success:
         raise RuntimeError(f"brute force optimizer failed: {res.message}")
@@ -666,7 +665,7 @@ def _sample_exact(law: _CountLaw, rng, samples, min_accepted, n_x):
 # ---------------------------------------------------------------- rejection
 
 
-def _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted, chunk):
+def _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted):
     """Draw count, accepted count and accepted cell sums by rejection."""
     n_x = len(problem.nu)
     cell_sums: Dict[Tuple[int, int], float] = {
@@ -677,9 +676,8 @@ def _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted
     accepted = 0
     nu_vec = np.array(problem.nu)
     h_vec = np.array(problem.hfun)
-    gen_chunk = min(chunk, 1 << 20)
     while drawn < samples and (min_accepted is None or accepted < min_accepted):
-        size = min(gen_chunk, samples - drawn)
+        size = min(REJECTION_BATCH, samples - drawn)
         drawn += size
         per_class = []
         t = np.zeros(size)
@@ -724,7 +722,6 @@ def conditional_mc(
     delta: Optional[float] = None,
     min_accepted: Optional[int] = None,
     solution: Optional[GibbsSolution] = None,
-    chunk: int = 1 << 22,
 ) -> MCReport:
     """Exact sampling of the conditioned mark configuration at size n.
 
@@ -740,7 +737,7 @@ def conditional_mc(
     their exact law, with no rejected draws, and the report carries the exact
     conditional TVs.  Otherwise, or when the exact tables would exceed
     ``EXACT_TABLE_BUDGET`` cells, draws are rejected in batches of at most
-    ``chunk``.
+    ``REJECTION_BATCH``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -760,9 +757,7 @@ def conditional_mc(
 
     law = _count_law(problem, classes, n, threshold)
     if law is None:
-        result = _rejection_counts(
-            problem, classes, n, threshold, samples, rng, min_accepted, chunk
-        )
+        result = _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted)
         exact_means = None
     else:
         if law.mass <= 0.0:

@@ -25,6 +25,7 @@ from .trees import (
 
 MASS_TOL = 1e-12
 ADMISSIBILITY_TOL = 1e-9
+MTP_TRIALS = 20
 
 
 def _in_unit_range(w: float) -> bool:
@@ -328,17 +329,19 @@ class DepthChain:
 # ---------------------------------------------------------------- entropies
 
 
-def _items_of(m) -> List[Tuple[object, float]]:
-    if isinstance(m, (TreeMeasure, PairMeasure, DegreeLaw)):
-        return m.items()
-    return sorted(m.items(), key=lambda kv: repr(kv[0]))
+def _weights(m) -> Mapping:
+    """The weight map of a measure or degree law, or ``m`` itself (a dict); sums
+    over it are correctly rounded ``fsum``s, so its order does not matter."""
+    if isinstance(m, DegreeLaw):
+        return m.probs
+    return m.atoms if isinstance(m, (TreeMeasure, PairMeasure)) else m
 
 
 def entropy(m) -> float:
     """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
     if isinstance(m, TreeMeasure):
         m._require_tree_support("entropy")
-    return -math.fsum(w * math.log(w) for _, w in _items_of(m) if w > 0)
+    return -math.fsum(w * math.log(w) for w in _weights(m).values() if w > 0)
 
 
 def relative_entropy(m, base) -> float:
@@ -348,12 +351,12 @@ def relative_entropy(m, base) -> float:
             if base.non_tree_mass > MASS_TOL:
                 raise ValueError("cannot compare two unresolved non-tree masses")
             return math.inf
-    base_atoms = base.atoms if hasattr(base, "atoms") else base.probs if hasattr(base, "probs") else base
+    base_weights = _weights(base)
     terms = []
-    for key, w in _items_of(m):
+    for key, w in _weights(m).items():
         if w <= 0:
             continue
-        b = base_atoms.get(key, 0.0)
+        b = base_weights.get(key, 0.0)
         if b <= 0:
             return math.inf
         terms.append(w * math.log(w / b))
@@ -362,10 +365,8 @@ def relative_entropy(m, base) -> float:
 
 def tv_distance(m, base) -> float:
     """Total variation distance (half the l1 distance over the joint support)."""
-    ma = m.atoms if hasattr(m, "atoms") else m.probs if hasattr(m, "probs") else m
-    ba = base.atoms if hasattr(base, "atoms") else base.probs if hasattr(base, "probs") else base
-    keys = set(ma) | set(ba)
-    total = math.fsum(abs(ma.get(k, 0.0) - ba.get(k, 0.0)) for k in keys)
+    ma, ba = _weights(m), _weights(base)
+    total = math.fsum(abs(ma.get(k, 0.0) - ba.get(k, 0.0)) for k in set(ma) | set(ba))
     if isinstance(m, TreeMeasure) and isinstance(base, TreeMeasure):
         total += abs(m.non_tree_mass - base.non_tree_mass)
     return 0.5 * total
@@ -423,10 +424,10 @@ def pair_measure(rho: TreeMeasure, h: Optional[int] = None) -> PairMeasure:
     return rho._memoized("pair_measure", h, build)
 
 
-def is_admissible(p: PairMeasure, tol: float = ADMISSIBILITY_TOL) -> Tuple[bool, float]:
-    """Whether the pair measure is symmetric within ``tol``; also the max asymmetry."""
+def is_admissible(p: PairMeasure) -> Tuple[bool, float]:
+    """Whether ``p`` is symmetric within ``ADMISSIBILITY_TOL``; also the max asymmetry."""
     defect = p.symmetry_defect()
-    return defect <= tol, defect
+    return defect <= ADMISSIBILITY_TOL, defect
 
 
 def pair_marginals(p: PairMeasure):
@@ -465,12 +466,12 @@ def _pair_payload(key: Tuple[HalfEdgeTree, HalfEdgeTree]) -> bytes:
     )
 
 
-def transport_violation(weights, trial_count: int = 20, rng=None) -> float:
+def transport_violation(weights, rng=None) -> float:
     """Max |sum_k w(k) (g(a, b) - g(b, a))| over a family of 0/1 functions g,
     for pair keys k = (a, b).
 
     The family is the greedy indicator 1{w(a, b) > w(b, a)}, which maximizes
-    the defect over all indicator functions, plus ``trial_count`` seeded hash
+    the defect over all indicator functions, plus ``MTP_TRIALS`` seeded hash
     functions of ``_pair_payload(k)`` as an independent guard.
 
     A key whose swap has exactly its weight is not hashed: its term
@@ -479,26 +480,23 @@ def transport_violation(weights, trial_count: int = 20, rng=None) -> float:
     from ``rng`` are those of hashing every key, and a swap-symmetric law
     (such as the key weights of a finite graph) costs no digests.
     """
-    if trial_count < 0:
-        raise ValueError(f"trial_count {trial_count} is negative")
+    import numpy as np
+
     excess = [(key, w, w - weights.get(key[::-1], 0.0)) for key, w in weights.items()]
     violations = [math.fsum(d for _, _, d in excess if d > 0)]
-    if trial_count > 0:
-        import numpy as np
-
-        rng = np.random.default_rng(0) if rng is None else rng
-        seeds = [int(s) for s in rng.integers(0, 2**62, size=trial_count)]
-        terms = [(w, _pair_payload(key), _pair_payload(key[::-1]))
-                 for key, w, d in excess if d != 0]
-        payloads = {p for _, key, swapped in terms for p in (key, swapped)}
-        for seed in seeds:
-            bit = {p: _hash_bit(seed, p) for p in payloads}
-            violations.append(abs(math.fsum(w * (bit[key] - bit[swapped])
-                                            for w, key, swapped in terms)))
+    rng = np.random.default_rng(0) if rng is None else rng
+    seeds = [int(s) for s in rng.integers(0, 2**62, size=MTP_TRIALS)]
+    terms = [(w, _pair_payload(key), _pair_payload(key[::-1]))
+             for key, w, d in excess if d != 0]
+    payloads = {p for _, key, swapped in terms for p in (key, swapped)}
+    for seed in seeds:
+        bit = {p: _hash_bit(seed, p) for p in payloads}
+        violations.append(abs(math.fsum(w * (bit[key] - bit[swapped])
+                                        for w, key, swapped in terms)))
     return max(violations)
 
 
-def mtp_check(u, h: Optional[int] = None, trial_count: int = 20, rng=None) -> float:
+def mtp_check(u, h: Optional[int] = None, rng=None) -> float:
     """Max mass-transport violation over a family of bounded test functions.
 
     Accepts either a TreeMeasure or a finite marked graph (see
@@ -511,12 +509,11 @@ def mtp_check(u, h: Optional[int] = None, trial_count: int = 20, rng=None) -> fl
     if hasattr(u, "edges"):
         from .empirical import mtp_check_graph
 
-        return mtp_check_graph(u, h=h, trial_count=trial_count, rng=rng)
+        return mtp_check_graph(u, h=h, rng=rng)
     u._require_tree_support("mtp_check")
     if h is None:
         h = max(u.depth_bound, 1)
-    weights = _pair_weights(u, h)
-    return transport_violation(weights, trial_count, rng)
+    return transport_violation(_pair_weights(u, h), rng)
 
 
 # ---------------------------------------------------------------- conveniences

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,6 +44,8 @@ POISSON_TAIL = 1e-13
 # entries of the largest Poisson degree table; the table of mean b needs
 # about 2b to 4b of them, so means above about 65 000 raise ValueError
 POISSON_TABLE_LIMIT = 1 << 18
+# atoms of the largest explicit depth-1 star law; larger ones raise ValueError
+STAR_ATOM_LIMIT = 200_000
 
 __all__ = [
     "GATE_TOL",
@@ -233,9 +236,9 @@ class ReferenceLaw:
             * self.xibar_pmf(a.pendant_mark, b.pendant_mark)
         )
 
-    def materialize(self, max_atoms: int = 200_000) -> TreeMeasure:
+    def materialize(self) -> TreeMeasure:
         """The reference law as an explicit depth-1 measure (small supports only)."""
-        return _star_law(self, lambda x_o, x, yc, yr: 1.0, max_atoms)
+        return _star_law(self, lambda x_o, x, yc, yr: 1.0)
 
     def to_obj(self) -> dict:
         obj = {"nu": list(self.nu), "xi": [list(r) for r in self.xi]}
@@ -259,7 +262,7 @@ class ReferenceLaw:
 # ------------------------------------------------------- depth-1 reference pair
 
 
-def _star_law(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float], max_atoms: int) -> TreeMeasure:
+def _star_law(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float]) -> TreeMeasure:
     """The reference star law with every leaf entry ((yc, yr), x) below a root
     of mark x_o reweighted by ``ratio(x_o, x, yc, yr)``, as an explicit depth-1
     measure: degree d and root x_o get mass
@@ -284,9 +287,9 @@ def _star_law(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float], m
         per_root[x_o] = sorted(ew.items())
         for d in law.degree_pmf:
             projected += math.comb(len(ew) + d - 1, d) if ew else (1 if d == 0 else 0)
-    if projected > max_atoms:
+    if projected > STAR_ATOM_LIMIT:
         raise ValueError(
-            f"materialized support would need {projected} atoms (limit {max_atoms})"
+            f"materialized support would need {projected} atoms (limit {STAR_ATOM_LIMIT})"
         )
     atoms: Dict[CanonicalTree, float] = {}
     for x_o, wx in root_weights.items():
@@ -386,19 +389,19 @@ def _leaf_stats(mu: TreeMeasure, law: ReferenceLaw, op: str):
     return _sb_stats(pair_measure(mu, 1))
 
 
-def leaf_indep_law(mu: TreeMeasure, law: ReferenceLaw, max_atoms: int = 200_000) -> TreeMeasure:
+def leaf_indep_law(mu: TreeMeasure, law: ReferenceLaw) -> TreeMeasure:
     """The reference star law reweighted so leaf entries are i.i.d. from the
     size-biased child marginal of ``mu``; a probability measure dominating
     ``mu`` whenever ``mu`` is dominated by the reference."""
     child, _ = _leaf_stats(mu, law, "leaf_indep_law")
-    return _star_law(law, _indep_ratio(law, child), max_atoms)
+    return _star_law(law, _indep_ratio(law, child))
 
 
-def leaf_cond_law(mu: TreeMeasure, law: ReferenceLaw, max_atoms: int = 200_000) -> TreeMeasure:
+def leaf_cond_law(mu: TreeMeasure, law: ReferenceLaw) -> TreeMeasure:
     """The reference star law reweighted so leaf entries are conditionally
     i.i.d. given the root entry, from the size-biased conditional of ``mu``."""
     _, cond = _leaf_stats(mu, law, "leaf_cond_law")
-    return _star_law(law, _cond_ratio(law, cond), max_atoms)
+    return _star_law(law, _cond_ratio(law, cond))
 
 
 # --------------------------------------------------------- neighborhood rates
@@ -591,8 +594,9 @@ def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
             continue
         options = []
         backs = []
-        for branch, rest in branch_views(s, h):
-            options.append(list(kernel.law(branch, rest.truncated(h - 1)).items()))
+        # s has depth <= h, so these branches are its whole root subtrees
+        for branch, rest in branch_views(s, h - 1):
+            options.append(list(kernel.law(branch, rest).items()))
             backs.append(rest.pendant_mark)
         for combo in itertools.product(*options):
             wt = w
@@ -646,12 +650,15 @@ def cond_extension_law(rho: TreeMeasure, h: int, law: Optional[ReferenceLaw] = N
 def extension_chain(levels: Union[TreeMeasure, Sequence[TreeMeasure]], depth: int) -> DepthChain:
     """Extend a measure (or a consistent prefix) to ``depth`` levels by
     iterated one-step extensions; deeper per-depth rate terms then vanish by
-    construction."""
+    construction.  A single measure of depth h >= 2 is first completed by its
+    truncations to depths 1..h-1."""
     if isinstance(levels, TreeMeasure):
         levels = [levels]
     levels = list(levels)
     if not levels:
         raise ValueError("empty chain")
+    if len(levels) == 1:
+        levels = [levels[0].truncated(h) for h in range(1, levels[0].depth_bound)] + levels
     while len(levels) < depth:
         h = len(levels)
         levels.append(one_step_extension(levels[-1], h))
@@ -900,11 +907,11 @@ def intermediate_rate(levels, beta: float, law: ReferenceLaw, ensemble: Optional
     return _evaluate("intermediate", levels, beta, law, ensemble, kappa, depth, _intermediate_totals)
 
 
-def _log_factorial_sum(t: CanonicalTree, h: int) -> float:
-    counts: Dict[object, int] = {}
-    for view in branch_views(t, h - 1):
-        counts[view] = counts.get(view, 0) + 1
-    return math.fsum(math.lgamma(c + 1) for c in counts.values())
+def _log_factorial_sum(t: CanonicalTree) -> float:
+    """Sum of log(m!) over the multiplicities m of equal depth-(h-1) cut views
+    of the root children of a tree of depth <= h: two children have equal
+    views exactly when their entries in ``t.children`` are equal."""
+    return math.fsum(math.lgamma(c + 1) for c in Counter(t.children).values())
 
 
 def _combinatorial_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):
@@ -922,7 +929,7 @@ def _combinatorial_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateRep
         base += -e_logfact + entropy(law.alpha) - 2.0 * matching_entropy(beta)
     for h in range(1, depth + 1):
         lv = an.chain.level(h)
-        efact = math.fsum(w * _log_factorial_sum(t, h) for t, w in lv.items())
+        efact = math.fsum(w * _log_factorial_sum(t) for t, w in lv.atoms.items())
         j = (
             -matching_entropy(beta)
             + entropy(lv)

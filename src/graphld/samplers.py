@@ -16,6 +16,8 @@ import numpy as np
 from .measures import DegreeLaw, _check_mark_laws
 from .trees import LabeledTree
 
+CM_RESTARTS = 1000
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; distinct (seed, stream) pairs mod 2**64 are independent."""
@@ -131,7 +133,6 @@ class ModelConfig:
     ensemble: str
     nu: Tuple[float, ...]
     xi: Tuple[Tuple[float, ...], ...]
-    seed: int = 0
     kappa: Optional[float] = None
     alpha: Optional[DegreeLaw] = None
     m_n: Optional[int] = None
@@ -162,7 +163,6 @@ class ModelConfig:
             "ensemble": self.ensemble,
             "nu": list(self.nu),
             "xi": [list(r) for r in self.xi],
-            "seed": self.seed,
         }
         if self.kappa is not None:
             obj["kappa"] = self.kappa
@@ -181,7 +181,6 @@ class ModelConfig:
             ensemble=obj["ensemble"],
             nu=tuple(obj["nu"]),
             xi=tuple(tuple(r) for r in obj["xi"]),
-            seed=obj.get("seed", 0),
             kappa=obj.get("kappa"),
             alpha=alpha,
             m_n=obj.get("m_n"),
@@ -267,7 +266,7 @@ def _unrank_pair(t: int, n: int) -> Tuple[int, int]:
 # ---------------------------------------------------------------- ensembles
 
 
-def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator, max_restarts: int = 1000) -> MarkedGraph:
+def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator) -> MarkedGraph:
     """Uniform simple graph with degree histogram exactly n * alpha.
 
     Configuration-model stub pairing with whole-pairing rejection: any pairing
@@ -280,7 +279,7 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator, max_restarts: 
     stubs = np.repeat(np.arange(n), np.repeat(list(counts), list(counts.values())))
     if stubs.size == 0:
         return MarkedGraph(n, [])
-    for _ in range(max_restarts):
+    for _ in range(CM_RESTARTS):
         perm = rng.permutation(stubs)
         u = np.minimum(perm[0::2], perm[1::2])
         v = np.maximum(perm[0::2], perm[1::2])
@@ -290,7 +289,7 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator, max_restarts: 
         if np.unique(codes).size != codes.size:
             continue
         return MarkedGraph(n, list(zip(u.tolist(), v.tolist())))
-    raise RuntimeError(f"no simple pairing found in {max_restarts} restarts")
+    raise RuntimeError(f"no simple pairing found in {CM_RESTARTS} restarts")
 
 
 def sample_fe(n: int, m_n: int, rng: np.random.Generator) -> MarkedGraph:

@@ -327,8 +327,9 @@ def rejection_conditional_mc(problem, n, samples, rng, delta=None,
 
     One degree class with two marks and a tail-set acceptance event draws
     the mark-1 count by inversion of its binomial CDF in chunks of uniforms;
-    every other problem draws whole per-class count vectors.  Both stop after
-    the chunk in which ``min_accepted`` acceptances were reached.
+    every other problem draws whole per-class count vectors in batches of
+    ``REJECTION_BATCH``.  Both stop after the chunk or batch in which
+    ``min_accepted`` acceptances were reached.
     """
     if solution is None:
         solution = solve(problem)
@@ -338,7 +339,7 @@ def rejection_conditional_mc(problem, n, samples, rng, delta=None,
     classes = sorted((d, c) for d, c in counts.items() if c > 0)
     if not _binomial_tail(problem, classes, n, threshold):
         result = _rejection_counts(problem, classes, n, threshold, samples, rng,
-                                   min_accepted, chunk)
+                                   min_accepted)
         return _finish_report(problem, solution, n, delta, threshold, classes,
                               *result, False)
     (d0, c0), = classes

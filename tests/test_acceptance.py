@@ -303,7 +303,7 @@ def test_c07_gibbs_conditional_mc_trend():
     for i, n in enumerate((20, 40, 80)):
         rep = conditional_mc(
             p, n, 20_000_000_000, make_rng(950, i),
-            min_accepted=100_000, solution=s, chunk=1 << 23,
+            min_accepted=100_000, solution=s,
         )
         tvs.append(rep.joint_tv)
         counts.append(rep.accepted)

@@ -292,6 +292,42 @@ def test_extend_exact_chain(tmp_path):
     assert levels[1] == ref.level(2)
 
 
+@pytest.fixture
+def er_depth2(tmp_path):
+    """``empirical --depth 2`` of a 20-vertex ER graph whose U_2 is all tree
+    mass, and ``extend``'s own depth-2 chain of its L."""
+    g = tmp_path / "g.json"
+    assert run("sample", "--ensemble", "er", "--n", 20, "--kappa", 1, "--nu", "[0.5,0.5]",
+               "--seed", 3, "--out", g) == 0
+    assert run("empirical", "--graph", g, "--depth", 2, "--out-prefix", tmp_path / "emp") == 0
+    assert run("extend", "--input", tmp_path / "emp_L.json", "--depth", 2,
+               "--out", tmp_path / "chain.json") == 0
+    return tmp_path
+
+
+def _extend_to_depth3(d, name):
+    """Extend ``d/name`` to depth 3 in exact mode; its levels as objects."""
+    out = d / f"{name}.d3.json"
+    assert run("extend", "--input", d / name, "--depth", 3, "--out", out) == 0
+    assert run("verify", "--input", out) == 0
+    levels = json.loads(out.read_text())["levels"]
+    assert [o["depth_bound"] for o in levels] == [1, 2, 3]
+    return levels
+
+
+def test_extend_depth2_measure(er_depth2):
+    u2 = json.loads((er_depth2 / "emp_U2.json").read_text())["measure"]
+    assert TreeMeasure.from_obj(u2).non_tree_mass == 0.0
+    levels = _extend_to_depth3(er_depth2, "emp_U2.json")
+    assert levels[1] == u2
+    assert levels[0] == TreeMeasure.from_obj(u2).truncated(1).to_obj()
+
+
+def test_extend_own_depth2_chain(er_depth2):
+    chain = json.loads((er_depth2 / "chain.json").read_text())["levels"]
+    assert _extend_to_depth3(er_depth2, "chain.json")[:2] == chain
+
+
 def test_extend_sampling_matches_exact_marginally(tmp_path):
     law = ReferenceLaw.fixed_alpha({1: 0.6, 2: 0.4}, (1.0,), ((1.0,),))
     ip = tmp_path / "d1.json"

@@ -338,7 +338,7 @@ def test_conditional_mc_zero_accepted_raises():
 def test_conditional_mc_min_accepted_stops_early():
     p = canonical_problem()
     rng = make_rng(127)
-    rep = conditional_mc(p, 20, 50_000_000, rng, min_accepted=500, chunk=1 << 15)
+    rep = conditional_mc(p, 20, 50_000_000, rng, min_accepted=500)
     assert rep.accepted >= 500
     assert rep.draws < 50_000_000
 

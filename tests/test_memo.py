@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -101,6 +103,17 @@ def test_truncate_and_branch_views_match_oracle(raw, order):
         assert view_obj(views) == view_obj(oracle_branch_views(t, h))
 
 
+@given(raw_trees, st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_log_factorial_sum_counts_equal_child_entries(raw, extra):
+    # at any h >= depth, two root children have equal depth-(h-1) cut views
+    # exactly when their entries are equal
+    t = canon_raw(raw)
+    h = max(t.depth, 1) + extra
+    counts = Counter(oracle_branch_views(t, h - 1)).values()
+    assert rates._log_factorial_sum(t) == math.fsum(math.lgamma(c + 1) for c in counts)
+
+
 @given(raw_trees)
 @settings(max_examples=40, deadline=None)
 def test_equal_encodings_are_one_object(raw):
@@ -142,8 +155,8 @@ def test_measure_laws_match_oracle(raw_atoms, order):
     for h in order + order:
         assert m.truncated(h).to_obj() == oracle_truncated(m, h).to_obj()
         if h >= 1:
-            want = oracle_mtp_check(m, h, trial_count=3)
-            assert mtp_check(m, h, trial_count=3) == want
+            want = oracle_mtp_check(m, h)
+            assert mtp_check(m, h) == want
             assert measures._pair_weights(m, h) == oracle_pair_weights(m, h)
         if m.mean_degree() > 0 and h + d >= 1:
             assert pair_obj(pair_measure(m, h + d)) == pair_obj(oracle_pair_measure(m, h + d))

@@ -167,8 +167,10 @@ def test_reference_poisson_tail_and_materialize():
     assert math.fsum(law.degree_pmf.values()) == pytest.approx(1.0, abs=1e-12)
     mat = law.materialize()
     assert abs(math.fsum(w for _, w in mat.items()) - 1.0) < 1e-11
-    with pytest.raises(ValueError):
-        law.materialize(max_atoms=100)
+    # 1.09e15 projected atoms, far over STAR_ATOM_LIMIT: raises before building
+    huge = ReferenceLaw.poisson(20.0, (0.3, 0.3, 0.4), ((0.25, 0.25), (0.25, 0.25)))
+    with pytest.raises(ValueError, match="atoms"):
+        huge.materialize()
 
 
 def test_reference_roundtrip_and_validation():

@@ -39,8 +39,8 @@ UNIF2 = (0.5, 0.5)
 XI_SYM = ((0.25, 0.25), (0.25, 0.25))
 
 
-def cm_cfg(alpha, seed=0):
-    return ModelConfig("CM", UNIF2, XI_SYM, seed=seed, alpha=DegreeLaw(alpha))
+def cm_cfg(alpha):
+    return ModelConfig("CM", UNIF2, XI_SYM, alpha=DegreeLaw(alpha))
 
 
 # ---------------------------------------------------------------- rng
