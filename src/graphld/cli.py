@@ -32,6 +32,7 @@ from .measures import (
 from .empirical import component_measure, neighborhood_measure
 from .rates import (
     ReferenceLaw,
+    _completed,
     combinatorial_rate,
     component_rate,
     extension_chain,
@@ -117,12 +118,14 @@ def _parse_matrix(text: str) -> Tuple[Tuple[float, ...], ...]:
 
 
 def _load_levels(value) -> List[TreeMeasure]:
+    """The levels of a chain file, or a single measure of depth h completed
+    by its truncations to depths 1..h-1."""
     obj = _load_value(value)
     if isinstance(obj, dict) and "levels" in obj:
         return [TreeMeasure.from_obj(o) for o in obj["levels"]]
     if isinstance(obj, dict) and "measure" in obj:
-        return [TreeMeasure.from_obj(obj["measure"])]
-    return [TreeMeasure.from_obj(obj)]
+        obj = obj["measure"]
+    return _completed(TreeMeasure.from_obj(obj))
 
 
 def _structured_error(message: str, kind: str) -> int:

@@ -5,19 +5,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
 from .measures import TreeMeasure, transport_violation
 from .samplers import MarkedGraph
 from .trees import CanonicalTree, branch_views
-
-
-def _vmark(g: MarkedGraph, v: int) -> int:
-    return g.vmarks[v] if g.is_marked else 0
-
-
-def _emark(g: MarkedGraph, a: int, b: int) -> int:
-    return g.emarks[(a, b)] if g.is_marked else 0
 
 
 # ---------------------------------------------------------------- views
@@ -32,58 +25,157 @@ class ComponentView:
     cycle_detected: bool
 
 
-def _ball(adj, root: int, h: int):
-    """BFS layers of the radius-h ball around ``root``, and whether the
-    subgraph induced on the ball is a tree."""
-    seen = {root}
-    layers: List[List[int]] = [[root]]
-    for _ in range(h):
-        nxt: List[int] = []
-        for v in layers[-1]:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        layers.append(nxt)
-    inside = sum(w in seen for v in seen for w in adj[v])
-    return layers, inside == 2 * (len(seen) - 1)
+def _refine(views: "_GraphViews", ids: List[int], trees: List[CanonicalTree], roots: bool):
+    """One round of colour refinement (Weisfeiler-Leman): the views of one
+    more level, given the previous round's edge ids ``ids`` and their trees.
 
-
-def _view(g: MarkedGraph, adj, u: int, away: Optional[int], views) -> CanonicalTree:
-    """u's mark with, per neighbor w other than ``away``, the edge marks
-    (y(w,u), y(u,w)) and w's view away from u taken from ``views``."""
-    return CanonicalTree(_vmark(g, u), tuple(
-        ((_emark(g, w, u), _emark(g, u, w)), views[(w, u)]) for w in adj[u] if w != away
-    ))
-
-
-def _edge_views(g: MarkedGraph, adj, k: int) -> Dict[Tuple[int, int], CanonicalTree]:
-    """The depth-k view of u away from v for every directed edge (u, v).
-
-    Built in k rounds of message passing over directed edges, as in
-    Weisfeiler-Leman refinement: round j builds every depth-j view from the
-    depth-(j-1) views.  Views unfold the graph along non-backtracking walks,
-    so they are trees on any graph.  One more round with no neighbor left out
-    gives a vertex's view, which equals its ball tree wherever ``_ball`` finds
-    that ball to be a tree; ``mtp_check_graph`` checks the views against
-    ``truncate`` and ``branch_views``.
+    Slot s of vertex u stands for the directed edge from u to its neighbor w
+    at s, and ``ids[s]`` is the id of u's view away from w.  The new id of
+    slot s interns the key of u's mark and the sorted codes, one per other
+    slot t of u, of t's edge mark pair and the id of the view toward u from
+    t's neighbor.  With ``roots`` no slot is left out and there is one id per
+    vertex.  One ``CanonicalTree`` is built per new id, from the first key
+    that gets it.  Returns the new ids, in slot (or vertex) order, and their
+    trees.
     """
-    leaves = {x: CanonicalTree(x) for x in (set(g.vmarks) if g.is_marked else {0})}
-    views = {(u, v): leaves[_vmark(g, u)] for u in range(g.n) for v in adj[u]}
-    for _ in range(k):
-        # trees are interned, so the 2m messages hold only the distinct views
-        views = {(u, v): _view(g, adj, u, v, views) for u, v in views}
+    marks, indptr, rev, codes, pairs = views.marks, views.indptr, views.rev, views.codes, views.pairs
+    base = len(trees)
+    table: Dict[tuple, int] = {}
+    new_trees: List[CanonicalTree] = []
+    out: List[int] = []
+    for u, mark in enumerate(marks):
+        seen = [codes[t] * base + ids[rev[t]] for t in range(indptr[u], indptr[u + 1])]
+        full = sorted(seen)
+        if roots:
+            keys = [(mark, *full)]
+        else:
+            keys = [(mark, *full[:i], *full[i + 1:]) for i in map(full.index, seen)]
+        for key in keys:
+            i = table.get(key)
+            if i is None:
+                i = table[key] = len(new_trees)
+                new_trees.append(CanonicalTree(mark, tuple(
+                    (pairs[c // base], trees[c % base]) for c in key[1:])))
+            out.append(i)
+    return out, new_trees
+
+
+class _GraphViews:
+    """The views of one graph, computed once and kept in ``MarkedGraph._views``.
+
+    Half-edges are stored in CSR order (compressed sparse rows): the slots of
+    vertex u are ``indptr[u]:indptr[u + 1]``, one per neighbor ``nbr[s]`` in
+    increasing order, with the slot ``rev[s]`` of the reverse half-edge and
+    the code in ``pairs`` of its edge marks (y(w, u), y(u, w)).  Edge ids are
+    kept for the deepest refinement round built so far; root views and
+    ball-tree flags are kept per depth.
+    """
+
+    __slots__ = ("marks", "indptr", "nbr", "rev", "codes", "pairs",
+                 "depth", "ids", "trees", "roots", "flags")
+
+    def __init__(self, g: MarkedGraph) -> None:
+        deg = [0] * g.n
+        for u, v in g.edges:
+            deg[u] += 1
+            deg[v] += 1
+        self.marks = g.vmarks if g.is_marked else (0,) * g.n
+        self.indptr = indptr = [0, *accumulate(deg)]
+        fill = indptr[:-1]
+        self.nbr = nbr = [0] * indptr[-1]
+        self.rev = rev = [0] * indptr[-1]
+        self.codes = codes = [0] * indptr[-1]
+        pair_code: Dict[Tuple[int, int], int] = {(0, 0): 0}
+        # edges are sorted, so each vertex's neighbors arrive in increasing order
+        for u, v in g.edges:
+            a, b = fill[u], fill[v]
+            fill[u], fill[v] = a + 1, b + 1
+            nbr[a], nbr[b] = v, u
+            rev[a], rev[b] = b, a
+            if g.is_marked:
+                yu, yv = g.emarks[(u, v)], g.emarks[(v, u)]
+                codes[a] = pair_code.setdefault((yv, yu), len(pair_code))
+                codes[b] = pair_code.setdefault((yu, yv), len(pair_code))
+        self.pairs = list(pair_code)
+        self.depth = 0
+        self.ids, self.trees = self._leaves(False)
+        self.roots: Dict[int, List[CanonicalTree]] = {}
+        self.flags: Dict[int, List[bool]] = {}
+
+    def _leaves(self, roots: bool):
+        """Round 0, as ``_refine`` returns it: every slot's (with ``roots``,
+        every vertex's) mark id, and the leaf of each mark."""
+        table: Dict[int, int] = {}
+        indptr = self.indptr
+        ids = [table.setdefault(x, len(table)) for u, x in enumerate(self.marks)
+               for _ in range(1 if roots else indptr[u + 1] - indptr[u])]
+        return ids, [CanonicalTree(x) for x in table]
+
+    def edge_round(self, k: int):
+        """Edge ids and their trees after k rounds; deeper rounds continue
+        from the kept one and replace it, shallower ones start over."""
+        depth, ids, trees = self.depth, self.ids, self.trees
+        if k < depth:
+            depth = 0
+            ids, trees = self._leaves(False)
+        while depth < k:
+            ids, trees = _refine(self, ids, trees, False)
+            depth += 1
+            if depth > self.depth:
+                self.depth, self.ids, self.trees = depth, ids, trees
+        return ids, trees
+
+    def root_views(self, h: int) -> List[CanonicalTree]:
+        """The depth-h view of every vertex."""
+        views = self.roots.get(h)
+        if views is None:
+            if h == 0:
+                ids, trees = self._leaves(True)
+            else:
+                ids, trees = _refine(self, *self.edge_round(h - 1), True)
+            views = self.roots[h] = [trees[i] for i in ids]
+        return views
+
+    def ball(self, root: int, h: int, whole: bool = True):
+        """BFS layers of the radius-h ball around ``root``, and whether the
+        subgraph induced on the ball is a tree; without ``whole`` the search
+        stops at the first edge that closes a cycle."""
+        nbr, indptr = self.nbr, self.indptr
+        parent = {root: root}
+        layers: List[List[int]] = [[root]]
+        is_tree = True
+        for d in range(h + 1):
+            nxt: List[int] = []
+            for v in layers[-1]:
+                for w in nbr[indptr[v]:indptr[v + 1]]:
+                    if w not in parent:
+                        if d < h:
+                            parent[w] = v
+                            nxt.append(w)
+                    elif w != parent[v]:
+                        # w was reached before, along another path
+                        is_tree = False
+                        if not whole:
+                            return layers, False
+            if not nxt:
+                break
+            layers.append(nxt)
+        return layers, is_tree
+
+    def ball_flags(self, h: int) -> List[bool]:
+        """Per vertex, whether its radius-h ball is a tree."""
+        flags = self.flags.get(h)
+        if flags is None:
+            flags = self.flags[h] = [self.ball(v, h, False)[1] for v in range(len(self.marks))]
+        return flags
+
+
+def _views(g: MarkedGraph) -> _GraphViews:
+    views = g._views
+    if views is None:
+        views = _GraphViews(g)
+        object.__setattr__(g, "_views", views)
     return views
-
-
-def _root_views(g: MarkedGraph, adj, h: int, roots) -> Iterator[CanonicalTree]:
-    """The depth-h view of each vertex in ``roots``."""
-    if h == 0:
-        return (CanonicalTree(_vmark(g, v)) for v in roots)
-    views = _edge_views(g, adj, h - 1)
-    return (_view(g, adj, v, None, views) for v in roots)
 
 
 def component_view(g: MarkedGraph, root: int, h: int) -> ComponentView:
@@ -91,7 +183,9 @@ def component_view(g: MarkedGraph, root: int, h: int) -> ComponentView:
     subgraph induced on the ball is not a tree."""
     if h < 0:
         raise ValueError("depth must be nonnegative")
-    layers, is_tree = _ball(g.adjacency(), root, h)
+    if not 0 <= root < g.n:
+        raise IndexError(f"root {root} out of range")
+    layers, is_tree = _views(g).ball(root, h)
     return ComponentView(root, tuple(tuple(sorted(l)) for l in layers), not is_tree)
 
 
@@ -100,8 +194,7 @@ def component_view(g: MarkedGraph, root: int, h: int) -> ComponentView:
 
 def neighborhood_measure(g: MarkedGraph) -> TreeMeasure:
     """Uniform-over-vertices law of the depth-1 marked star (always a tree)."""
-    stars = _root_views(g, g.adjacency(), 1, range(g.n))
-    return TreeMeasure.from_counts(Counter(stars), 0, depth_bound=1)
+    return TreeMeasure.from_counts(Counter(_views(g).root_views(1)), 0, depth_bound=1)
 
 
 def component_measure(g: MarkedGraph, h: int) -> TreeMeasure:
@@ -112,10 +205,9 @@ def component_measure(g: MarkedGraph, h: int) -> TreeMeasure:
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
-    adj = g.adjacency()
-    roots = [v for v in range(g.n) if _ball(adj, v, h)[1]]
-    counts = Counter(_root_views(g, adj, h, roots))
-    return TreeMeasure.from_counts(counts, g.n - len(roots), depth_bound=h)
+    views = _views(g)
+    trees = [t for t, is_tree in zip(views.root_views(h), views.ball_flags(h)) if is_tree]
+    return TreeMeasure.from_counts(Counter(trees), g.n - len(trees), depth_bound=h)
 
 
 def empirical_functional(L: TreeMeasure, hfun) -> float:
@@ -138,7 +230,7 @@ def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, rng=None) -> float:
     edge: the pair that ``branch_views`` cuts from v's depth-h view (unfolded
     along non-backtracking walks, so a tree on any graph) at its child w.
     Each vertex adds one count to the key of each of its edges, and the swap
-    of that key comes from w's view.  When ``_edge_views``, ``truncate`` and
+    of that key comes from w's view.  When ``_refine``, ``truncate`` and
     ``branch_views`` agree, the counts are exactly swap-symmetric and the
     result is exactly 0.0; a nonzero value means they disagree.
     """
@@ -146,7 +238,7 @@ def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, rng=None) -> float:
     if h < 1:
         raise ValueError("h must be at least 1")
     counts: Counter = Counter()
-    for t, c in Counter(_root_views(g, g.adjacency(), h, range(g.n))).items():
+    for t, c in Counter(_views(g).root_views(h)).items():
         for key in branch_views(t, h - 1):
             counts[key] += c
     return transport_violation({k: c / g.n for k, c in counts.items()}, rng)

@@ -647,18 +647,25 @@ def cond_extension_law(rho: TreeMeasure, h: int, law: Optional[ReferenceLaw] = N
     return _cond_from_extension(rstar, pair_measure(rho, h), pair_measure(rstar, h), h)
 
 
+def _completed(levels: Union[TreeMeasure, Sequence[TreeMeasure]]) -> List[TreeMeasure]:
+    """The levels as a list; a single measure of depth h >= 2 comes with its
+    truncations to depths 1..h-1 in front."""
+    if isinstance(levels, TreeMeasure):
+        levels = [levels]
+    levels = list(levels)
+    if len(levels) == 1:
+        levels = [levels[0].truncated(h) for h in range(1, levels[0].depth_bound)] + levels
+    return levels
+
+
 def extension_chain(levels: Union[TreeMeasure, Sequence[TreeMeasure]], depth: int) -> DepthChain:
     """Extend a measure (or a consistent prefix) to ``depth`` levels by
     iterated one-step extensions; deeper per-depth rate terms then vanish by
     construction.  A single measure of depth h >= 2 is first completed by its
     truncations to depths 1..h-1."""
-    if isinstance(levels, TreeMeasure):
-        levels = [levels]
-    levels = list(levels)
+    levels = _completed(levels)
     if not levels:
         raise ValueError("empty chain")
-    if len(levels) == 1:
-        levels = [levels[0].truncated(h) for h in range(1, levels[0].depth_bound)] + levels
     while len(levels) < depth:
         h = len(levels)
         levels.append(one_step_extension(levels[-1], h))

@@ -33,10 +33,12 @@ class MarkedGraph:
     """A finite simple graph, optionally with vertex and directed edge marks.
 
     ``emarks[(u, v)]`` is the mark vertex ``u`` carries on edge {u, v}; every
-    edge has entries for both directions.
+    edge has entries for both directions.  Graphs are immutable: their views
+    are computed once and kept in ``_views`` (see ``graphld.empirical``) for
+    as long as the graph lives, so do not mutate ``emarks`` in place.
     """
 
-    __slots__ = ("n", "edges", "vmarks", "emarks")
+    __slots__ = ("n", "edges", "vmarks", "emarks", "_views")
 
     def __init__(
         self,
@@ -70,10 +72,18 @@ class MarkedGraph:
                     raise ValueError(f"missing directed mark on edge ({u}, {v})")
             if len(emarks) != 2 * len(norm):
                 raise ValueError("edge mark entries do not match the edge set")
-        self.n = int(n)
-        self.edges = tuple(sorted(norm))
-        self.vmarks = vmarks
-        self.emarks = emarks
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "vmarks", vmarks)
+        object.__setattr__(self, "emarks", emarks)
+        object.__setattr__(self, "_views", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MarkedGraph is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild the graph and leave its views behind
+        return type(self), (self.n, self.edges, self.vmarks, self.emarks)
 
     @property
     def is_marked(self) -> bool:

@@ -1,7 +1,8 @@
 """Shared builders for tests: raw trees, exact reference laws, small forests,
-the per-vertex ball trees that graph views are checked against, the
-uncached derived laws that the memoized ones are checked against, and the
-rejection sampler that conditional Monte Carlo is checked against."""
+the per-vertex ball trees and message-passing views that graph views are
+checked against, the uncached derived laws that the memoized ones are checked
+against, and the rejection sampler that conditional Monte Carlo is checked
+against."""
 
 from __future__ import annotations
 
@@ -145,6 +146,32 @@ def ball_tree(g, adj, root, h):
         return (_vm(g, v), kids)
 
     return canon_raw(build(root, None))
+
+
+def mp_view(g, adj, u, away, views):
+    """u's mark with, per neighbor w other than ``away``, the edge marks
+    (y(w,u), y(u,w)) and w's view away from u taken from ``views``."""
+    return CanonicalTree(_vm(g, u), tuple(
+        ((_em(g, w, u), _em(g, u, w)), views[(w, u)]) for w in adj[u] if w != away))
+
+
+def mp_edge_views(g, adj, k):
+    """The depth-k view of u away from v for every directed edge (u, v), by
+    k rounds of message passing that build one tree per directed edge: the
+    view routine that integer colour refinement replaced."""
+    views = {(u, v): CanonicalTree(_vm(g, u)) for u in range(g.n) for v in adj[u]}
+    for _ in range(k):
+        views = {(u, v): mp_view(g, adj, u, v, views) for u, v in views}
+    return views
+
+
+def mp_root_views(g, h):
+    """The depth-h view of every vertex, unfolded by message passing."""
+    adj = g.adjacency()
+    if h == 0:
+        return [CanonicalTree(_vm(g, v)) for v in range(g.n)]
+    views = mp_edge_views(g, adj, h - 1)
+    return [mp_view(g, adj, v, None, views) for v in range(g.n)]
 
 
 def oracle_view(adj, root, h):

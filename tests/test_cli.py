@@ -328,6 +328,45 @@ def test_extend_own_depth2_chain(er_depth2):
     assert _extend_to_depth3(er_depth2, "chain.json")[:2] == chain
 
 
+def test_rate_and_verify_read_a_depth2_measure(er_depth2, capsys):
+    # a single depth-2 measure is completed by its depth-1 truncation
+    d = er_depth2
+    law = ReferenceLaw.poisson(1.0, (0.5, 0.5), ((1.0,),))
+    (d / "law.json").write_text(json.dumps(law.to_obj()))
+    assert run("rate", "--input", d / "emp_U2.json", "--law", d / "law.json",
+               "--ensemble", "er", "--kappa", 1, "--form", "all",
+               "--report", d / "rate.json") == 0
+    agreement = json.loads((d / "rate.json").read_text())["agreement"]
+    assert agreement["max_spread"] <= 1e-9
+    assert all(math.isfinite(v) for v in agreement["values"].values())
+    capsys.readouterr()
+    assert run("verify", "--input", d / "emp_U2.json", "--law", d / "law.json",
+               "--ensemble", "er", "--kappa", 1) == 0
+    out = capsys.readouterr().out
+    assert "chain_consistency [levels 1..2]" in out
+    assert out.splitlines()[-1] == "ALL PASS"
+
+
+def test_rate_of_a_cyclic_depth2_measure_is_bad_input(tmp_path, capsys):
+    # a U_2 with non-tree mass has no mean degree: `rate` without --beta
+    # exits 2 with a bad_input error, as a non-tree depth-1 measure does
+    g = tmp_path / "g.json"
+    assert run("sample", "--ensemble", "er", "--n", 20, "--kappa", 3, "--nu", "[0.5,0.5]",
+               "--seed", 1, "--out", g) == 0
+    assert run("empirical", "--graph", g, "--depth", 2, "--out-prefix", tmp_path / "emp") == 0
+    u2 = json.loads((tmp_path / "emp_U2.json").read_text())["measure"]
+    assert u2["non_tree_mass"] > 0
+    law = ReferenceLaw.poisson(3.0, (0.5, 0.5), ((1.0,),))
+    (tmp_path / "law.json").write_text(json.dumps(law.to_obj()))
+    capsys.readouterr()
+    assert run("rate", "--input", tmp_path / "emp_U2.json", "--law", tmp_path / "law.json",
+               "--ensemble", "er", "--kappa", 3, "--report", tmp_path / "rate.json") == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "bad_input"
+    assert "non_tree_mass > 0" in err["message"]
+    assert not (tmp_path / "rate.json").exists()
+
+
 def test_extend_sampling_matches_exact_marginally(tmp_path):
     law = ReferenceLaw.fixed_alpha({1: 0.6, 2: 0.4}, (1.0,), ((1.0,),))
     ip = tmp_path / "d1.json"

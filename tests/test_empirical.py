@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -23,8 +25,8 @@ from graphld.samplers import MarkedGraph, make_rng, sample_er, assign_marks
 from graphld.trees import CanonicalTree, HalfEdgeTree, branch_views
 
 from helpers import (
-    canon_raw, component_law, oracle_component_measure, oracle_mtp_weights,
-    oracle_neighborhood_measure, oracle_view, random_forest, star,
+    canon_raw, component_law, mp_root_views, oracle_component_measure,
+    oracle_mtp_weights, oracle_neighborhood_measure, oracle_view, random_forest, star,
 )
 
 
@@ -68,6 +70,13 @@ def test_component_view_cycle_flag():
 def test_component_view_negative_depth():
     with pytest.raises(ValueError):
         component_view(unmarked(1, []), 0, -1)
+
+
+def test_component_view_root_out_of_range():
+    g = unmarked(3, [(0, 1), (1, 2)])
+    for root in (-1, 3):
+        with pytest.raises(IndexError):
+            component_view(g, root, 1)
 
 
 # ---------------------------------------------------- neighborhood measure
@@ -276,49 +285,152 @@ def _cyclic_er_graph():
     return g
 
 
+_refine = empirical._refine
+
+
+def _backtracking_refine(views, ids, trees, roots):
+    """``empirical._refine`` that leaves no neighbor out of an edge's view:
+    every slot of u gets u's root view id."""
+    vertex_ids, new_trees = _refine(views, ids, trees, True)
+    if roots:
+        return vertex_ids, new_trees
+    indptr = views.indptr
+    return [i for u, i in enumerate(vertex_ids) for _ in range(indptr[u], indptr[u + 1])], new_trees
+
+
 def test_mtp_check_graph_fails_on_broken_views():
     # the swap of each key comes from the other endpoint's view, so a view
-    # routine that disagrees with the others shows as a violation
-    g = _cyclic_er_graph()
-    assert mtp_check_graph(g, 2) == 0.0
-    view = empirical._view
+    # routine that disagrees with the others shows as a violation; the graph
+    # is built inside each patch, since a graph keeps the views it computed
+    assert mtp_check_graph(_cyclic_er_graph(), 2) == 0.0
 
-    def backtracking_view(g, adj, u, away, views):
-        return view(g, adj, u, None, views)
-
-    with mock.patch.object(empirical, "_view", backtracking_view):
-        assert mtp_check_graph(g, 2) >= 0.5
+    with mock.patch.object(empirical, "_refine", _backtracking_refine):
+        assert mtp_check_graph(_cyclic_er_graph(), 2) >= 0.5
 
     def wrong_pendant(t, h):
         return tuple((b, HalfEdgeTree(r.tree, b.pendant_mark)) for b, r in branch_views(t, h))
 
     with mock.patch.object(empirical, "branch_views", wrong_pendant):
-        assert mtp_check_graph(g, 2) > 0
+        assert mtp_check_graph(_cyclic_er_graph(), 2) > 0
 
 
 def test_mtp_check_graph_hashes_only_where_transport_can_fail():
     # the key weights of a graph are exactly swap-symmetric, so the hash
     # trials hash no key; under a broken view routine they are not, and each
     # payload of an asymmetric key is hashed once per trial
-    g = _cyclic_er_graph()
     calls = []
     hash_bit = measures._hash_bit
-    view = empirical._view
 
     def counting_hash_bit(seed, payload):
         calls.append(payload)
         return hash_bit(seed, payload)
 
-    def backtracking_view(g, adj, u, away, views):
-        return view(g, adj, u, None, views)
-
     with mock.patch.object(measures, "_hash_bit", counting_hash_bit):
-        assert mtp_check_graph(g, 2) == 0.0
+        assert mtp_check_graph(_cyclic_er_graph(), 2) == 0.0
         assert calls == []
-        with mock.patch.object(empirical, "_view", backtracking_view):
-            assert mtp_check_graph(g, 2) >= 0.5
+        with mock.patch.object(empirical, "_refine", _backtracking_refine):
+            assert mtp_check_graph(_cyclic_er_graph(), 2) >= 0.5
     assert len(calls) > 0
     assert len(calls) == 20 * len(set(calls))
+
+
+# ------------------------------------------------------------ shared views
+
+
+def test_marked_graph_is_immutable():
+    g = _cyclic_er_graph()
+    for name, value in (("n", 3), ("edges", ()), ("vmarks", None), ("emarks", {}),
+                        ("_views", None), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    L = neighborhood_measure(g)
+    with pytest.raises(AttributeError):
+        g._views = None
+    assert g._views is not None
+    for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin.to_obj() == g.to_obj() and twin._views is None
+        assert neighborhood_measure(twin) == L
+
+
+def test_views_are_refined_once_per_graph():
+    # L, U_1, U_2 and the depth-2 MTP share one refinement: edge round 1 and
+    # the root rounds at depths 1 and 2 run once each, repeated calls run
+    # none, and one tree is built per distinct id of a round
+    g = _cyclic_er_graph()
+    rounds, built = [], []
+    ids_per_round = []
+
+    def counting_refine(views, ids, trees, roots):
+        out = _refine(views, ids, trees, roots)
+        rounds.append(roots)
+        ids_per_round.append(len(out[1]))
+        return out
+
+    def counting_tree(*args):
+        t = CanonicalTree(*args)
+        built.append(t)
+        return t
+
+    with mock.patch.object(empirical, "_refine", counting_refine), \
+            mock.patch.object(empirical, "CanonicalTree", counting_tree):
+        for _ in range(2):
+            L = neighborhood_measure(g)
+            u1 = component_measure(g, 1)
+            u2 = component_measure(g, 2)
+            assert mtp_check_graph(g, 2) == 0.0
+    assert rounds == [True, False, True]
+    assert g._views.depth == 1
+    leaves = len(set(g.vmarks))
+    assert len(built) <= leaves + sum(ids_per_round)
+    assert L.to_obj() == oracle_neighborhood_measure(g).to_obj()
+    assert u1.to_obj() == oracle_component_measure(g, 1).to_obj()
+    assert u2.to_obj() == oracle_component_measure(g, 2).to_obj()
+
+
+CALLS = st.one_of(
+    st.tuples(st.just("L"), st.just(1)),
+    st.tuples(st.just("U"), st.integers(0, 5)),
+    st.tuples(st.just("MTP"), st.integers(1, 5)),
+    st.tuples(st.just("view"), st.integers(0, 5)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 30), kappa=st.floats(0.0, 4.0), seed=st.integers(0, 2**32),
+       marked=st.booleans(), calls=st.lists(CALLS, min_size=1, max_size=8))
+def test_shared_views_match_message_passing_oracle(n, kappa, seed, marked, calls):
+    # the calls run in a random order on one graph, whose views warm up as
+    # they go, and each also on a fresh copy of it, whose views are cold
+    g = sample_er(n, min(kappa, n), make_rng(seed, 0))
+    if marked:
+        g = assign_marks(g, (0.5, 0.3, 0.2), ((0.4, 0.1), (0.2, 0.3)), make_rng(seed, 1))
+    adj = g.adjacency()
+    for kind, h in calls:
+        views = mp_root_views(g, h)
+        for graph in (g, MarkedGraph.from_obj(g.to_obj())):
+            if kind == "L":
+                got = neighborhood_measure(graph)
+                assert got.to_obj() == oracle_neighborhood_measure(g).to_obj()
+            elif kind == "U":
+                got = component_measure(graph, h)
+                assert got.to_obj() == oracle_component_measure(g, h).to_obj()
+            elif kind == "MTP":
+                seen = []
+
+                def capture(weights, *args):
+                    seen.append(weights)
+                    return transport_violation(weights, *args)
+
+                with mock.patch.object(empirical, "transport_violation", capture):
+                    assert mtp_check_graph(graph, h, rng=make_rng(seed, 2)) == 0.0
+                assert seen == [oracle_mtp_weights(g, h)]
+            else:
+                for root in range(n):
+                    view = component_view(graph, root, h)
+                    assert (view.layers, view.cycle_detected) == oracle_view(adj, root, h)
+                continue
+            memo = graph._views.root_views(h)
+            assert all(a is b for a, b in zip(memo, views)) and len(memo) == n
 
 
 def test_local_convergence_toward_reference_stars():
