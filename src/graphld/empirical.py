@@ -232,7 +232,9 @@ def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, rng=None) -> float:
     Each vertex adds one count to the key of each of its edges, and the swap
     of that key comes from w's view.  When ``_refine``, ``truncate`` and
     ``branch_views`` agree, the counts are exactly swap-symmetric and the
-    result is exactly 0.0; a nonzero value means they disagree.
+    result is exactly 0.0; a nonzero value means they disagree.  The value is
+    the exact max over 0/1 test functions of the key (``transport_violation``);
+    ``rng`` is accepted and ignored, as the check is deterministic.
     """
     h = 2 if h is None else h
     if h < 1:
@@ -241,4 +243,4 @@ def mtp_check_graph(g: MarkedGraph, h: Optional[int] = None, rng=None) -> float:
     for t, c in Counter(_views(g).root_views(h)).items():
         for key in branch_views(t, h - 1):
             counts[key] += c
-    return transport_violation({k: c / g.n for k, c in counts.items()}, rng)
+    return transport_violation({k: c / g.n for k, c in counts.items()})

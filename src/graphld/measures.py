@@ -10,7 +10,6 @@ depth and shared by every caller.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -25,7 +24,6 @@ from .trees import (
 
 MASS_TOL = 1e-12
 ADMISSIBILITY_TOL = 1e-9
-MTP_TRIALS = 20
 
 
 def _in_unit_range(w: float) -> bool:
@@ -452,68 +450,39 @@ def pair_marginals(p: PairMeasure):
 # ---------------------------------------------------------------- mass transport
 
 
-def _hash_bit(seed: int, payload: bytes) -> int:
-    return hashlib.blake2b(seed.to_bytes(8, "little") + payload, digest_size=1).digest()[0] & 1
+def transport_violation(weights) -> float:
+    """Max |sum_k w(k) (g(a, b) - g(b, a))| over all 0/1 functions g of the
+    pair key k = (a, b), for pair weights w (0 off their keys).
 
-
-def _pair_payload(key: Tuple[HalfEdgeTree, HalfEdgeTree]) -> bytes:
-    a, b = key
-    return (
-        a.tree.encoding
-        + a.pendant_mark.to_bytes(2, "big")
-        + b.tree.encoding
-        + b.pendant_mark.to_bytes(2, "big")
-    )
-
-
-def transport_violation(weights, rng=None) -> float:
-    """Max |sum_k w(k) (g(a, b) - g(b, a))| over a family of 0/1 functions g,
-    for pair keys k = (a, b).
-
-    The family is the greedy indicator 1{w(a, b) > w(b, a)}, which maximizes
-    the defect over all indicator functions, plus ``MTP_TRIALS`` seeded hash
-    functions of ``_pair_payload(k)`` as an independent guard.
-
-    A key whose swap has exactly its weight is not hashed: its term
-    w(k) (g(k) - g(k̄)) and its swap's term are exact negatives, so they add
-    an exact 0 to the correctly rounded ``fsum``.  The value and the draws
-    from ``rng`` are those of hashing every key, and a swap-symmetric law
-    (such as the key weights of a finite graph) costs no digests.
+    The sum is sum_k g(k) (w(k) - w(k̄)), whose positive and negative parts
+    have equal totals, so the greedy g = 1{w(k) > w(k̄)} attains the maximum.
+    Its excesses enter ``fsum`` as exact pairs w(k), -w(k̄): no indicator's
+    correctly rounded sum exceeds the value.
     """
-    import numpy as np
-
-    excess = [(key, w, w - weights.get(key[::-1], 0.0)) for key, w in weights.items()]
-    violations = [math.fsum(d for _, _, d in excess if d > 0)]
-    rng = np.random.default_rng(0) if rng is None else rng
-    seeds = [int(s) for s in rng.integers(0, 2**62, size=MTP_TRIALS)]
-    terms = [(w, _pair_payload(key), _pair_payload(key[::-1]))
-             for key, w, d in excess if d != 0]
-    payloads = {p for _, key, swapped in terms for p in (key, swapped)}
-    for seed in seeds:
-        bit = {p: _hash_bit(seed, p) for p in payloads}
-        violations.append(abs(math.fsum(w * (bit[key] - bit[swapped])
-                                        for w, key, swapped in terms)))
-    return max(violations)
+    with_swap = ((w, weights.get(key[::-1], 0.0)) for key, w in weights.items())
+    return math.fsum(t for w, swap in with_swap if w > swap for t in (w, -swap))
 
 
 def mtp_check(u, h: Optional[int] = None, rng=None) -> float:
-    """Max mass-transport violation over a family of bounded test functions.
+    """Max mass-transport violation over all 0/1 test functions of the key.
 
     Accepts either a TreeMeasure or a finite marked graph (see
     ``mtp_check_graph``).  Test functions depend on a doubly rooted tree only
     through its key, the pair of depth-(h-1) half-edge views that
     ``branch_views`` cuts at a root edge, so both sides are finite sums over
-    the keys of the atoms.  The result is ~0 for a unimodular measure, such
-    as the component law of a finite forest or an exact extension chain.
+    the keys of the atoms, and ``transport_violation`` takes their exact max.
+    The result is ~0 for a unimodular measure, such as the component law of a
+    finite forest or an exact extension chain.  ``rng`` is accepted and
+    ignored: the check is deterministic.
     """
     if hasattr(u, "edges"):
         from .empirical import mtp_check_graph
 
-        return mtp_check_graph(u, h=h, rng=rng)
+        return mtp_check_graph(u, h=h)
     u._require_tree_support("mtp_check")
     if h is None:
         h = max(u.depth_bound, 1)
-    return transport_violation(_pair_weights(u, h), rng)
+    return transport_violation(_pair_weights(u, h))
 
 
 # ---------------------------------------------------------------- conveniences

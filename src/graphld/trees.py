@@ -55,10 +55,13 @@ class CanonicalTree:
         if not 0 <= mark < 0xFFFF:
             raise ValueError("mark index out of range")
         kids = tuple(sorted(children, key=lambda c: (c[0], c[1].encoding)))
-        parts = [_HDR.pack(mark, len(kids))]
-        for (yc, yr), sub in kids:
-            parts.append(_HDR.pack(yc, yr))
-            parts.append(sub.encoding)
+        try:
+            parts = [_HDR.pack(mark, len(kids))]
+            for (yc, yr), sub in kids:
+                parts.append(_HDR.pack(yc, yr))
+                parts.append(sub.encoding)
+        except struct.error:
+            raise ValueError("mark index out of range") from None
         enc = b"".join(parts)
         self = _INTERN.get(enc)
         if self is not None:

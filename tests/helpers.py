@@ -6,6 +6,7 @@ against."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import Counter, deque
@@ -16,9 +17,7 @@ from scipy import stats
 from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
-from graphld.measures import (
-    PairMeasure, TreeMeasure, _hash_bit, _pair_payload, is_admissible,
-)
+from graphld.measures import PairMeasure, TreeMeasure, is_admissible
 from graphld.samplers import integer_degree_counts
 from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child
 
@@ -261,10 +260,28 @@ def oracle_pair_measure(rho, h=None):
     return PairMeasure({k: w / beta for k, w in oracle_pair_weights(rho, h).items()})
 
 
+def _hash_bit(seed, payload):
+    return hashlib.blake2b(seed.to_bytes(8, "little") + payload, digest_size=1).digest()[0] & 1
+
+
+def _pair_payload(key):
+    """The bytes of a pair key ``(a, b)`` that a hash test function reads."""
+    a, b = key
+    return (
+        a.tree.encoding
+        + a.pendant_mark.to_bytes(2, "big")
+        + b.tree.encoding
+        + b.pendant_mark.to_bytes(2, "big")
+    )
+
+
 def oracle_transport_violation(weights, trial_count=20, rng=None):
-    """``transport_violation`` hashing every key and its swap in every trial."""
-    excess = (w - weights.get((b, a), 0.0) for (a, b), w in weights.items())
-    violations = [math.fsum(d for d in excess if d > 0)]
+    """The greedy sum of positive excesses, and ``trial_count`` seeded hash
+    test functions of every key and its swap as an independent check; the
+    largest of their absolute values."""
+    # the greedy indicator 1{w(a, b) > w(b, a)}, each excess as an exact pair
+    pairs = ((w, weights.get((b, a), 0.0)) for (a, b), w in weights.items())
+    violations = [math.fsum(t for w, swap in pairs if w > swap for t in (w, -swap))]
     if trial_count > 0:
         rng = np.random.default_rng(0) if rng is None else rng
         seeds = [int(s) for s in rng.integers(0, 2**62, size=trial_count)]

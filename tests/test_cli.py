@@ -347,6 +347,26 @@ def test_rate_and_verify_read_a_depth2_measure(er_depth2, capsys):
     assert out.splitlines()[-1] == "ALL PASS"
 
 
+def test_rate_of_an_out_of_range_edge_mark_is_bad_input(er_depth2, capsys):
+    # an edge mark the tree encoding cannot hold is bad input, not a traceback
+    d = er_depth2
+    obj = json.loads((d / "emp_L.json").read_text())
+    atom = next(a for a in obj["measure"]["atoms"] if a["tree"]["children"])
+    atom["tree"]["children"][0]["ym_child"] = 70000
+    (d / "bad_L.json").write_text(json.dumps(obj))
+    law = ReferenceLaw.poisson(1.0, (0.5, 0.5), ((1.0,),))
+    (d / "law.json").write_text(json.dumps(law.to_obj()))
+    capsys.readouterr()
+    assert run("rate", "--input", d / "bad_L.json", "--law", d / "law.json",
+               "--ensemble", "er", "--kappa", 1, "--report", d / "rate.json") == 2
+    out = capsys.readouterr()
+    err = json.loads(out.out)["error"]
+    assert err["type"] == "bad_input"
+    assert "mark index out of range" in err["message"]
+    assert out.err == ""
+    assert not (d / "rate.json").exists()
+
+
 def test_rate_of_a_cyclic_depth2_measure_is_bad_input(tmp_path, capsys):
     # a U_2 with non-tree mass has no mean degree: `rate` without --beta
     # exits 2 with a bad_input error, as a non-tree depth-1 measure does

@@ -38,8 +38,8 @@ from graphld.samplers import ModelConfig
 from graphld.trees import CanonicalTree, HalfEdgeTree, random_labeling, split_at_child
 
 from helpers import (
-    canon_raw, component_law, eta1_exact, forest_component, oracle_transport_violation,
-    random_forest, star,
+    _pair_payload, canon_raw, component_law, eta1_exact, forest_component,
+    oracle_transport_violation, random_forest, star,
 )
 
 # ---------------------------------------------------------------- fixtures
@@ -432,9 +432,8 @@ def test_mtp_check_flags_plain_gw():
 
 
 def test_hash_guard_payloads_keep_whole_marks():
-    # marks 1 and 257 agree in their low byte; the payloads must still differ
-    from graphld.measures import _pair_payload
-
+    # marks 1 and 257 agree in their low byte; the payloads that the oracle's
+    # hash test functions read must still differ
     t = star(0, (1,))
     other = HalfEdgeTree(star(1, ()), 0)
     low, high = HalfEdgeTree(t, 1), HalfEdgeTree(t, 257)
@@ -480,19 +479,41 @@ def _fsum_values(fn, *args):
 
 
 @settings(max_examples=150, deadline=None)
-@given(entries=st.lists(_TRANSPORT_ENTRY, max_size=12), seed=st.integers(0, 2**32))
-def test_transport_violation_matches_hash_every_key_oracle(entries, seed):
-    # skipping the keys that cancel against their swap changes neither the
-    # value nor the draws taken from rng; the greedy sum bounds every hash
-    # trial, so each trial's sum is compared as well, not only the max
+@given(entries=st.lists(_TRANSPORT_ENTRY, max_size=12), seed=st.integers(0, 2**32),
+       rnd=st.randoms(use_true_random=False))
+def test_transport_violation_is_the_greedy_maximum(entries, seed, rnd):
+    # the value is the oracle's greedy term, bit for bit, and no hash trial of
+    # the oracle and no other indicator g of the key exceeds it: every such sum
+    # is correctly rounded and at most the greedy one before rounding
     weights = _transport_weights(entries)
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, got_sums = _fsum_values(transport_violation, weights, rng)
-    want, want_sums = _fsum_values(oracle_transport_violation, weights, 20, oracle_rng)
-    assert got == want
-    assert got_sums == want_sums
-    assert len(got_sums) == 1 + 20
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    got = transport_violation(weights)
+    want, want_sums = _fsum_values(oracle_transport_violation, weights, 20,
+                                   np.random.default_rng(seed))
+    assert got == want_sums[0] == want
+    greedy = {key for key, w in weights.items() if w > weights.get(key[::-1], 0.0)}
+    indicators = [greedy] + [{key for key in weights if rnd.random() < 0.5} for _ in range(8)]
+    sums = [abs(math.fsum(t for key in g for t in (weights[key], -weights.get(key[::-1], 0.0))))
+            for g in indicators]
+    assert sums[0] == got
+    assert all(s <= got for s in sums)
+
+
+def test_transport_violation_rounds_the_exact_maximum_once():
+    # the greedy maximum is 1 + 2^-53, which rounds to 1.0; rounding the
+    # excess 1 - 2^-54 first (to 1.0) and then summing would give 1 + 2^-52
+    a, b, c, d = HALF_EDGES[:4]
+    tiny = 2.0**-54
+    assert transport_violation({(a, b): 1.0, (b, a): tiny, (c, d): 3 * tiny}) == 1.0
+    assert math.fsum([1.0 - tiny, 3 * tiny]) == 1.0 + 2.0**-52
+
+
+def test_mtp_check_accepts_and_ignores_rng():
+    # the check is deterministic: an rng changes neither the value nor its state
+    gw = plain_gw_depth2()
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert mtp_check(gw, rng=rng) == mtp_check(gw) > 0
+    assert rng.bit_generator.state == state
 
 
 def test_mtp_check_rejects_non_tree_mass():

@@ -151,6 +151,18 @@ def test_canonicalize_invariant_under_shuffle(raw):
     assert canon(raw) == canon(raw_shuffle(raw, rng))
 
 
+@pytest.mark.parametrize("bad", [
+    lambda: CanonicalTree(0, (((70000, 0), CanonicalTree(1)),)),
+    lambda: CanonicalTree(0, (((-1, 0), CanonicalTree(1)),)),
+    lambda: CanonicalTree(0, (((1.5, 0), CanonicalTree(1)),)),
+    lambda: CanonicalTree(1.5),
+], ids=["edge_mark_70000", "edge_mark_negative", "edge_mark_float", "vertex_mark_float"])
+def test_canonical_tree_rejects_bad_marks_with_value_error(bad):
+    # edge marks and non-integer marks are checked by the packing itself
+    with pytest.raises(ValueError, match="mark index out of range"):
+        bad()
+
+
 def test_labeled_tree_validation():
     with pytest.raises(ValueError):
         LabeledTree({(1,): 0}, {})
