@@ -349,6 +349,9 @@ def relative_entropy(m, base) -> float:
             if base.non_tree_mass > MASS_TOL:
                 raise ValueError("cannot compare two unresolved non-tree masses")
             return math.inf
+    if m is base and isinstance(m, (TreeMeasure, PairMeasure)):
+        # every term is w log(w/w) = 0.0
+        return 0.0
     base_weights = _weights(base)
     terms = []
     for key, w in _weights(m).items():

@@ -611,7 +611,12 @@ def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
 
 def _cond_from_extension(rstar: TreeMeasure, pi, pistar, h: int) -> TreeMeasure:
     """Reweight the extension ``rstar`` by the per-branch ratio of the view-pair
-    laws ``pi`` (of the depth-h law) and ``pistar`` (of ``rstar``)."""
+    laws ``pi`` (of the depth-h law) and ``pistar`` (of ``rstar``).
+
+    On an exact chain the depth-h law is ``rstar`` itself, so ``pi`` is
+    ``pistar``, every ratio is 1.0 and ``rstar`` is the result."""
+    if pi is pistar:
+        return rstar
     atoms: Dict[CanonicalTree, float] = {}
     for t, w in rstar.items():
         dens = 1.0

@@ -425,14 +425,23 @@ def sample_sized_biased_gw(offspring, nu, xi, depth: int, rng: np.random.Generat
     return LabeledTree(vmarks, emarks)
 
 
+def _draw_table(law):
+    """(atoms, probabilities) of a tree measure, in encoding order."""
+    atoms, weights = zip(*law.items())
+    p = np.asarray(weights) / math.fsum(weights)
+    p.flags.writeable = False
+    return atoms, p
+
+
 def sample_ugwt(rho_h, h: int, depth: int, rng: np.random.Generator) -> LabeledTree:
     """Draw from the unimodular extension of an admissible depth-h law.
 
     The extension is materialized exactly by iterating the one-step extension
     up to ``depth`` and drawing from the resulting finite law; intended for
     enumerable supports (the support grows quickly with depth).  The
-    extensions are memoized on ``rho_h`` and its extensions, so repeated
-    draws from the same law build them once.
+    extensions are memoized on ``rho_h`` and its extensions, and the draw
+    table (atoms and probabilities) on the depth-``depth`` law, so repeated
+    draws from the same law build them once and draw from the same array.
     """
     from .measures import is_admissible, pair_measure
     from .rates import one_step_extension
@@ -447,6 +456,6 @@ def sample_ugwt(rho_h, h: int, depth: int, rng: np.random.Generator) -> LabeledT
             raise ValueError(f"input law is inadmissible (asymmetry {defect:.3g})")
         for d in range(h, depth):
             law = one_step_extension(law, d)
-    atoms, weights = zip(*law.items())
-    i = rng.choice(len(atoms), p=np.asarray(weights) / math.fsum(weights))
+    atoms, p = law._memoized("draw_table", depth, lambda: _draw_table(law))
+    i = rng.choice(len(atoms), p=p)
     return random_labeling(atoms[int(i)], rng)

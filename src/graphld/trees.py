@@ -52,30 +52,7 @@ class CanonicalTree:
     __slots__ = ("mark", "children", "depth", "encoding", "_hash", "_trunc", "__weakref__")
 
     def __new__(cls, mark: int, children: Tuple = ()) -> "CanonicalTree":
-        if not 0 <= mark < 0xFFFF:
-            raise ValueError("mark index out of range")
-        kids = tuple(sorted(children, key=lambda c: (c[0], c[1].encoding)))
-        try:
-            parts = [_HDR.pack(mark, len(kids))]
-            for (yc, yr), sub in kids:
-                parts.append(_HDR.pack(yc, yr))
-                parts.append(sub.encoding)
-        except struct.error:
-            raise ValueError("mark index out of range") from None
-        enc = b"".join(parts)
-        self = _INTERN.get(enc)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
-        object.__setattr__(self, "mark", int(mark))
-        object.__setattr__(self, "children", kids)
-        depth = 0 if not kids else 1 + max(sub.depth for _, sub in kids)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "encoding", enc)
-        h = int.from_bytes(hashlib.blake2b(enc, digest_size=8).digest(), "little")
-        object.__setattr__(self, "_hash", h)
-        _INTERN[enc] = self
-        return self
+        return _interned(mark, tuple(sorted(children, key=_entry_key)))
 
     def __init__(self, mark: int, children: Tuple = ()) -> None:
         """Nothing to do: ``__new__`` returns a complete, possibly shared, tree."""
@@ -106,6 +83,38 @@ class CanonicalTree:
 
     def __repr__(self) -> str:
         return f"CanonicalTree(mark={self.mark}, deg={self.root_degree}, depth={self.depth})"
+
+
+def _entry_key(entry):
+    return (entry[0], entry[1].encoding)
+
+
+def _interned(mark: int, kids: Tuple) -> CanonicalTree:
+    """The tree with root mark ``mark`` and the children ``kids``, already in
+    canonical order; marks and the root degree must fit the 16-bit header."""
+    if len(kids) > 0xFFFF:
+        raise ValueError(f"root degree {len(kids)} exceeds 65535")
+    try:
+        parts = [_HDR.pack(mark, len(kids))]
+        for (yc, yr), sub in kids:
+            parts.append(_HDR.pack(yc, yr))
+            parts.append(sub.encoding)
+    except struct.error:
+        raise ValueError("mark index out of range") from None
+    enc = b"".join(parts)
+    self = _INTERN.get(enc)
+    if self is not None:
+        return self
+    self = object.__new__(CanonicalTree)
+    object.__setattr__(self, "mark", int(mark))
+    object.__setattr__(self, "children", kids)
+    depth = 0 if not kids else 1 + max(sub.depth for _, sub in kids)
+    object.__setattr__(self, "depth", depth)
+    object.__setattr__(self, "encoding", enc)
+    h = int.from_bytes(hashlib.blake2b(enc, digest_size=8).digest(), "little")
+    object.__setattr__(self, "_hash", h)
+    _INTERN[enc] = self
+    return self
 
 
 class HalfEdgeTree(NamedTuple):
@@ -229,12 +238,20 @@ def branch_views(t: CanonicalTree, h: int) -> Tuple[Tuple[HalfEdgeTree, HalfEdge
     truncated at depth `h`, as a tuple.
 
     The remainder is assembled from the children's depth-(h-1) truncations,
-    so the untruncated remainder is never built.
+    so the untruncated remainder is never built.  Truncation can reverse the
+    order of two children, so the truncated entries are sorted, once per call;
+    each remainder is that sorted tuple less one entry, which is still sorted
+    and needs no sort of its own.
     """
     cut = [(pair, truncate(sub, h - 1)) for pair, sub in t.children] if h > 0 else []
+    order = sorted(range(len(cut)), key=lambda i: _entry_key(cut[i]))
+    ranked = tuple(cut[i] for i in order)
+    rank = [0] * t.root_degree
+    for r, i in enumerate(order):
+        rank[i] = r
     views = []
-    for i, ((yc, yr), sub) in enumerate(t.children):
-        rest = CanonicalTree(t.mark, tuple(cut[:i] + cut[i + 1:]))
+    for ((yc, yr), sub), r in zip(t.children, rank):
+        rest = _interned(t.mark, ranked[:r] + ranked[r + 1:])
         views.append((HalfEdgeTree(truncate(sub, h), yc), HalfEdgeTree(rest, yr)))
     return tuple(views)
 

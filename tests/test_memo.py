@@ -23,7 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 import graphld
 from graphld import cli, measures, rates, trees
-from graphld.measures import TreeMeasure, mtp_check, pair_measure
+from graphld.measures import (
+    DegreeLaw, PairMeasure, TreeMeasure, mtp_check, pair_measure, relative_entropy,
+)
 from graphld.rates import (
     ExtensionKernel, ReferenceLaw, combinatorial_rate, component_rate,
     extension_chain, extension_kernel, intermediate_rate, one_step_extension,
@@ -175,6 +177,55 @@ def test_one_step_extension_matches_oracle(seed, n, order):
             assert got == outcome(oracle_one_step_extension, rho, hh)
             got = outcome(extension_kernel, rho, hh, obj=kernel_obj)
             assert got == outcome(ExtensionKernel, rho, hh, obj=kernel_obj)
+
+
+def bits(m):
+    return {k: w.hex() for k, w in m.atoms.items()}
+
+
+def labeled(t):
+    return t.vmarks, t.emarks
+
+
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)),
+       st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       st.one_of(st.just((1,)), st.tuples(*[st.integers(1, 9)] * 4)),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_exact_chain_short_cuts_match_the_generic_path(alpha_w, nu_w, xi_w, seed):
+    # on an exact chain, level h is the memoized extension of level h-1, so the
+    # conditional reweighting and the self relative entropies are skipped;
+    # the generic path over copies must give the same bits
+    norm = lambda ws: tuple(w / sum(ws) for w in ws)
+    xi = (norm(xi_w),) if len(xi_w) == 1 else (norm(xi_w)[:2], norm(xi_w)[2:])
+    law = ReferenceLaw.fixed_alpha(DegreeLaw(dict(enumerate(norm(alpha_w)))), norm(nu_w), xi)
+    eta1 = law.materialize()
+    depth = 3 if len(xi) == 1 else 2
+    chain = extension_chain(eta1, depth)
+    for h in range(2, depth + 1):
+        rstar = chain.level(h)
+        pi = pair_measure(rstar, h)
+        fast = rates._cond_from_extension(rstar, pi, pi, h)
+        slow = rates._cond_from_extension(rstar, pi, PairMeasure(dict(pi.atoms)), h)
+        assert fast is rstar
+        assert bits(fast) == bits(slow)
+        assert (fast.non_tree_mass, fast.depth_bound) == (slow.non_tree_mass, slow.depth_bound)
+        copies = (TreeMeasure(dict(rstar.atoms), rstar.non_tree_mass, h), PairMeasure(dict(pi.atoms)))
+        for m, copy in zip((rstar, pi), copies):
+            assert relative_entropy(m, m) == relative_entropy(m, copy) == 0.0
+    # draws from the memoized table equal draws that each build a fresh one
+    rng = make_rng(seed)
+    shared = [labeled(sample_ugwt(eta1, 1, depth, rng)) for _ in range(3)]
+    rng = make_rng(seed)
+    fresh = [labeled(sample_ugwt(TreeMeasure(dict(eta1.atoms), 0.0, 1), 1, depth, rng))
+             for _ in range(3)]
+    assert shared == fresh
+
+
+def test_self_relative_entropy_keeps_the_non_tree_gate():
+    m = TreeMeasure({star(0, [1]): 0.5}, 0.5, 1)
+    with pytest.raises(ValueError, match="unresolved non-tree masses"):
+        relative_entropy(m, m)
 
 
 # ------------------------------------------------------------ sharing

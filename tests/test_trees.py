@@ -29,6 +29,8 @@ from graphld.trees import (
     truncate,
 )
 
+from helpers import oracle_branch_views
+
 # ---------------------------------------------------------------- oracles
 
 
@@ -161,6 +163,28 @@ def test_canonical_tree_rejects_bad_marks_with_value_error(bad):
     # edge marks and non-integer marks are checked by the packing itself
     with pytest.raises(ValueError, match="mark index out of range"):
         bad()
+
+
+@pytest.mark.parametrize("mark", [65535, 65536, -1])
+@pytest.mark.parametrize("where", ["vertex", "edge"])
+def test_vertex_and_edge_marks_share_one_range(where, mark):
+    # both kinds of mark fit the 16-bit header: 0..65535
+    build = {
+        "vertex": lambda: CanonicalTree(mark),
+        "edge": lambda: CanonicalTree(0, (((mark, 0), CanonicalTree(1)),)),
+    }[where]
+    if mark == 65535:
+        assert tree_from_obj(tree_to_obj(build())) is build()
+    else:
+        with pytest.raises(ValueError, match="mark index out of range"):
+            build()
+
+
+def test_root_degree_beyond_the_header_is_named():
+    leaf = ((0, 0), CanonicalTree(0))
+    assert CanonicalTree(0, (leaf,) * 65535).root_degree == 65535
+    with pytest.raises(ValueError, match="^root degree 65536 exceeds 65535$"):
+        CanonicalTree(0, (leaf,) * 65536)
 
 
 def test_labeled_tree_validation():
@@ -315,6 +339,20 @@ def test_count_branch_pairs_oracle_and_partition():
             assert c == sum(1 for v in views if v == (tau, tau_p))
             total += c
         assert total == t.root_degree
+
+
+def test_branch_views_sort_children_that_truncation_reorders():
+    C = CanonicalTree
+    x = C(0, (((0, 0), C(0, (((0, 0), C(0)),))), ((0, 0), C(5))))
+    y = C(0, (((0, 0), C(0, (((0, 0), C(0)), ((0, 0), C(0))))), ((0, 0), C(3))))
+    assert x < y and truncate(x, 1) > truncate(y, 1)
+    t = C(0, (((0, 0), x), ((0, 0), y), ((1, 0), C(2))))
+    views = branch_views(t, 2)
+    assert list(views) == oracle_branch_views(t, 2)
+    cut = [(pair, truncate(sub, 1)) for pair, sub in t.children]
+    for i, (_, rest) in enumerate(views):
+        assert len(rest.tree.children) == 2
+        assert rest.tree is C(t.mark, tuple(cut[:i] + cut[i + 1:]))
 
 
 def test_count_branch_pairs_degree_zero():
