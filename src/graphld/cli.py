@@ -146,23 +146,20 @@ def cmd_sample(args) -> int:
         args, "n", "kappa", "m", "seed", ensemble=ens, nu=list(nu), xi=[list(r) for r in xi],
         alpha=None if alpha is None else {str(k): v for k, v in alpha.items()},
     )
+    if ens == "CM" and alpha is None:
+        return _structured_error("CM sampling needs --alpha", "bad_config")
+    if ens == "FE" and args.m is None and args.kappa is None:
+        return _structured_error("FE sampling needs --m or --kappa", "bad_config")
+    if ens == "ER" and args.kappa is None:
+        return _structured_error("ER sampling needs --kappa", "bad_config")
+    cfg = ModelConfig(ensemble=ens, nu=nu, xi=xi, kappa=args.kappa, alpha=alpha, m_n=args.m)
     rng = make_rng(args.seed)
     if ens == "CM":
-        if alpha is None:
-            return _structured_error("CM sampling needs --alpha", "bad_config")
-        cfg = ModelConfig(ensemble="CM", nu=nu, xi=xi, alpha=alpha)
         g = sample_cm(args.n, cfg, rng)
     elif ens == "FE":
-        if args.m is None and args.kappa is None:
-            return _structured_error("FE sampling needs --m or --kappa", "bad_config")
-        m = args.m if args.m is not None else int(round(args.n * args.kappa / 2.0))
-        g = sample_fe(args.n, m, rng)
-    elif ens == "ER":
-        if args.kappa is None:
-            return _structured_error("ER sampling needs --kappa", "bad_config")
-        g = sample_er(args.n, args.kappa, rng)
+        g = sample_fe(args.n, cfg.edge_count(args.n), rng)
     else:
-        return _structured_error(f"unknown ensemble {args.ensemble!r}", "bad_config")
+        g = sample_er(args.n, cfg.kappa, rng)
     g = assign_marks(g, nu, xi, rng)
     _write_json(args.out, {"graph": g.to_obj(), "n": g.n}, config)
     print(f"wrote {args.out} ({g.n} vertices, {len(g.edges)} edges)")
@@ -332,10 +329,11 @@ def cmd_gibbs(args) -> int:
     try:
         problem = GibbsProblem(alpha, nu, hfun, args.c, args.delta)
         solution = solve(problem)
+        sol_obj = solution.to_obj()
     except ValueError as e:
         return _structured_error(str(e), "hypothesis_violation")
     sol_path = f"{args.out_prefix}_solution.json"
-    _write_json(sol_path, {"solution": solution.to_obj()}, config)
+    _write_json(sol_path, {"solution": sol_obj}, config)
     print(f"lambda={solution.lam!r} value={solution.value!r}")
     print(f"wrote {sol_path}")
     if args.samples == 0:

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .measures import DegreeLaw, TreeMeasure, _check_mark_laws, tv_distance
+from .rates import _star_law
 from .samplers import integer_degree_counts
-from .trees import CanonicalTree
 
 __all__ = [
     "GibbsProblem",
@@ -98,16 +98,23 @@ class GibbsSolution:
     """Tilted optimizer of the conditioned problem.
 
     ``gamma[(n, x)]`` is the joint degree-mark law; ``psi[x]`` its size-biased
-    mark marginal; ``mu_star`` the limiting depth-1 law (root entry from
-    gamma, leaves i.i.d. psi); ``value`` the optimal rate H(gamma || alpha x nu).
+    mark marginal; ``value`` the optimal rate H(gamma || alpha x nu).
     """
 
     lam: float
     gamma: Dict[Tuple[int, int], float]
     psi: Dict[int, float]
-    mu_star: TreeMeasure
     value: float
     residuals: Dict[str, float] = field(default_factory=dict)
+
+    @functools.cached_property
+    def mu_star(self) -> TreeMeasure:
+        """The limiting depth-1 law (root entry from gamma, leaves i.i.d. psi),
+        built on first read; raises ValueError when it would need more than
+        ``rates.STAR_ATOM_LIMIT`` atoms."""
+        leaves = {((0, 0), x): w for x, w in self.psi.items()}
+        return _star_law({(x, n): w for (n, x), w in self.gamma.items()},
+                         {x: leaves for _, x in self.gamma})
 
     def to_obj(self) -> dict:
         return {
@@ -159,40 +166,14 @@ def _tilted_row(problem: GibbsProblem, lam: float, n: int) -> List[float]:
     return p
 
 
-def _assemble_mu_star(gamma: Dict[Tuple[int, int], float], psi: Dict[int, float]) -> TreeMeasure:
-    """Depth-1 law with root entry from gamma and leaves i.i.d. psi."""
-    marks = sorted(psi)
-    atoms: Dict[CanonicalTree, float] = {}
-    for (n, x), w in gamma.items():
-        if w <= 0:
-            continue
-        if n == 0:
-            t = CanonicalTree(x)
-            atoms[t] = atoms.get(t, 0.0) + w
-            continue
-        for combo in itertools.combinations_with_replacement(marks, n):
-            wt = w * math.exp(
-                math.lgamma(n + 1)
-                - math.fsum(
-                    math.lgamma(c + 1)
-                    for c in (combo.count(a) for a in set(combo))
-                )
-            )
-            for a in combo:
-                wt *= psi[a]
-            if wt > 0:
-                t = CanonicalTree(x, tuple(((0, 0), CanonicalTree(a)) for a in combo))
-                atoms[t] = atoms.get(t, 0.0) + wt
-    return TreeMeasure(atoms, 0.0, 1)
-
-
 def solve(problem: GibbsProblem) -> GibbsSolution:
     """Solve the conditioned optimization in closed tilted form.
 
     Finds lambda with g(lambda) = c by bracketed bisection (the bracket grows
     geometrically; g is verified nondecreasing on the sampled bracket), forms
-    gamma(n, x) = alpha(n) * tilted mark law, and assembles psi and mu_star.
-    Raises ValueError when c is outside the open feasibility interval.
+    gamma(n, x) = alpha(n) * tilted mark law, and assembles psi; mu_star is
+    built when first read and obeys ``rates.STAR_ATOM_LIMIT``.  Raises
+    ValueError when c is outside the open feasibility interval.
     """
     g0 = problem.unconditioned_mean()
     sup = problem.supremum()
@@ -241,7 +222,6 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
         for (n, x), w in gamma.items()
         if w > 0
     )
-    mu_star = _assemble_mu_star(gamma, psi)
 
     # KKT residuals: per-degree multiplier recovered from normalization
     stat = 0.0
@@ -273,7 +253,7 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
         "psi_mass": abs(math.fsum(psi.values()) - 1.0),
         "g_monotone_on_bracket": 0.0 if monotone else 1.0,
     }
-    return GibbsSolution(lam, gamma, psi, mu_star, value, residuals)
+    return GibbsSolution(lam, gamma, psi, value, residuals)
 
 
 def brute_force_opt(problem: GibbsProblem) -> Tuple[Dict[Tuple[int, int], float], float]:

@@ -486,14 +486,3 @@ def mtp_check(u, h: Optional[int] = None, rng=None) -> float:
     if h is None:
         h = max(u.depth_bound, 1)
     return transport_violation(_pair_weights(u, h))
-
-
-# ---------------------------------------------------------------- conveniences
-
-
-def degree_law(rho: TreeMeasure) -> DegreeLaw:
-    return rho.degree_law()
-
-
-def mean_degree(rho: TreeMeasure) -> float:
-    return rho.mean_degree()

@@ -213,17 +213,9 @@ class ReferenceLaw:
         dens = self.degree_pmf.get(d, 0.0) * self.nu_pmf(t.mark)
         if dens == 0.0:
             return 0.0
-        cells: Dict[Tuple[Tuple[int, int], int], int] = {}
-        for (yc, yr), sub in t.children:
-            cells[((yc, yr), sub.mark)] = cells.get(((yc, yr), sub.mark), 0) + 1
-        logmult = math.lgamma(d + 1)
-        for ((yc, yr), x), m in cells.items():
-            q = self.nu_pmf(x) * self.xibar_pmf(yc, yr)
-            if q == 0.0:
-                return 0.0
-            dens *= q**m
-            logmult -= math.lgamma(m + 1)
-        return dens * math.exp(logmult)
+        cells = Counter((pair, sub.mark) for pair, sub in t.children)
+        return _star_weight(dens, d, ((self.nu_pmf(x) * self.xibar_pmf(*pair), m)
+                                      for (pair, x), m in cells.items()))
 
     def pair_density(self, cell: Tuple[HalfEdgeTree, HalfEdgeTree]) -> float:
         """Reference probability of an ordered pair of depth-0 half-edge views."""
@@ -238,7 +230,7 @@ class ReferenceLaw:
 
     def materialize(self) -> TreeMeasure:
         """The reference law as an explicit depth-1 measure (small supports only)."""
-        return _star_law(self, lambda x_o, x, yc, yr: 1.0)
+        return _reweighted(self, lambda x_o, x, yc, yr: 1.0)
 
     def to_obj(self) -> dict:
         obj = {"nu": list(self.nu), "xi": [list(r) for r in self.xi]}
@@ -262,64 +254,60 @@ class ReferenceLaw:
 # ------------------------------------------------------- depth-1 reference pair
 
 
-def _star_law(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float]) -> TreeMeasure:
-    """The reference star law with every leaf entry ((yc, yr), x) below a root
-    of mark x_o reweighted by ``ratio(x_o, x, yc, yr)``, as an explicit depth-1
-    measure: degree d and root x_o get mass
-    pmf(d) * nu(x_o) * multinomial(d; multiset) * prod entry_weight^count."""
-    k = len(law.xibar)
+def _star_weight(base: float, d: int, groups) -> float:
+    """``base`` * multinomial(d; m over groups) * prod q**m over the (q, m) in
+    ``groups``: the mass of d i.i.d. leaves, m of them of entry weight q."""
+    logmult = math.lgamma(d + 1)
+    for q, m in groups:
+        base *= q**m
+        logmult -= math.lgamma(m + 1)
+    return base * math.exp(logmult)
 
-    def entries_for(x_o: int) -> Dict[Tuple[Tuple[int, int], int], float]:
-        ew = {}
-        for yc in range(k):
-            for yr in range(k):
-                for x in range(len(law.nu)):
-                    q = law.nu[x] * law.xibar[yc][yr] * ratio(x_o, x, yc, yr)
-                    if q > 0:
-                        ew[((yc, yr), x)] = q
-        return ew
 
-    root_weights = {x: w for x, w in enumerate(law.nu) if w > 0}
-    projected = 0
-    per_root = {}
-    for x_o in root_weights:
-        ew = entries_for(x_o)
-        per_root[x_o] = sorted(ew.items())
-        for d in law.degree_pmf:
-            projected += math.comb(len(ew) + d - 1, d) if ew else (1 if d == 0 else 0)
+def _star_law(root_mass: Dict[Tuple[int, int], float],
+              entries: Dict[int, Dict[Tuple[Tuple[int, int], int], float]]) -> TreeMeasure:
+    """The explicit depth-1 law whose root of mark x_o and degree d has mass
+    ``root_mass[(x_o, d)]`` and whose d leaf entries ((yc, yr), x) are i.i.d.
+    with weights ``entries[x_o]``: a multiset of entries has mass
+    ``_star_weight`` of the root mass and the entry weights.  Raises
+    ValueError before building a support of more than STAR_ATOM_LIMIT atoms."""
+    per_root = {x_o: sorted((e, q) for e, q in ew.items() if q > 0) for x_o, ew in entries.items()}
+    projected = sum(
+        math.comb(len(per_root[x_o]) + d - 1, d) if per_root[x_o] else int(d == 0)
+        for x_o, d in root_mass
+    )
     if projected > STAR_ATOM_LIMIT:
         raise ValueError(
             f"materialized support would need {projected} atoms (limit {STAR_ATOM_LIMIT})"
         )
     atoms: Dict[CanonicalTree, float] = {}
-    for x_o, wx in root_weights.items():
+    for (x_o, d), base in root_mass.items():
+        if base == 0.0:
+            continue
+        if d == 0:
+            atoms[CanonicalTree(x_o)] = atoms.get(CanonicalTree(x_o), 0.0) + base
+            continue
         ew = per_root[x_o]
-        for d, pd in law.degree_pmf.items():
-            base = pd * wx
-            if base == 0.0:
-                continue
-            if d == 0:
-                atoms[CanonicalTree(x_o)] = atoms.get(CanonicalTree(x_o), 0.0) + base
-                continue
-            if not ew:
-                continue
-            for combo in itertools.combinations_with_replacement(range(len(ew)), d):
-                counts: Dict[int, int] = {}
-                for i in combo:
-                    counts[i] = counts.get(i, 0) + 1
-                w = base
-                logmult = math.lgamma(d + 1)
-                kids = []
-                for i, m in counts.items():
-                    (pair, x), q = ew[i]
-                    w *= q**m
-                    logmult -= math.lgamma(m + 1)
-                    kids.extend([(pair, CanonicalTree(x))] * m)
-                w *= math.exp(logmult)
-                if w > 0:
-                    t = CanonicalTree(x_o, tuple(kids))
-                    atoms[t] = atoms.get(t, 0.0) + w
+        for combo in itertools.combinations_with_replacement(range(len(ew)), d):
+            groups = [(ew[i], m) for i, m in Counter(combo).items()]
+            w = _star_weight(base, d, ((q, m) for (_, q), m in groups))
+            if w > 0:
+                kids = tuple((pair, CanonicalTree(x)) for ((pair, x), _), m in groups for _ in range(m))
+                t = CanonicalTree(x_o, kids)
+                atoms[t] = atoms.get(t, 0.0) + w
     return TreeMeasure(atoms, 0.0, 1)
+
+
+def _reweighted(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float]) -> TreeMeasure:
+    """The reference star law with every leaf entry ((yc, yr), x) below a root
+    of mark x_o reweighted by ``ratio(x_o, x, yc, yr)``."""
+    roots = [x_o for x_o, w in enumerate(law.nu) if w > 0]
+    k = range(len(law.xibar))
+    return _star_law(
+        {(x_o, d): pd * law.nu[x_o] for x_o in roots for d, pd in law.degree_pmf.items()},
+        {x_o: {((yc, yr), x): law.nu[x] * law.xibar[yc][yr] * ratio(x_o, x, yc, yr)
+               for yc in k for yr in k for x in range(len(law.nu))} for x_o in roots},
+    )
 
 
 def _sb_stats(pi):
@@ -394,14 +382,14 @@ def leaf_indep_law(mu: TreeMeasure, law: ReferenceLaw) -> TreeMeasure:
     size-biased child marginal of ``mu``; a probability measure dominating
     ``mu`` whenever ``mu`` is dominated by the reference."""
     child, _ = _leaf_stats(mu, law, "leaf_indep_law")
-    return _star_law(law, _indep_ratio(law, child))
+    return _reweighted(law, _indep_ratio(law, child))
 
 
 def leaf_cond_law(mu: TreeMeasure, law: ReferenceLaw) -> TreeMeasure:
     """The reference star law reweighted so leaf entries are conditionally
     i.i.d. given the root entry, from the size-biased conditional of ``mu``."""
     _, cond = _leaf_stats(mu, law, "leaf_cond_law")
-    return _star_law(law, _cond_ratio(law, cond))
+    return _reweighted(law, _cond_ratio(law, cond))
 
 
 # --------------------------------------------------------- neighborhood rates

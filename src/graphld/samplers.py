@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .measures import DegreeLaw, _check_mark_laws
-from .trees import LabeledTree
+from .trees import LabeledTree, _as_index
 
 CM_RESTARTS = 1000
 
@@ -47,10 +47,11 @@ class MarkedGraph:
         vmarks: Optional[Sequence[int]] = None,
         emarks: Optional[Dict[Tuple[int, int], int]] = None,
     ) -> None:
+        n = _as_index(n, "n")
         norm = []
         seen = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
+        for i, (u, v) in enumerate(edges):
+            u, v = _as_index(u, "edges[{}]", i), _as_index(v, "edges[{}]", i)
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -65,14 +66,19 @@ class MarkedGraph:
         if vmarks is not None:
             if len(vmarks) != n:
                 raise ValueError("vmarks length mismatch")
-            vmarks = tuple(int(x) for x in vmarks)
-            emarks = {(int(a), int(b)): int(y) for (a, b), y in emarks.items()}
+            vmarks = tuple(_as_index(x, "vmarks[{}]", i) for i, x in enumerate(vmarks))
+            marks = {}
+            for key, y in emarks.items():
+                a, b = key
+                at = "emarks[{}]"
+                marks[_as_index(a, at, key), _as_index(b, at, key)] = _as_index(y, at, key)
+            emarks = marks
             for u, v in norm:
                 if (u, v) not in emarks or (v, u) not in emarks:
                     raise ValueError(f"missing directed mark on edge ({u}, {v})")
             if len(emarks) != 2 * len(norm):
                 raise ValueError("edge mark entries do not match the edge set")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         object.__setattr__(self, "vmarks", vmarks)
         object.__setattr__(self, "emarks", emarks)

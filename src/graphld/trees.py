@@ -6,12 +6,13 @@ A rooted marked tree is represented up to isomorphism by a ``CanonicalTree``,
 whose children are kept sorted under a fixed total order, so two labeled trees
 are isomorphic iff their canonical encodings are equal (marked AHU form).
 Trees are hash-consed: while a tree is alive, constructing an equal one
-returns that same object, and the truncations of a tree are computed once.
+returns that same object, so trees compare and hash by identity, and the
+truncations of a tree are computed once.
 """
 
 from __future__ import annotations
 
-import hashlib
+import operator
 import struct
 import weakref
 from typing import Dict, Iterator, List, NamedTuple, Tuple
@@ -45,11 +46,12 @@ class CanonicalTree:
     The mark pair stores the child-to-root side first, root-to-child second.
     Instances are immutable and interned: constructing a tree whose encoding
     equals that of a live tree returns the live tree, so equal trees are the
-    same object.  A compact byte encoding and a 64-bit hash are memoized for
-    use as map keys; ``truncate`` results are memoized in ``_trunc``.
+    same object, and equality and hashing are those of the object.  The
+    compact byte encoding orders trees and keys the intern table;
+    ``truncate`` results are memoized in ``_trunc``.
     """
 
-    __slots__ = ("mark", "children", "depth", "encoding", "_hash", "_trunc", "__weakref__")
+    __slots__ = ("mark", "children", "depth", "encoding", "_trunc", "__weakref__")
 
     def __new__(cls, mark: int, children: Tuple = ()) -> "CanonicalTree":
         return _interned(mark, tuple(sorted(children, key=_entry_key)))
@@ -63,16 +65,6 @@ class CanonicalTree:
     @property
     def root_degree(self) -> int:
         return len(self.children)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, CanonicalTree):
-            return NotImplemented
-        return self.encoding == other.encoding
 
     def __lt__(self, other: "CanonicalTree") -> bool:
         return self.encoding < other.encoding
@@ -111,8 +103,6 @@ def _interned(mark: int, kids: Tuple) -> CanonicalTree:
     depth = 0 if not kids else 1 + max(sub.depth for _, sub in kids)
     object.__setattr__(self, "depth", depth)
     object.__setattr__(self, "encoding", enc)
-    h = int.from_bytes(hashlib.blake2b(enc, digest_size=8).digest(), "little")
-    object.__setattr__(self, "_hash", h)
     _INTERN[enc] = self
     return self
 
@@ -308,7 +298,26 @@ def tree_to_obj(t: CanonicalTree) -> dict:
 
 
 def tree_from_obj(obj: dict) -> CanonicalTree:
-    kids = tuple(
-        ((c["ym_child"], c["ym_root"]), tree_from_obj(c["tree"])) for c in obj["children"]
-    )
-    return CanonicalTree(obj["mark"], kids)
+    """Inverse of ``tree_to_obj``; a mark that is a bool or not an integer
+    raises ValueError naming its field, such as ``children[0].ym_child``."""
+
+    def build(o: dict, at: str) -> CanonicalTree:
+        kids = []
+        for i, c in enumerate(o["children"]):
+            f = f"{at}children[{i}]."
+            pair = (_as_index(c["ym_child"], f + "ym_child"), _as_index(c["ym_root"], f + "ym_root"))
+            kids.append((pair, build(c["tree"], f + "tree.")))
+        return CanonicalTree(_as_index(o["mark"], at + "mark"), tuple(kids))
+
+    return build(obj, "")
+
+
+def _as_index(value, field: str, *at) -> int:
+    """``value`` as an int (numpy integers too); a bool or a value that is not
+    an integer raises ValueError naming ``field.format(*at)``, which is only
+    formatted then."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{field.format(*at)} must be an integer, not {value!r}")
+    return operator.index(value)

@@ -1,25 +1,38 @@
 """Shared builders for tests: raw trees, exact reference laws, small forests,
 the per-vertex ball trees and message-passing views that graph views are
 checked against, the uncached derived laws that the memoized ones are checked
-against, and the rejection sampler that conditional Monte Carlo is checked
-against."""
+against, the rejection sampler that conditional Monte Carlo is checked
+against, the per-leaf product that the Gibbs optimizer is checked against,
+and a runner for code that must start in a fresh interpreter."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter, deque
 
 import numpy as np
 from scipy import stats
 
+import graphld
 from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
 from graphld.measures import PairMeasure, TreeMeasure, is_admissible
 from graphld.samplers import integer_degree_counts
 from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child
+
+
+def run_python(code, cwd=None, timeout=120, **env):
+    """Run ``code`` in a fresh interpreter that imports this checkout's graphld."""
+    src = os.path.dirname(os.path.dirname(graphld.__file__))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def canon_raw(raw):
@@ -363,6 +376,34 @@ def markov_product_measure(deg_law, pair_matrix):
                     t = star(x0, list(combo))
                     acc[t] = acc.get(t, 0.0) + w
     return TreeMeasure(acc, 0.0, 1)
+
+
+def _assemble_mu_star(gamma, psi):
+    """Depth-1 law with root entry from gamma and leaves i.i.d. psi, one leaf
+    factor at a time: the oracle of ``solve``'s ``mu_star``."""
+    marks = sorted(psi)
+    atoms = {}
+    for (n, x), w in gamma.items():
+        if w <= 0:
+            continue
+        if n == 0:
+            t = CanonicalTree(x)
+            atoms[t] = atoms.get(t, 0.0) + w
+            continue
+        for combo in itertools.combinations_with_replacement(marks, n):
+            wt = w * math.exp(
+                math.lgamma(n + 1)
+                - math.fsum(
+                    math.lgamma(c + 1)
+                    for c in (combo.count(a) for a in set(combo))
+                )
+            )
+            for a in combo:
+                wt *= psi[a]
+            if wt > 0:
+                t = CanonicalTree(x, tuple(((0, 0), CanonicalTree(a)) for a in combo))
+                atoms[t] = atoms.get(t, 0.0) + wt
+    return TreeMeasure(atoms, 0.0, 1)
 
 
 def rejection_conditional_mc(problem, n, samples, rng, delta=None,

@@ -6,24 +6,22 @@ directory; determinism checks compare output files byte for byte.
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import graphld
 from graphld import __version__
 from graphld.cli import main
 from graphld.measures import TreeMeasure
 from graphld.rates import ReferenceLaw, extension_chain
 from graphld.samplers import MarkedGraph
 
-from helpers import star
+from helpers import run_python, star
 
 
 def run(*argv):
@@ -99,6 +97,32 @@ def test_sample_missing_required_flag(tmp_path, capsys):
     assert run("sample", "--ensemble", "er", "--n", 5, "--out", out) == 2
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "bad_config"
+
+
+def test_sample_fe_edge_count_from_kappa(tmp_path):
+    # round(50 * 3.1 / 2) = round(77.5) = 78 edges; the bytes are those of
+    # the CLI's own rounding, before FE read the count from ModelConfig
+    out = tmp_path / "fe.json"
+    assert run("sample", "--ensemble", "fe", "--n", 50, "--kappa", 3.1, "--nu", "[0.5,0.5]",
+               "--xi", "[[0.25,0.25],[0.25,0.25]]", "--seed", 4, "--out", out) == 0
+    assert len(json.loads(out.read_text())["graph"]["edges"]) == 78
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "13d877d7525cb4e629c0218ee527be389970b28a4278ddc0f2b777e080f14d74")
+
+
+@pytest.mark.parametrize("ensemble, flags", [
+    ("cm", ["--n", 3, "--alpha", '{"1": 1.0}']),  # odd total degree
+    ("fe", ["--n", 3, "--m", 5]),                 # more edges than vertex pairs
+    ("er", ["--n", 2, "--kappa", 5]),             # kappa above n
+])
+def test_sample_checks_the_mark_law_before_sampling(ensemble, flags, tmp_path, capsys):
+    # each graph would fail to sample: the mark law is rejected first
+    out = tmp_path / "g.json"
+    assert run("sample", "--ensemble", ensemble, *flags, "--nu", "[0.5,0.6]",
+               "--out", out) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "bad_input", "message": "ValueError: nu is not a probability vector"}
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- empirical
@@ -367,6 +391,42 @@ def test_rate_of_an_out_of_range_edge_mark_is_bad_input(er_depth2, capsys):
     assert not (d / "rate.json").exists()
 
 
+@pytest.mark.parametrize("value", [True, 0.5])
+def test_rate_of_an_edge_mark_that_is_not_an_integer_is_bad_input(er_depth2, value, capsys):
+    # JSON `true` used to be kept as an edge mark and 0.5 reported as out of range
+    d = er_depth2
+    obj = json.loads((d / "emp_L.json").read_text())
+    atom = next(a for a in obj["measure"]["atoms"] if a["tree"]["children"])
+    atom["tree"]["children"][0]["ym_child"] = value
+    (d / "bad_L.json").write_text(json.dumps(obj))
+    law = ReferenceLaw.poisson(1.0, (0.5, 0.5), ((1.0,),))
+    (d / "law.json").write_text(json.dumps(law.to_obj()))
+    capsys.readouterr()
+    assert run("rate", "--input", d / "bad_L.json", "--law", d / "law.json",
+               "--ensemble", "er", "--kappa", 1, "--report", d / "rate.json") == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "bad_input", "message": "ValueError: children[0].ym_child"
+                   f" must be an integer, not {value!r}"}
+    assert not (d / "rate.json").exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda g: g.update(vmarks=[1.5, True, 0]), "vmarks[0]"),
+    (lambda g: g["emarks"][0].update(yu=0.9), "emarks[(0, 1)]"),
+], ids=["vmarks", "yu"])
+def test_empirical_of_a_mark_that_is_not_an_integer_is_bad_input(path3, edit, field, capsys):
+    # these used to be truncated: vmarks [1.5, true] became (1, 1), yu 0.9 became 0
+    obj = json.loads(path3.read_text())
+    edit(obj["graph"])
+    path3.write_text(json.dumps(obj))
+    prefix = path3.parent / "bad"
+    assert run("empirical", "--graph", path3, "--out-prefix", prefix) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "bad_input"
+    assert err["message"].startswith(f"ValueError: {field} must be an integer, not ")
+    assert not (path3.parent / "bad_L.json").exists()
+
+
 def test_rate_of_a_cyclic_depth2_measure_is_bad_input(tmp_path, capsys):
     # a U_2 with non-tree mass has no mean degree: `rate` without --beta
     # exits 2 with a bad_input error, as a non-tree depth-1 measure does
@@ -506,15 +566,8 @@ def test_gibbs_n_zero_is_mc_error(tmp_path, capsys):
 # ---------------------------------------------------------------- runtime imports
 
 
-def _child(code, cwd):
-    src = os.path.dirname(os.path.dirname(graphld.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_import_loads_neither_networkx_nor_scipy(tmp_path):
-    res = _child(
+    res = run_python(
         "import sys, graphld, graphld.cli\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))",
         tmp_path,
@@ -524,7 +577,7 @@ def test_import_loads_neither_networkx_nor_scipy(tmp_path):
 
 
 def test_sample_cm_runs_without_networkx(tmp_path):
-    res = _child(
+    res = run_python(
         "import sys\n"
         "sys.modules['networkx'] = None\n"
         "from graphld.cli import main\n"
@@ -535,6 +588,45 @@ def test_sample_cm_runs_without_networkx(tmp_path):
     assert res.returncode == 0, res.stdout + res.stderr
     g = MarkedGraph.from_obj(json.loads((tmp_path / "g.json").read_text())["graph"])
     assert g.degree_histogram() == {1: 10, 3: 10}
+
+
+LAW = json.dumps({"degree": {"type": "fixed", "pmf": {"1": 0.5, "3": 0.5}},
+                  "nu": [0.5, 0.5], "xi": [[1.0]]})
+PIPELINE = [
+    ["sample", "--ensemble", "cm", "--n", "60", "--alpha", '{"1": 0.5, "3": 0.5}',
+     "--nu", "[0.5, 0.5]", "--xi", "[[1.0]]", "--seed", "7", "--out", "graph.json"],
+    ["empirical", "--graph", "graph.json", "--depth", "2", "--out-prefix", "emp"],
+    ["rate", "--input", "emp_L.json", "--law", LAW, "--ensemble", "cm", "--form", "all",
+     "--report", "rate.json"],
+    ["extend", "--input", "emp_L.json", "--depth", "2", "--out", "chain.json"],
+    ["verify", "--input", "chain.json", "--law", LAW, "--ensemble", "cm",
+     "--report", "verify.json"],
+    ["extend", "--input", "emp_L.json", "--depth", "2", "--samples", "3", "--seed", "5",
+     "--out", "sampled.json"],
+    ["gibbs", "--alpha", '{"2": 1.0}', "--nu", "[0.5, 0.5]", "--hfun", "[0, 1]", "--c", "1.5",
+     "--n", "40", "--samples", "100000", "--seed", "1", "--out-prefix", "gibbs"],
+]
+
+
+def test_pipeline_artifacts_independent_of_the_process(tmp_path):
+    # trees hash by identity, so the order of a set of trees follows memory
+    # addresses: two fresh interpreters with different hash seeds must still
+    # write the same bytes
+    runs = []
+    for seed in ("1", "12345"):
+        d = tmp_path / seed
+        d.mkdir()
+        res = run_python("import sys\nfrom graphld.cli import main\n"
+                     f"sys.exit(max(main(argv) for argv in {PIPELINE!r}))", d,
+                     PYTHONHASHSEED=seed)
+        assert res.returncode == 0, res.stdout + res.stderr
+        runs.append((res.stdout, {p.name: p.read_bytes() for p in d.iterdir()}))
+    (out_a, files_a), (out_b, files_b) = runs
+    assert sorted(files_a) == sorted(files_b)
+    assert len(files_a) == 14
+    for name, blob in files_a.items():
+        assert blob == files_b[name], name
+    assert out_a == out_b
 
 
 # arbitrary JSON, plus near-valid mark vectors, matrices and degree laws

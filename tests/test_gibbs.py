@@ -12,6 +12,7 @@ enumerating the sufficient mark counts.
 import itertools
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from graphld.measures import DegreeLaw, TreeMeasure, relative_entropy, tv_distan
 from graphld.rates import ReferenceLaw, nbd_rate
 from graphld.samplers import ModelConfig, integer_degree_counts, make_rng
 
-from helpers import rejection_conditional_mc, star
+from helpers import _assemble_mu_star, rejection_conditional_mc, run_python, star
 
 LAM_STAR = math.log(3.0) / 2.0
 V_STAR = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -426,6 +427,59 @@ def test_solver_properties(p):
             if t.root_degree == n and t.mark == x
         )
         assert got == pytest.approx(w, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_problems())
+def test_mu_star_matches_per_leaf_oracle(p):
+    # the star-law builder multiplies q**m per group of equal leaves, the
+    # oracle one leaf at a time: the same support, weights a few ulps apart
+    s = solve(p)
+    want = _assemble_mu_star(s.gamma, s.psi)
+    assert set(s.mu_star.atoms) == set(want.atoms)
+    for t, w in want.atoms.items():
+        assert abs(s.mu_star.atoms[t] - w) <= 1e-15 * w
+
+
+# the 60 leaves of six marks have C(65, 5) = 8 259 888 multisets per root mark
+DEGREE_60 = {"alpha": {"60": 1.0}, "nu": [1 / 6] * 6, "hfun": [0, 1, 2, 3, 4, 5], "c": 180}
+LIMIT_MESSAGE = "materialized support would need 49559328 atoms (limit 200000)"
+
+
+def test_mu_star_obeys_the_star_atom_limit():
+    # a fresh process with a timeout, so that an unguarded build fails the test
+    res = run_python(
+        "from graphld.gibbs import GibbsProblem, solve\n"
+        "from graphld.measures import DegreeLaw\n"
+        f"p = GibbsProblem(DegreeLaw({{60: 1.0}}), {DEGREE_60['nu']}, {DEGREE_60['hfun']}, 180)\n"
+        "s = solve(p)\n"
+        "try:\n"
+        "    s.mu_star\n"
+        "except ValueError as e:\n"
+        "    print(e)\n", timeout=10)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == LIMIT_MESSAGE
+
+
+def test_monte_carlo_runs_where_mu_star_is_over_the_limit():
+    # 6 * C(25, 5) = 318 780 atoms: only a read of mu_star meets the limit
+    p = GibbsProblem(DegreeLaw({20: 1.0}), (1 / 6,) * 6, (0, 1, 2, 3, 4, 5), 52)
+    rep = conditional_mc(p, 10, 2000, np.random.default_rng(1))
+    assert rep.draws == 2000 and rep.accepted > 0
+    assert len(delta_sweep(p, 10, 500, np.random.default_rng(2), deltas=(0.1,))) == 1
+    with pytest.raises(ValueError, match="318780 atoms"):
+        solve(p).mu_star
+
+
+def test_gibbs_cli_over_the_star_atom_limit_exits_2(tmp_path):
+    argv = ["gibbs", "--out-prefix", "g"] + [
+        a for k, v in DEGREE_60.items() for a in (f"--{k}", json.dumps(v))]
+    res = run_python(f"import sys; from graphld.cli import main; sys.exit(main({argv!r}))",
+                     cwd=tmp_path, timeout=10)
+    assert res.returncode == 2, res.stdout + res.stderr
+    err = json.loads(res.stdout)["error"]
+    assert err == {"type": "hypothesis_violation", "message": LIMIT_MESSAGE}
+    assert os.listdir(tmp_path) == []
 
 
 @settings(max_examples=12, deadline=None)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -94,6 +95,38 @@ def test_marked_graph_json_round_trip():
     )
     g2 = MarkedGraph.from_obj(g.to_obj())
     assert g2.edges == g.edges and g2.vmarks == g.vmarks and g2.emarks == g.emarks
+
+
+PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]], "vmarks": [1, 0, 1],
+         "emarks": [{"u": 0, "v": 1, "yu": 1, "yv": 0}, {"u": 1, "v": 2, "yu": 0, "yv": 1}]}
+
+
+NOT_INTEGERS = [
+    (lambda o: o.update(vmarks=[1.5, True, 0]), "vmarks[0]"),
+    (lambda o: o.update(vmarks=[1, True, 0]), "vmarks[1]"),
+    (lambda o: o["emarks"][0].update(yu=0.9), "emarks[(0, 1)]"),
+    (lambda o: o["emarks"][1].update(yv=False), "emarks[(2, 1)]"),
+    (lambda o: o["emarks"][1].update(u=1.0), "emarks[(1.0, 2)]"),
+    (lambda o: o["edges"][1].__setitem__(0, True), "edges[1]"),
+    (lambda o: o.update(n=3.0), "n"),
+]
+
+
+@pytest.mark.parametrize("edit, field", NOT_INTEGERS, ids=[f for _, f in NOT_INTEGERS])
+def test_marked_graph_rejects_marks_and_endpoints_that_are_not_integers(edit, field):
+    # these used to be truncated: vmarks [1.5, true] became (1, 1), yu 0.9 became 0
+    obj = {**PATH3, "edges": [list(e) for e in PATH3["edges"]],
+           "emarks": [dict(r) for r in PATH3["emarks"]]}
+    edit(obj)
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer, not "):
+        MarkedGraph.from_obj(obj)
+
+
+def test_marked_graph_takes_numpy_integers():
+    g = MarkedGraph(np.int64(3), np.array([[0, 1], [1, 2]]), np.array([1, 0, 1]),
+                    {(np.int32(0), 1): np.uint8(1), (1, 0): 0, (1, 2): 0, (2, 1): np.int16(1)})
+    assert g.to_obj() == PATH3
+    assert {type(x) for x in (g.n, *g.vmarks, *g.emarks.values(), *g.edges[0])} == {int}
 
 
 def test_model_config_validation():

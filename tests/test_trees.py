@@ -8,7 +8,10 @@ reference to the canonical encoding, so it can vouch for it.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -408,6 +411,54 @@ def test_hash_and_equality_consistency():
         if t in seen:
             assert seen[t] == t.encoding
         seen[t] = t.encoding
+
+
+def test_trees_compare_and_hash_by_identity():
+    # interning makes equal trees one object, so identity is the equality
+    assert CanonicalTree.__eq__ is object.__eq__
+    assert CanonicalTree.__hash__ is object.__hash__
+    t = canon((0, [((1, 0), (2, [])), ((0, 0), (1, []))]))
+    assert canon((0, [((0, 0), (1, [])), ((1, 0), (2, []))])) is t
+    assert tree_from_obj(tree_to_obj(t)) is t
+    # no second object of a live tree can be made by copying or unpickling
+    for twin in (copy.copy, copy.deepcopy, lambda u: pickle.loads(pickle.dumps(u))):
+        with pytest.raises(TypeError):
+            twin(t)
+
+
+def _set_field(obj, field, value):
+    """Set ``value`` at a dotted path such as ``children[0].tree.mark``."""
+    *path, last = field.split(".")
+    for part in path:
+        name, _, index = part.partition("[")
+        obj = obj[name][int(index[:-1])] if index else obj[name]
+    obj[last] = value
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mark", True),
+    ("mark", 1.5),
+    ("children[0].ym_child", True),
+    ("children[0].ym_child", 1.0),
+    ("children[0].ym_root", 0.5),
+    ("children[0].tree.mark", False),
+    ("children[0].tree.mark", "1"),
+])
+def test_tree_from_obj_rejects_marks_that_are_not_integers(field, value):
+    # JSON `true` used to build a tree whose entry stores True, and 1.5 was
+    # reported as out of range
+    obj = tree_to_obj(canon((0, [((0, 0), (1, []))])))
+    _set_field(obj, field, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer, not "):
+        tree_from_obj(obj)
+
+
+def test_tree_from_obj_takes_numpy_integers():
+    obj = {"mark": np.int64(2), "children": [
+        {"ym_child": np.uint16(1), "ym_root": np.int32(0), "tree": {"mark": np.int8(3), "children": []}}]}
+    t = tree_from_obj(obj)
+    assert t is canon((2, [((1, 0), (3, []))]))
+    assert type(t.children[0][0][0]) is int
 
 
 def test_json_round_trip():
