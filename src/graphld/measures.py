@@ -111,6 +111,10 @@ class TreeMeasure:
     def __setattr__(self, name, value):
         raise AttributeError("TreeMeasure is immutable")
 
+    def __reduce__(self):
+        # through the constructor: the trees re-intern and the memo starts empty
+        return (TreeMeasure, (self.atoms, self.non_tree_mass, self.depth_bound))
+
     def _memoized(self, kind: str, h: int, build: Callable[[], object]):
         """The law ``kind`` of this measure at depth ``h``: ``build()`` on the
         first request, the stored result afterwards.  A raising ``build``
@@ -194,7 +198,7 @@ class TreeMeasure:
 
     def mean_degree(self) -> float:
         self._require_tree_support("mean_degree")
-        return math.fsum(t.root_degree * w for t, w in self.items())
+        return math.fsum(t.root_degree * w for t, w in self.atoms.items())
 
     def root_mark_law(self) -> Dict[int, float]:
         self._require_tree_support("root_mark_law")

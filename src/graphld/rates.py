@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -46,6 +47,9 @@ POISSON_TAIL = 1e-13
 POISSON_TABLE_LIMIT = 1 << 18
 # atoms of the largest explicit depth-1 star law; larger ones raise ValueError
 STAR_ATOM_LIMIT = 200_000
+# atoms of the largest one-step extension; larger ones raise ValueError before
+# any is built (the README's depth-3 chain needs 140 748)
+EXTENSION_ATOM_LIMIT = 1_000_000
 
 __all__ = [
     "GATE_TOL",
@@ -242,13 +246,37 @@ class ReferenceLaw:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ReferenceLaw":
-        deg = obj["degree"]
+        """Inverse of ``to_obj``.  A weight or mean that is a bool or not a
+        number, or a part of the law that is not the expected dict or list,
+        raises ValueError naming its path, such as ``degree.pmf["1"]`` or
+        ``nu[0]``."""
+        _of_type(obj, dict, "law")
+        deg = _of_type(obj["degree"], dict, "degree")
+        nu = [_as_number(w, f"nu[{i}]") for i, w in enumerate(_of_type(obj["nu"], list, "nu"))]
+        xi = [[_as_number(w, f"xi[{i}][{j}]") for j, w in enumerate(_of_type(row, list, f"xi[{i}]"))]
+              for i, row in enumerate(_of_type(obj["xi"], list, "xi"))]
         if deg["type"] == "fixed":
-            alpha = DegreeLaw({int(k): w for k, w in deg["pmf"].items()})
-            return cls.fixed_alpha(alpha, obj["nu"], obj["xi"])
+            pmf = _of_type(deg["pmf"], dict, "degree.pmf")
+            alpha = DegreeLaw({int(k): _as_number(w, f'degree.pmf["{k}"]') for k, w in pmf.items()})
+            return cls.fixed_alpha(alpha, nu, xi)
         if deg["type"] == "poisson":
-            return cls.poisson(deg["mean"], obj["nu"], obj["xi"])
+            return cls.poisson(_as_number(deg["mean"], "degree.mean"), nu, xi)
         raise ValueError(f"unknown degree law type {deg['type']!r}")
+
+
+def _of_type(value, kind: type, path: str):
+    """``value``, after checking that it is a ``kind``; else ValueError naming ``path``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
+def _as_number(value, path: str) -> float:
+    """``value`` as a float; a bool (JSON ``true``) or a value that is not a
+    real number raises ValueError naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{path} must be a number, not {value!r}")
+    return float(value)
 
 
 # ------------------------------------------------------- depth-1 reference pair
@@ -574,27 +602,43 @@ def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
         raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}")
     if rho.mean_degree() == 0:
         return TreeMeasure(rho.atoms, 0.0, h + 1)
+    projected = _extension_atoms(rho, h)
+    if projected > EXTENSION_ATOM_LIMIT:
+        raise ValueError(
+            f"one-step extension would need {projected} atoms (limit {EXTENSION_ATOM_LIMIT})"
+        )
     kernel = extension_kernel(rho, h)
     acc: Dict[CanonicalTree, List[float]] = {}
     for s, w in rho.items():
         if s.root_degree == 0:
             acc.setdefault(s, []).append(w)
             continue
-        options = []
-        backs = []
+        # per root child, its deeper entries with their kernel probabilities;
         # s has depth <= h, so these branches are its whole root subtrees
-        for branch, rest in branch_views(s, h - 1):
-            options.append(list(kernel.law(branch, rest).items()))
-            backs.append(rest.pendant_mark)
+        options = [[(((deeper.pendant_mark, rest.pendant_mark), deeper.tree), p)
+                    for deeper, p in kernel.law(branch, rest).items()]
+                   for branch, rest in branch_views(s, h - 1)]
         for combo in itertools.product(*options):
             wt = w
-            kids = []
-            for (deeper, p), yb in zip(combo, backs):
+            for _, p in combo:
                 wt *= p
-                kids.append(((deeper.pendant_mark, yb), deeper.tree))
-            t = CanonicalTree(s.mark, tuple(kids))
-            acc.setdefault(t, []).append(wt)
+            acc.setdefault(CanonicalTree(s.mark, tuple(entry for entry, _ in combo)), []).append(wt)
     return TreeMeasure({t: math.fsum(ws) for t, ws in acc.items()}, 0.0, h + 1)
+
+
+def _extension_atoms(rho: TreeMeasure, h: int) -> int:
+    """The number of atoms of ``one_step_extension(rho, h)``, from the kernel
+    alone: equal root entries of an atom have equal views, so a group of m of
+    them whose kernel law has k outcomes deepens to C(k+m-1, m) multisets,
+    and distinct atoms or groups never deepen to the same tree."""
+    laws = extension_kernel(rho, h)._laws
+    total = 0
+    for s in rho.atoms:
+        n = 1
+        for view, m in Counter(branch_views(s, h - 1)).items():
+            n *= math.comb(len(laws[view]) + m - 1, m)
+        total += n
+    return total
 
 
 def _cond_from_extension(rstar: TreeMeasure, pi, pistar, h: int) -> TreeMeasure:
@@ -910,8 +954,21 @@ def intermediate_rate(levels, beta: float, law: ReferenceLaw, ensemble: Optional
 def _log_factorial_sum(t: CanonicalTree) -> float:
     """Sum of log(m!) over the multiplicities m of equal depth-(h-1) cut views
     of the root children of a tree of depth <= h: two children have equal
-    views exactly when their entries in ``t.children`` are equal."""
-    return math.fsum(math.lgamma(c + 1) for c in Counter(t.children).values())
+    views exactly when their entries in ``t.children`` are equal, and equal
+    entries are adjacent in that sorted tuple, so each m is a run length.
+    Runs of one add log(1!) = 0 and are skipped."""
+    kids = t.children
+    terms = []
+    run = 1
+    for i in range(1, len(kids)):
+        if kids[i] == kids[i - 1]:
+            run += 1
+        elif run > 1:
+            terms.append(math.lgamma(run + 1))
+            run = 1
+    if run > 1:
+        terms.append(math.lgamma(run + 1))
+    return math.fsum(terms)
 
 
 def _combinatorial_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):

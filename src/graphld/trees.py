@@ -7,7 +7,8 @@ whose children are kept sorted under a fixed total order, so two labeled trees
 are isomorphic iff their canonical encodings are equal (marked AHU form).
 Trees are hash-consed: while a tree is alive, constructing an equal one
 returns that same object, so trees compare and hash by identity, and the
-truncations of a tree are computed once.
+truncations of a tree, and the remainders left by removing one of its root
+children, are computed once.
 """
 
 from __future__ import annotations
@@ -48,10 +49,13 @@ class CanonicalTree:
     equals that of a live tree returns the live tree, so equal trees are the
     same object, and equality and hashing are those of the object.  The
     compact byte encoding orders trees and keys the intern table;
-    ``truncate`` results are memoized in ``_trunc``.
+    ``truncate`` results are memoized in ``_trunc``, and ``branch_views``
+    keeps the tree less each of its root entries, as a remainder view, in
+    ``_rests``.  Copying or unpickling re-interns, so it returns the live
+    tree and carries no memo.
     """
 
-    __slots__ = ("mark", "children", "depth", "encoding", "_trunc", "__weakref__")
+    __slots__ = ("mark", "children", "depth", "encoding", "_trunc", "_rests", "__weakref__")
 
     def __new__(cls, mark: int, children: Tuple = ()) -> "CanonicalTree":
         return _interned(mark, tuple(sorted(children, key=_entry_key)))
@@ -61,6 +65,9 @@ class CanonicalTree:
 
     def __setattr__(self, name, value):
         raise AttributeError("CanonicalTree is immutable")
+
+    def __reduce__(self):
+        return (CanonicalTree, (self.mark, self.children))
 
     @property
     def root_degree(self) -> int:
@@ -88,9 +95,12 @@ def _interned(mark: int, kids: Tuple) -> CanonicalTree:
         raise ValueError(f"root degree {len(kids)} exceeds 65535")
     try:
         parts = [_HDR.pack(mark, len(kids))]
+        depth = 0
         for (yc, yr), sub in kids:
             parts.append(_HDR.pack(yc, yr))
             parts.append(sub.encoding)
+            if sub.depth >= depth:
+                depth = sub.depth + 1
     except struct.error:
         raise ValueError("mark index out of range") from None
     enc = b"".join(parts)
@@ -100,7 +110,6 @@ def _interned(mark: int, kids: Tuple) -> CanonicalTree:
     self = object.__new__(CanonicalTree)
     object.__setattr__(self, "mark", int(mark))
     object.__setattr__(self, "children", kids)
-    depth = 0 if not kids else 1 + max(sub.depth for _, sub in kids)
     object.__setattr__(self, "depth", depth)
     object.__setattr__(self, "encoding", enc)
     _INTERN[enc] = self
@@ -227,23 +236,43 @@ def branch_views(t: CanonicalTree, h: int) -> Tuple[Tuple[HalfEdgeTree, HalfEdge
     """Per root child, the pair (branch, remainder) of ``split_at_child``
     truncated at depth `h`, as a tuple.
 
-    The remainder is assembled from the children's depth-(h-1) truncations,
-    so the untruncated remainder is never built.  Truncation can reverse the
-    order of two children, so the truncated entries are sorted, once per call;
-    each remainder is that sorted tuple less one entry, which is still sorted
-    and needs no sort of its own.
+    For h >= 1 the remainder at child (pair, sub) is s = ``truncate(t, h)``
+    less its entry (pair, ``truncate(sub, h-1)``), so it is never built from
+    the untruncated remainder.  A tree keeps its remainders beside its
+    truncations: s maps each of its entries to s less that entry once, and
+    every deeper atom that truncates to s reads the same views.  A child of
+    depth below h is its own truncation, so its entry is looked up as is.
     """
-    cut = [(pair, truncate(sub, h - 1)) for pair, sub in t.children] if h > 0 else []
-    order = sorted(range(len(cut)), key=lambda i: _entry_key(cut[i]))
-    ranked = tuple(cut[i] for i in order)
-    rank = [0] * t.root_degree
-    for r, i in enumerate(order):
-        rank[i] = r
+    if h == 0:
+        leaf = _interned(t.mark, ())
+        return tuple((HalfEdgeTree(truncate(sub, 0), yc), HalfEdgeTree(leaf, yr))
+                     for (yc, yr), sub in t.children)
+    rests = _remainders(truncate(t, h))
     views = []
-    for ((yc, yr), sub), r in zip(t.children, rank):
-        rest = _interned(t.mark, ranked[:r] + ranked[r + 1:])
-        views.append((HalfEdgeTree(truncate(sub, h), yc), HalfEdgeTree(rest, yr)))
+    for entry in t.children:
+        pair, sub = entry
+        if sub.depth >= h:
+            entry = (pair, truncate(sub, h - 1))
+            sub = truncate(sub, h)
+        views.append((HalfEdgeTree(sub, pair[0]), rests[entry]))
     return tuple(views)
+
+
+def _remainders(s: CanonicalTree) -> Dict[tuple, HalfEdgeTree]:
+    """Each entry ((yc, yr), sub) of ``s.children`` mapped to the remainder
+    view: ``s`` less one copy of the entry, with pendant mark yr.  Built on
+    first use and kept as long as ``s`` lives."""
+    try:
+        return s._rests
+    except AttributeError:
+        kids = s.children
+        rests = {}
+        for i, entry in enumerate(kids):
+            if entry not in rests:
+                # removing one entry keeps the others in canonical order
+                rests[entry] = HalfEdgeTree(_interned(s.mark, kids[:i] + kids[i + 1:]), entry[0][1])
+        object.__setattr__(s, "_rests", rests)
+        return rests
 
 
 def count_branch_pairs(

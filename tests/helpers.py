@@ -1,7 +1,8 @@
 """Shared builders for tests: raw trees, exact reference laws, small forests,
 the per-vertex ball trees and message-passing views that graph views are
 checked against, the uncached derived laws that the memoized ones are checked
-against, the rejection sampler that conditional Monte Carlo is checked
+against, the sort-and-cut branch views and the Counter log-factorial sum that
+the run-based ones are checked against, the rejection sampler that conditional Monte Carlo is checked
 against, the per-leaf product that the Gibbs optimizer is checked against,
 and a runner for code that must start in a fresh interpreter."""
 
@@ -24,7 +25,7 @@ from graphld.gibbs import (
 )
 from graphld.measures import PairMeasure, TreeMeasure, is_admissible
 from graphld.samplers import integer_degree_counts
-from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child
+from graphld.trees import CanonicalTree, HalfEdgeTree, _entry_key, _interned, split_at_child, truncate
 
 
 def run_python(code, cwd=None, timeout=120, **env):
@@ -248,6 +249,29 @@ def oracle_branch_views(t, h):
         views.append((HalfEdgeTree(oracle_truncate(branch.tree, h), branch.pendant_mark),
                       HalfEdgeTree(oracle_truncate(rest.tree, h), rest.pendant_mark)))
     return views
+
+
+def sort_and_cut_branch_views(t, h):
+    """``branch_views`` as it was before remainders were kept on the truncation:
+    the truncated root entries are sorted once per call (truncation can
+    reverse the order of two children), and each remainder is that sorted
+    tuple less one entry, interned anew."""
+    cut = [(pair, truncate(sub, h - 1)) for pair, sub in t.children] if h > 0 else []
+    order = sorted(range(len(cut)), key=lambda i: _entry_key(cut[i]))
+    ranked = tuple(cut[i] for i in order)
+    rank = [0] * t.root_degree
+    for r, i in enumerate(order):
+        rank[i] = r
+    views = []
+    for ((yc, yr), sub), r in zip(t.children, rank):
+        rest = _interned(t.mark, ranked[:r] + ranked[r + 1:])
+        views.append((HalfEdgeTree(truncate(sub, h), yc), HalfEdgeTree(rest, yr)))
+    return tuple(views)
+
+
+def counter_log_factorial_sum(t):
+    """``rates._log_factorial_sum`` by hashing the root entries into a Counter."""
+    return math.fsum(math.lgamma(c + 1) for c in Counter(t.children).values())
 
 
 def oracle_truncated(m, h):

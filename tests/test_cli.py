@@ -200,6 +200,24 @@ def test_rate_er_without_kappa_structured_error(truth_fixture, tmp_path, capsys)
     assert err["error"]["type"] == "rate_error"
 
 
+@pytest.mark.parametrize("degree, message", [
+    ({"type": "fixed", "pmf": 3}, "degree.pmf must be a dict, not 3"),
+    ({"type": "fixed", "pmf": {"1": True}}, 'degree.pmf["1"] must be a number, not True'),
+], ids=["pmf-number", "pmf-true"])
+def test_rate_of_a_mistyped_law_is_bad_input(truth_fixture, tmp_path, degree, message, capsys):
+    # a pmf that is not a map used to end in an AttributeError traceback
+    # (exit 1), and JSON `true` was read as a weight of 1.0
+    _, chain_path = truth_fixture
+    law = json.dumps({"degree": degree, "nu": [1.0], "xi": [[1.0]]})
+    assert run("rate", "--input", chain_path, "--law", law,
+               "--report", tmp_path / "r.json") == 2
+    out = capsys.readouterr()
+    assert json.loads(out.out)["error"] == {"type": "bad_input",
+                                            "message": f"ValueError: {message}"}
+    assert out.err == ""
+    assert not (tmp_path / "r.json").exists()
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -314,6 +332,23 @@ def test_extend_exact_chain(tmp_path):
     assert levels[1].depth_bound == 2
     ref = extension_chain(law.materialize(), 2)
     assert levels[1] == ref.level(2)
+
+
+def test_extend_over_the_atom_limit_is_bad_input(tmp_path):
+    # its depth-2 extension would have 9.5e10 atoms; run in a child process
+    # so that a missing limit fails on the timeout instead of hanging the suite
+    law = ReferenceLaw.fixed_alpha({1: 0.3, 2: 0.3, 4: 0.4}, (0.5, 0.5),
+                                   ((0.25, 0.25), (0.25, 0.25)))
+    (tmp_path / "d1.json").write_text(json.dumps({"measure": law.materialize().to_obj()}))
+    res = run_python("import sys\nfrom graphld.cli import main\n"
+                     "sys.exit(main(['extend', '--input', 'd1.json', '--depth', '2',"
+                     " '--out', 'chain.json']))", tmp_path, timeout=30)
+    assert res.returncode == 2, res.stdout + res.stderr
+    err = json.loads(res.stdout)["error"]
+    assert err["type"] == "bad_input"
+    assert err["message"].endswith("atoms (limit 1000000)")
+    assert res.stderr == ""
+    assert not (tmp_path / "chain.json").exists()
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ transport sums on a distinguishing test function.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -39,7 +41,7 @@ from graphld.trees import CanonicalTree, HalfEdgeTree, random_labeling, split_at
 
 from helpers import (
     _pair_payload, canon_raw, component_law, eta1_exact, forest_component,
-    oracle_transport_violation, random_forest, star,
+    oracle_transport_violation, random_forest, run_python, star,
 )
 
 # ---------------------------------------------------------------- fixtures
@@ -134,6 +136,27 @@ def test_root_mark_law():
 def test_json_round_trip():
     m = TreeMeasure({PATH2: 0.5, S3: 0.25, LEAF1: 0.25})
     assert TreeMeasure.from_obj(m.to_obj()) == m
+
+
+def test_pickle_round_trip(tmp_path):
+    # unpickling used to fail: the trees had no constructor arguments, and a
+    # measure refused its own attributes
+    eta1 = ReferenceLaw.fixed_alpha(DegreeLaw({1: 0.5, 2: 0.5}), (0.4, 0.6),
+                                    ((0.1, 0.2), (0.3, 0.4))).materialize()
+    pair_measure(eta1, 1)
+    m = TreeMeasure({PATH2: 0.5, S3: 0.25, LEAF1: 0.25}, depth_bound=3)
+    for src in (m, eta1):
+        back = pickle.loads(pickle.dumps(src))
+        assert back == src and back.depth_bound == src.depth_bound
+        assert all(a is b for a, b in zip(back.atoms, src.atoms))
+        assert back._memo == {}
+    # a fresh interpreter re-interns the trees it loads
+    (tmp_path / "m.pickle").write_bytes(pickle.dumps(eta1))
+    res = run_python("import json, pickle\n"
+                     "m = pickle.load(open('m.pickle', 'rb'))\n"
+                     "print(json.dumps(m.to_obj(), sort_keys=True))", tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == json.loads(json.dumps(eta1.to_obj()))
 
 
 # ---------------------------------------------------------------- entropies

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -47,14 +49,16 @@ from graphld.rates import (
     vertex_only_rate,
 )
 from graphld.samplers import MarkedGraph, ModelConfig, make_rng
-from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child
+from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child, truncate
 
 from helpers import (
     canon_raw,
+    counter_log_factorial_sum,
     eta1_exact,
     half_edge_view,
     markov_product_measure,
     random_forest,
+    run_python,
     star,
 )
 
@@ -185,6 +189,33 @@ def test_reference_roundtrip_and_validation():
         ReferenceLaw.fixed_alpha(alpha, (0.5, 0.6), ((1.0,),))
     with pytest.raises(ValueError):
         ReferenceLaw.poisson(-1.0, (1.0,), ((1.0,),))
+
+
+GOOD_LAW = {"degree": {"type": "fixed", "pmf": {"1": 0.5, "3": 0.5}},
+            "nu": [0.5, 0.5], "xi": [[0.25, 0.25], [0.25, 0.25]]}
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda o: o["nu"].__setitem__(0, True), "nu[0]"),
+    (lambda o: o["xi"][1].__setitem__(0, True), "xi[1][0]"),
+    (lambda o: o["degree"]["pmf"].__setitem__("1", True), 'degree.pmf["1"]'),
+    (lambda o: o["nu"].__setitem__(1, "0.5"), "nu[1]"),
+    (lambda o: o["degree"].__setitem__("pmf", 3), "degree.pmf"),
+    (lambda o: o["degree"].__setitem__("pmf", None), "degree.pmf"),
+    (lambda o: o.__setitem__("nu", {"0": 1.0}), "nu"),
+    (lambda o: o["xi"].__setitem__(0, 0.5), "xi[0]"),
+    (lambda o: o.__setitem__("degree", [1]), "degree"),
+    (lambda o: o.__setitem__("degree", {"type": "poisson", "mean": True}), "degree.mean"),
+], ids=["nu-true", "xi-true", "pmf-true", "nu-string", "pmf-number", "pmf-null", "nu-dict",
+        "xi-row-number", "degree-list", "mean-true"])
+def test_reference_from_obj_names_the_mistyped_path(edit, path):
+    # JSON `true` used to be read as a weight of 1.0, and a pmf that is not
+    # a map raised AttributeError
+    obj = json.loads(json.dumps(GOOD_LAW))
+    edit(obj)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)} must be a "):
+        ReferenceLaw.from_obj(obj)
+    ReferenceLaw.from_obj(GOOD_LAW)
 
 
 @pytest.mark.parametrize("mean", [500.0, 1000.0])
@@ -558,6 +589,53 @@ def test_one_step_extension_degree_zero_passthrough():
     flat = TreeMeasure({LEAF: 1.0}, 0.0, 1)
     ext0 = one_step_extension(flat, 1)
     assert ext0.atoms == {LEAF: 1.0} and ext0.depth_bound == 2
+
+
+@pytest.mark.parametrize("alpha, nu, xi, sizes", [
+    ({1: 0.5, 3: 0.5}, (0.5, 0.5), ((1.0,),), (12, 256, 140748)),  # the README chain
+    ({1: 0.5, 2: 0.5}, (0.4, 0.6), ((0.1, 0.2), (0.3, 0.4)), (88, 5400)),
+    ({1: 0.5, 2: 0.5}, (0.2, 0.3, 0.5), ((1.0,),), (27, 270, 2457)),
+], ids=["readme", "d2", "d3"])
+def test_extension_atom_projection_is_the_built_count(alpha, nu, xi, sizes):
+    law = ReferenceLaw.fixed_alpha(DegreeLaw(alpha), nu, xi)
+    chain = extension_chain(law.materialize(), len(sizes))
+    assert tuple(len(chain.level(h)) for h in range(1, len(sizes) + 1)) == sizes
+    for h in range(1, len(sizes)):
+        assert rates._extension_atoms(chain.level(h), h) == sizes[h]
+    assert max(sizes) <= rates.EXTENSION_ATOM_LIMIT
+
+
+def test_extension_over_the_atom_limit_raises_before_building():
+    # 9.5e10 projected depth-2 atoms: this used to run for minutes and take
+    # gigabytes; a child process turns a missing limit into a timeout
+    res = run_python(
+        "import time\nfrom graphld import DegreeLaw, ReferenceLaw, extension_chain\n"
+        "law = ReferenceLaw.fixed_alpha(DegreeLaw({1: 0.3, 2: 0.3, 4: 0.4}), (0.5, 0.5),"
+        " ((0.25, 0.25), (0.25, 0.25)))\n"
+        "eta1 = law.materialize()\nstart = time.perf_counter()\n"
+        "try:\n    extension_chain(eta1, 2)\n"
+        "except ValueError as e:\n    print(time.perf_counter() - start, e)\n",
+        timeout=30)
+    assert res.returncode == 0, res.stderr
+    seconds, message = res.stdout.split(" ", 1)
+    assert message.strip() == "one-step extension would need 95074607340 atoms (limit 1000000)"
+    assert float(seconds) < 1.0
+
+
+ROOT_ENTRIES = st.lists(st.tuples(st.sampled_from([(0, 0), (0, 1), (1, 1)]),
+                                  st.integers(0, 2), st.integers(0, 2)), max_size=12)
+
+
+@given(ROOT_ENTRIES)
+@settings(max_examples=80, deadline=None)
+def test_log_factorial_sum_is_the_counter_sum_bit_for_bit(entries):
+    # children (pair, root of mark x with k leaves): truncation to depth 1
+    # merges children that differ only in their leaves into longer runs
+    t = CanonicalTree(0, tuple((pair, CanonicalTree(x, (((0, 0), LEAF),) * k))
+                               for pair, x, k in entries))
+    for h in range(t.depth + 1):
+        cut = truncate(t, h)
+        assert rates._log_factorial_sum(cut).hex() == counter_log_factorial_sum(cut).hex()
 
 
 def _mc_extension(rho, h, n_draws, rng):

@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphld.trees import (
     CanonicalTree,
@@ -32,7 +32,7 @@ from graphld.trees import (
     truncate,
 )
 
-from helpers import oracle_branch_views
+from helpers import oracle_branch_views, sort_and_cut_branch_views
 
 # ---------------------------------------------------------------- oracles
 
@@ -358,6 +358,27 @@ def test_branch_views_sort_children_that_truncation_reorders():
         assert rest.tree is C(t.mark, tuple(cut[:i] + cut[i + 1:]))
 
 
+# x < y, but their depth-1 truncations compare the other way round
+REORDER_X = (0, [((0, 0), (0, [((0, 0), (0, []))])), ((0, 0), (5, []))])
+REORDER_Y = (0, [((0, 0), (0, [((0, 0), (0, [])), ((0, 0), (0, []))])), ((0, 0), (3, []))])
+
+
+@given(raw_trees)
+@example((0, [((0, 0), REORDER_X), ((0, 0), REORDER_Y), ((1, 0), (2, []))]))
+@settings(max_examples=80, deadline=None)
+def test_branch_views_are_the_sort_and_cut_views(raw):
+    # the remainders kept on the truncation are the very trees that sorting
+    # the truncated entries and cutting one out interns, for h = 0,
+    # 1 <= h < depth and h >= depth
+    t = canon(raw)
+    for h in range(t.depth + 2):
+        got, want = branch_views(t, h), sort_and_cut_branch_views(t, h)
+        assert len(got) == len(want) == t.root_degree
+        for (branch, rest), (branch2, rest2) in zip(got, want):
+            assert branch.tree is branch2.tree and rest.tree is rest2.tree
+            assert (branch.pendant_mark, rest.pendant_mark) == (branch2.pendant_mark, rest2.pendant_mark)
+
+
 def test_count_branch_pairs_degree_zero():
     t = canon((0, []))
     leaf = HalfEdgeTree(t, 0)
@@ -420,10 +441,14 @@ def test_trees_compare_and_hash_by_identity():
     t = canon((0, [((1, 0), (2, [])), ((0, 0), (1, []))]))
     assert canon((0, [((0, 0), (1, [])), ((1, 0), (2, []))])) is t
     assert tree_from_obj(tree_to_obj(t)) is t
-    # no second object of a live tree can be made by copying or unpickling
+    # copying or unpickling re-interns, so it makes no second object of a
+    # live tree, and the memos of truncations and remainders stay behind
+    blob = pickle.dumps(t)
+    branch_views(t, 1)
+    truncate(t, 0)
+    assert pickle.dumps(t) == blob
     for twin in (copy.copy, copy.deepcopy, lambda u: pickle.loads(pickle.dumps(u))):
-        with pytest.raises(TypeError):
-            twin(t)
+        assert twin(t) is t
 
 
 def _set_field(obj, field, value):
