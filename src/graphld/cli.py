@@ -48,7 +48,7 @@ from .samplers import (
     sample_fe,
     sample_ugwt,
 )
-from .trees import branch_views, canonicalize
+from .trees import _as_number, _number_list, _of_type, branch_views, canonicalize
 
 DEFAULT_TOL = 1e-9
 
@@ -102,19 +102,20 @@ def _load_value(text: str):
         raise ValueError(f"cannot parse {text!r}: not a file or JSON literal") from None
 
 
+# A flag value of the wrong JSON type, or a weight that is JSON `true` or a
+# string, raises ValueError naming the flag, such as `--nu[0]`.
 def _parse_alpha(text: str) -> DegreeLaw:
-    obj = _load_value(text)
-    if not isinstance(obj, dict):
-        raise ValueError("alpha must be a JSON object mapping degree to weight")
-    return DegreeLaw({int(k): float(v) for k, v in obj.items()})
+    obj = _of_type(_load_value(text), dict, "--alpha")
+    return DegreeLaw({int(k): _as_number(v, f'--alpha["{k}"]') for k, v in obj.items()})
 
 
-def _parse_vector(text: str) -> Tuple[float, ...]:
-    return tuple(float(x) for x in _load_value(text))
+def _parse_vector(text: str, flag: str) -> Tuple[float, ...]:
+    return tuple(_number_list(_load_value(text), flag))
 
 
-def _parse_matrix(text: str) -> Tuple[Tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in _load_value(text))
+def _parse_matrix(text: str, flag: str) -> Tuple[Tuple[float, ...], ...]:
+    rows = _of_type(_load_value(text), list, flag)
+    return tuple(tuple(_number_list(row, f"{flag}[{i}]")) for i, row in enumerate(rows))
 
 
 def _load_levels(value) -> List[TreeMeasure]:
@@ -138,8 +139,8 @@ def _structured_error(message: str, kind: str) -> int:
 
 
 def cmd_sample(args) -> int:
-    nu = _parse_vector(args.nu)
-    xi = _parse_matrix(args.xi)
+    nu = _parse_vector(args.nu, "--nu")
+    xi = _parse_matrix(args.xi, "--xi")
     alpha = _parse_alpha(args.alpha) if args.alpha else None
     ens = args.ensemble.upper()
     config = _config(
@@ -320,8 +321,8 @@ def cmd_verify(args) -> int:
 
 def cmd_gibbs(args) -> int:
     alpha = _parse_alpha(args.alpha)
-    nu = _parse_vector(args.nu)
-    hfun = _parse_vector(args.hfun)
+    nu = _parse_vector(args.nu, "--nu")
+    hfun = _parse_vector(args.hfun, "--hfun")
     config = _config(args, "c", "delta", "n", "samples", "seed", nu=list(nu),
                      hfun=list(hfun), alpha={str(k): v for k, v in alpha.items()})
     if args.samples < 0:

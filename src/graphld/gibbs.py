@@ -16,13 +16,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .measures import DegreeLaw, TreeMeasure, _check_mark_laws, tv_distance
 from .rates import _star_law
 from .samplers import integer_degree_counts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GibbsProblem",
@@ -263,6 +264,10 @@ def brute_force_opt(problem: GibbsProblem) -> Tuple[Dict[Tuple[int, int], float]
     over the flattened gamma with per-degree row-sum equalities and the
     threshold as an inequality.  Small instances only; used as a test oracle.
     """
+    # here, so that importing graphld loads neither numpy nor scipy
+    import numpy as np
+    from scipy import optimize
+
     support = [(n, an) for n, an in problem.alpha.items() if an > 0]
     max_deg = max(n for n, _ in support)
     n_x = len(problem.nu)
@@ -314,7 +319,6 @@ def brute_force_opt(problem: GibbsProblem) -> Tuple[Dict[Tuple[int, int], float]
     else:
         t = 0.0
     start = (1 - t) * base + t * corner
-    from scipy import optimize  # here, so that importing graphld does not load scipy
     res = optimize.minimize(
         objective,
         start,
@@ -463,6 +467,8 @@ def _lattice(hvals: Sequence[float]) -> Tuple[Fraction, Fraction, List[int]]:
 
 def _compositions(c: int, k: int) -> np.ndarray:
     """All k-part compositions of c as rows of an (M, k) integer array."""
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     cuts = np.zeros((1, 0), dtype=np.int64)
     last = np.zeros(1, dtype=np.int64)
     for _ in range(k - 1):
@@ -477,6 +483,8 @@ def _compositions(c: int, k: int) -> np.ndarray:
 
 def _dilate(law: np.ndarray, d: int) -> np.ndarray:
     """Law of d * s from the law of s."""
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     if d == 0:
         return np.array([law.sum()])
     out = np.zeros(d * (len(law) - 1) + 1)
@@ -522,7 +530,7 @@ def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
     if cost > EXACT_TABLE_BUDGET:
         return None
 
-    from scipy import special  # here, so that importing graphld does not load scipy
+    import numpy as np  # here, so that importing graphld does not load numpy
     logp = np.log(np.array([problem.nu[x] for x in marks]))
     jv = np.array(j, dtype=np.int64)
     comps, weights, sums, laws = [], [], [], []
@@ -531,7 +539,8 @@ def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
         sv = kc @ jv
         order = np.argsort(sv, kind="stable")
         kc, sv = kc[order], sv[order]
-        w = np.exp(special.gammaln(c + 1) - special.gammaln(kc + 1).sum(axis=1) + kc @ logp)
+        lf = np.array([math.lgamma(i + 1) for i in range(c + 1)])  # log i!
+        w = np.exp(lf[c] - lf[kc].sum(axis=1) + kc @ logp)
         comps.append(kc)
         weights.append(w)
         sums.append(sv)
@@ -577,6 +586,8 @@ def _binomial_below(rng, samples: int, p: float, limit: int) -> int:
 
 def _sample_exact(law: _CountLaw, rng, samples, min_accepted, n_x):
     """Draw count, accepted count and accepted cell sums, rejection-free."""
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     mass = law.mass
     if min_accepted is None:
         draws, accepted = samples, int(rng.binomial(samples, mass))
@@ -647,6 +658,8 @@ def _sample_exact(law: _CountLaw, rng, samples, min_accepted, n_x):
 
 def _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted):
     """Draw count, accepted count and accepted cell sums by rejection."""
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     n_x = len(problem.nu)
     cell_sums: Dict[Tuple[int, int], float] = {
         (d, x): 0.0 for d, _ in classes for x in range(n_x)

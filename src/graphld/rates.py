@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -38,7 +37,7 @@ from .measures import (
     relative_entropy,
     tv_distance,
 )
-from .trees import CanonicalTree, HalfEdgeTree, branch_views
+from .trees import CanonicalTree, HalfEdgeTree, _as_number, _number_list, _of_type, branch_views
 
 GATE_TOL = 1e-9
 POISSON_TAIL = 1e-13
@@ -252,9 +251,8 @@ class ReferenceLaw:
         ``nu[0]``."""
         _of_type(obj, dict, "law")
         deg = _of_type(obj["degree"], dict, "degree")
-        nu = [_as_number(w, f"nu[{i}]") for i, w in enumerate(_of_type(obj["nu"], list, "nu"))]
-        xi = [[_as_number(w, f"xi[{i}][{j}]") for j, w in enumerate(_of_type(row, list, f"xi[{i}]"))]
-              for i, row in enumerate(_of_type(obj["xi"], list, "xi"))]
+        nu = _number_list(obj["nu"], "nu")
+        xi = [_number_list(row, f"xi[{i}]") for i, row in enumerate(_of_type(obj["xi"], list, "xi"))]
         if deg["type"] == "fixed":
             pmf = _of_type(deg["pmf"], dict, "degree.pmf")
             alpha = DegreeLaw({int(k): _as_number(w, f'degree.pmf["{k}"]') for k, w in pmf.items()})
@@ -262,21 +260,6 @@ class ReferenceLaw:
         if deg["type"] == "poisson":
             return cls.poisson(_as_number(deg["mean"], "degree.mean"), nu, xi)
         raise ValueError(f"unknown degree law type {deg['type']!r}")
-
-
-def _of_type(value, kind: type, path: str):
-    """``value``, after checking that it is a ``kind``; else ValueError naming ``path``."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{path} must be a {kind.__name__}, not {value!r}")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    """``value`` as a float; a bool (JSON ``true``) or a value that is not a
-    real number raises ValueError naming ``path``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{path} must be a number, not {value!r}")
-    return float(value)
 
 
 # ------------------------------------------------------- depth-1 reference pair

@@ -9,18 +9,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .measures import DegreeLaw, _check_mark_laws
-from .trees import LabeledTree, _as_index
+from .trees import LabeledTree, _as_index, _of_type
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CM_RESTARTS = 1000
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; distinct (seed, stream) pairs mod 2**64 are independent."""
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     # a uint64 array: a plain list would pass key words >= 2**63 through float64
     key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -126,11 +129,14 @@ class MarkedGraph:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MarkedGraph":
-        vmarks = obj.get("vmarks")
+        """Inverse of ``to_obj``; a graph or an ``emarks`` record that is not
+        a dict raises ValueError naming it, such as ``emarks[3]``."""
+        vmarks = _of_type(obj, dict, "graph").get("vmarks")
         emarks = None
         if vmarks is not None:
             emarks = {}
-            for rec in obj["emarks"]:
+            for i, rec in enumerate(_of_type(obj["emarks"], list, "emarks")):
+                _of_type(rec, dict, f"emarks[{i}]")
                 emarks[(rec["u"], rec["v"])] = rec["yu"]
                 emarks[(rec["v"], rec["u"])] = rec["yv"]
         return cls(obj["n"], [tuple(e) for e in obj["edges"]], vmarks, emarks)
@@ -289,6 +295,8 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator) -> MarkedGraph
     containing a self-loop or multi-edge restarts from scratch, which leaves
     the uniform law on simple realizations.
     """
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     counts = _degree_counts(cfg, n)
     if not _is_graphical(counts):
         raise ValueError("degree sequence is not graphical")
@@ -352,6 +360,8 @@ def assign_marks(g: MarkedGraph, nu: Sequence[float], xi, rng: np.random.Generat
     """I.i.d. vertex marks from nu; per edge an ordered pair from xi assigned
     to the two sides by a fair coin, so each directed pair has the symmetrized
     law (xi + xi^T) / 2."""
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     if g.is_marked:
         raise ValueError("graph is already marked")
     nu, xi = _check_mark_laws(nu, xi)
@@ -387,6 +397,8 @@ def sample_sized_biased_gw(offspring, nu, xi, depth: int, rng: np.random.Generat
     size-biased shifted law (k+1) q(k+1) / mean) or a float Poisson mean, for
     which the shifted law is again Poisson.
     """
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if isinstance(offspring, DegreeLaw):
@@ -433,6 +445,8 @@ def sample_sized_biased_gw(offspring, nu, xi, depth: int, rng: np.random.Generat
 
 def _draw_table(law):
     """(atoms, probabilities) of a tree measure, in encoding order."""
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     atoms, weights = zip(*law.items())
     p = np.asarray(weights) / math.fsum(weights)
     p.flags.writeable = False

@@ -13,6 +13,7 @@ children, are computed once.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import struct
 import weakref
@@ -350,3 +351,24 @@ def _as_index(value, field: str, *at) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{field.format(*at)} must be an integer, not {value!r}")
     return operator.index(value)
+
+
+def _of_type(value, kind: type, path: str):
+    """``value``, after checking that it is a ``kind``; else ValueError naming ``path``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
+def _as_number(value, path: str) -> float:
+    """``value`` as a float; a bool (JSON ``true``) or a value that is not a
+    real number raises ValueError naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{path} must be a number, not {value!r}")
+    return float(value)
+
+
+def _number_list(value, path: str) -> List[float]:
+    """``value``, a list of numbers, as floats; else ValueError naming
+    ``path`` or the entry ``path[i]``."""
+    return [_as_number(w, f"{path}[{i}]") for i, w in enumerate(_of_type(value, list, path))]

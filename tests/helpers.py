@@ -3,6 +3,7 @@ the per-vertex ball trees and message-passing views that graph views are
 checked against, the uncached derived laws that the memoized ones are checked
 against, the sort-and-cut branch views and the Counter log-factorial sum that
 the run-based ones are checked against, the rejection sampler that conditional Monte Carlo is checked
+against, the scipy log-gamma weights that its exact tables are checked
 against, the per-leaf product that the Gibbs optimizer is checked against,
 and a runner for code that must start in a fresh interpreter."""
 
@@ -17,7 +18,7 @@ import sys
 from collections import Counter, deque
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 import graphld
 from graphld.gibbs import (
@@ -428,6 +429,15 @@ def _assemble_mu_star(gamma, psi):
                 t = CanonicalTree(x, tuple(((0, 0), CanonicalTree(a)) for a in combo))
                 atoms[t] = atoms.get(t, 0.0) + wt
     return TreeMeasure(atoms, 0.0, 1)
+
+
+def gammaln_count_weights(law, nu):
+    """Per class of a ``gibbs._CountLaw``, the multinomial probabilities of
+    its mark-count vectors from ``scipy.special.gammaln``: the weights of the
+    exact tables before they read log-factorials from a ``math.lgamma`` table."""
+    logp = np.log(np.array([nu[x] for x in law.marks]))
+    return [np.exp(special.gammaln(c + 1) - special.gammaln(kc + 1).sum(axis=1) + kc @ logp)
+            for (_, c), kc in zip(law.classes, law.comps)]
 
 
 def rejection_conditional_mc(problem, n, samples, rng, delta=None,

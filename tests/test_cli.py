@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,28 @@ def test_sample_checks_the_mark_law_before_sampling(ensemble, flags, tmp_path, c
     err = json.loads(capsys.readouterr().out)["error"]
     assert err == {"type": "bad_input", "message": "ValueError: nu is not a probability vector"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("sample", "--alpha", '{"1": true}', '--alpha["1"] must be a number, not True'),
+    ("sample", "--nu", "[true]", "--nu[0] must be a number, not True"),
+    ("sample", "--xi", "[[true]]", "--xi[0][0] must be a number, not True"),
+    ("sample", "--xi", "[1.0]", "--xi[0] must be a list, not 1.0"),
+    ("gibbs", "--alpha", "[2]", "--alpha must be a dict, not [2]"),
+    ("gibbs", "--nu", '{"0": 1.0}', "--nu must be a list, not {'0': 1.0}"),
+    ("gibbs", "--hfun", '[0, "1"]', "--hfun[1] must be a number, not '1'"),
+], ids=["alpha-true", "nu-true", "xi-true", "xi-row", "alpha-list", "nu-dict", "hfun-str"])
+def test_a_flag_value_that_is_not_a_number_is_bad_input(command, flag, value, message,
+                                                         tmp_path, monkeypatch, capsys):
+    # float() used to read JSON `true` as 1.0, so these ran and wrote "nu": [1.0]
+    monkeypatch.chdir(tmp_path)
+    flags = dict(VALID_FLAGS[command], **{flag: value})
+    argv = [command] + (["--ensemble", "cm"] if command == "sample" else [])
+    argv += [f"{f}={v}" for f, v in flags.items()] + FIXED_FLAGS[command]
+    assert run(*argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "bad_input", "message": f"ValueError: {message}"}
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------- empirical
@@ -462,6 +485,27 @@ def test_empirical_of_a_mark_that_is_not_an_integer_is_bad_input(path3, edit, fi
     assert not (path3.parent / "bad_L.json").exists()
 
 
+@pytest.mark.parametrize("graph, message", [
+    (3, "graph must be a dict, not 3"),
+    (None, "graph must be a dict, not None"),
+    ([[0, 1]], "graph must be a dict, not [[0, 1]]"),
+    ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0], "emarks": 3},
+     "emarks must be a list, not 3"),
+    ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0], "emarks": [[0, 1, 0, 0]]},
+     "emarks[0] must be a dict, not [0, 1, 0, 0]"),
+], ids=["number", "null", "list", "emarks-number", "emarks-record-list"])
+def test_empirical_of_a_graph_of_the_wrong_type_is_bad_input(graph, message, tmp_path, capsys):
+    # these used to end in an AttributeError traceback and exit 1, the code of a verify FAIL
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"graph": graph}))
+    assert run("empirical", "--graph", path, "--out-prefix", tmp_path / "e") == 2
+    out = capsys.readouterr()
+    assert json.loads(out.out)["error"] == {"type": "bad_input",
+                                            "message": f"ValueError: {message}"}
+    assert out.err == ""
+    assert os.listdir(tmp_path) == ["g.json"]
+
+
 def test_rate_of_a_cyclic_depth2_measure_is_bad_input(tmp_path, capsys):
     # a U_2 with non-tree mass has no mean degree: `rate` without --beta
     # exits 2 with a bad_input error, as a non-tree depth-1 measure does
@@ -601,10 +645,10 @@ def test_gibbs_n_zero_is_mc_error(tmp_path, capsys):
 # ---------------------------------------------------------------- runtime imports
 
 
-def test_import_loads_neither_networkx_nor_scipy(tmp_path):
+def test_import_loads_no_numpy_scipy_or_networkx(tmp_path):
     res = run_python(
         "import sys, graphld, graphld.cli\n"
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))",
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'numpy', 'scipy'}))",
         tmp_path,
     )
     assert res.returncode == 0, res.stderr
@@ -641,6 +685,38 @@ PIPELINE = [
     ["gibbs", "--alpha", '{"2": 1.0}', "--nu", "[0.5, 0.5]", "--hfun", "[0, 1]", "--c", "1.5",
      "--n", "40", "--samples", "100000", "--seed", "1", "--out-prefix", "gibbs"],
 ]
+
+
+# per command: the module it runs without, the pipeline steps that write its
+# inputs, and its own step
+BLOCKED = {
+    "empirical": ("numpy", PIPELINE[:1], PIPELINE[1]),
+    "rate": ("numpy", PIPELINE[:2], PIPELINE[2]),
+    "extend": ("numpy", PIPELINE[:2], PIPELINE[3]),
+    "verify": ("numpy", PIPELINE[:2] + PIPELINE[3:4], PIPELINE[4]),
+    "gibbs": ("scipy", [], PIPELINE[6]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKED))
+def test_command_runs_without_the_module_it_does_not_use(command, tmp_path, monkeypatch):
+    # a module set to None in sys.modules cannot be imported: the command
+    # must not need it, and writes the bytes it writes with it
+    module, setup, argv = BLOCKED[command]
+    ref, blocked = tmp_path / "ref", tmp_path / "blocked"
+    ref.mkdir()
+    monkeypatch.chdir(ref)
+    for step in setup:
+        assert run(*step) == 0
+    shutil.copytree(ref, blocked)
+    inputs = set(os.listdir(ref))
+    assert run(*argv) == 0
+    res = run_python(f"import sys\nsys.modules[{module!r}] = None\n"
+                     f"from graphld.cli import main\nsys.exit(main({argv!r}))", blocked)
+    assert res.returncode == 0, res.stdout + res.stderr
+    files = {p.name: p.read_bytes() for p in ref.iterdir()}
+    assert set(files) > inputs
+    assert {p.name: p.read_bytes() for p in blocked.iterdir()} == files
 
 
 def test_pipeline_artifacts_independent_of_the_process(tmp_path):

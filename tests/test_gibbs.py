@@ -35,7 +35,9 @@ from graphld.measures import DegreeLaw, TreeMeasure, relative_entropy, tv_distan
 from graphld.rates import ReferenceLaw, nbd_rate
 from graphld.samplers import ModelConfig, integer_degree_counts, make_rng
 
-from helpers import _assemble_mu_star, rejection_conditional_mc, run_python, star
+from helpers import (
+    _assemble_mu_star, gammaln_count_weights, rejection_conditional_mc, run_python, star,
+)
 
 LAM_STAR = math.log(3.0) / 2.0
 V_STAR = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
@@ -568,6 +570,22 @@ def test_compositions_enumerate_once():
 
 GENERIC_3MARK = GibbsProblem(DegreeLaw({1: 0.5, 3: 0.5}), (1 / 3, 1 / 3, 1 / 3),
                              (0.0, 1.0, 2.0), 2.6, 0.05)
+
+
+@pytest.mark.parametrize("p, n", [
+    (canonical_problem(), 20),
+    (canonical_problem(), 80),
+    (GENERIC_3MARK, 20),
+    (GENERIC_3MARK, 40),
+], ids=["c07-20", "c07-80", "generic-20", "generic-40"])
+def test_count_law_weights_match_the_gammaln_oracle(p, n):
+    # the log-factorial table sums the same terms as scipy's gammaln, each
+    # rounded differently: the weights agree to rounding
+    law = gibbs._count_law(p, degree_classes(p, n), n, p.c - p.delta)
+    oracle = gammaln_count_weights(law, p.nu)
+    assert len(law.weights) == len(oracle) == len(law.classes)
+    for w, ref in zip(law.weights, oracle):
+        np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("p, n", [
