@@ -24,6 +24,7 @@ from .measures import (
     DegreeLaw,
     DepthChain,
     TreeMeasure,
+    _fsum_by,
     is_admissible,
     mtp_check,
     pair_measure,
@@ -48,7 +49,7 @@ from .samplers import (
     sample_fe,
     sample_ugwt,
 )
-from .trees import _as_number, _number_list, _of_type, branch_views, canonicalize
+from .trees import _number_list, _of_type, branch_views, canonicalize
 
 DEFAULT_TOL = 1e-9
 
@@ -103,12 +104,8 @@ def _load_value(text: str):
 
 
 # A flag value of the wrong JSON type, or a weight that is JSON `true` or a
-# string, raises ValueError naming the flag, such as `--nu[0]`.
-def _parse_alpha(text: str) -> DegreeLaw:
-    obj = _of_type(_load_value(text), dict, "--alpha")
-    return DegreeLaw({int(k): _as_number(v, f'--alpha["{k}"]') for k, v in obj.items()})
-
-
+# string, raises ValueError naming the flag, such as `--nu[0]`; --alpha is
+# read by `DegreeLaw.from_obj`, which also refuses non-canonical degree keys.
 def _parse_vector(text: str, flag: str) -> Tuple[float, ...]:
     return tuple(_number_list(_load_value(text), flag))
 
@@ -141,11 +138,11 @@ def _structured_error(message: str, kind: str) -> int:
 def cmd_sample(args) -> int:
     nu = _parse_vector(args.nu, "--nu")
     xi = _parse_matrix(args.xi, "--xi")
-    alpha = _parse_alpha(args.alpha) if args.alpha else None
+    alpha = DegreeLaw.from_obj(_load_value(args.alpha), "--alpha") if args.alpha else None
     ens = args.ensemble.upper()
     config = _config(
         args, "n", "kappa", "m", "seed", ensemble=ens, nu=list(nu), xi=[list(r) for r in xi],
-        alpha=None if alpha is None else {str(k): v for k, v in alpha.items()},
+        alpha=None if alpha is None else alpha.to_obj(),
     )
     if ens == "CM" and alpha is None:
         return _structured_error("CM sampling needs --alpha", "bad_config")
@@ -238,12 +235,8 @@ def cmd_rate(args) -> int:
 
 def _pair_from_size_bias(level: TreeMeasure, h: int):
     """Pair law reassembled from the size-biased law with a uniform child cut."""
-    sb = size_bias(level)
-    acc: Dict[Tuple, List[float]] = {}
-    for t, w in sb.items():
-        for key in branch_views(t, h - 1):
-            acc.setdefault(key, []).append(w / t.root_degree)
-    return {k: math.fsum(ws) for k, ws in acc.items()}
+    return _fsum_by((key, w / t.root_degree)
+                    for t, w in size_bias(level).items() for key in branch_views(t, h - 1))
 
 
 def cmd_verify(args) -> int:
@@ -320,11 +313,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha = DegreeLaw.from_obj(_load_value(args.alpha), "--alpha")
     nu = _parse_vector(args.nu, "--nu")
     hfun = _parse_vector(args.hfun, "--hfun")
     config = _config(args, "c", "delta", "n", "samples", "seed", nu=list(nu),
-                     hfun=list(hfun), alpha={str(k): v for k, v in alpha.items()})
+                     hfun=list(hfun), alpha=alpha.to_obj())
     if args.samples < 0:
         raise ValueError(f"--samples {args.samples} is negative")
     try:
@@ -348,17 +341,15 @@ def cmd_gibbs(args) -> int:
     except (ValueError, RuntimeError) as e:
         return _structured_error(str(e), "mc_error")
     mc_path = f"{args.out_prefix}_mc.csv"
+    # the scalar fields in their order, then the "joint:d,x" and "leaf:x" cells
     rows: List[List] = [["key", "value"]]
-    obj = rep.to_obj()
-    for key in ("n", "delta", "threshold", "draws", "accepted",
-                "acceptance_rate", "joint_tv", "joint_se", "leaf_tv",
-                "leaf_se", "degree_marginal_exact", "fast_path",
-                "exact_joint_tv", "exact_leaf_tv"):
-        rows.append([key, repr(obj[key])])
-    for cell, w in sorted(rep.joint_emp.items()):
-        rows.append([f"joint:{cell[0]},{cell[1]}", repr(w)])
-    for x, w in sorted(rep.leaf_emp.items()):
-        rows.append([f"leaf:{x}", repr(w)])
+    cells: List[List] = []
+    for key, value in rep.to_obj().items():
+        if isinstance(value, dict):
+            cells += [[f"{key.removesuffix('_emp')}:{k}", repr(w)] for k, w in value.items()]
+        else:
+            rows.append([key, repr(value)])
+    rows += cells
     _write_csv(mc_path, rows, config)
     print(f"accepted={rep.accepted} acceptance_rate={rep.acceptance_rate!r} "
           f"joint_tv={rep.joint_tv!r}")

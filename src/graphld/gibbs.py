@@ -138,29 +138,29 @@ def g_of_lambda(problem: GibbsProblem, lam: float) -> float:
     """
     total = []
     for n, an in problem.alpha.items():
-        if an == 0 or n == 0:
+        if n == 0:
             continue
-        logs = [
-            (math.log(w) + lam * n * v, v)
-            for w, v in zip(problem.nu, problem.hfun)
-            if w > 0
-        ]
-        m = max(lw for lw, _ in logs)
-        z = math.fsum(math.exp(lw - m) for lw, _ in logs)
-        num = math.fsum(v * math.exp(lw - m) for lw, v in logs)
+        raw, z = _tilted(problem, lam, n)
+        num = math.fsum(v * r for w, v, r in zip(problem.nu, problem.hfun, raw) if w > 0)
         total.append(n * an * num / z)
     return math.fsum(total)
 
 
-def _tilted_row(problem: GibbsProblem, lam: float, n: int) -> List[float]:
-    """Conditional mark law at degree n under the lambda tilt, mass exactly 1."""
+def _tilted(problem: GibbsProblem, lam: float, n: int) -> Tuple[List[float], float]:
+    """The mark weights nu(x) * exp(lambda * n * h(x)) at degree n, scaled so
+    that the largest is 1.0 (0.0 where nu(x) = 0), and their fsum."""
     logs = [
         math.log(w) + lam * n * v if w > 0 else -math.inf
         for w, v in zip(problem.nu, problem.hfun)
     ]
     m = max(logs)
     raw = [math.exp(lw - m) for lw in logs]
-    z = math.fsum(raw)
+    return raw, math.fsum(raw)
+
+
+def _tilted_row(problem: GibbsProblem, lam: float, n: int) -> List[float]:
+    """Conditional mark law at degree n under the lambda tilt, mass exactly 1."""
+    raw, z = _tilted(problem, lam, n)
     p = [r / z for r in raw]
     top = max(range(len(p)), key=p.__getitem__)
     p[top] = 1.0 - math.fsum(v for i, v in enumerate(p) if i != top)
@@ -188,12 +188,13 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
         )
     hi = 1.0
     samples = [g0]
-    while g_of_lambda(problem, hi) <= problem.c:
+    while True:
         samples.append(g_of_lambda(problem, hi))
+        if samples[-1] > problem.c:
+            break
         hi *= 2.0
         if hi > BRACKET_MAX:
             raise RuntimeError("bracket failure: g(lambda) did not reach c")
-    samples.append(g_of_lambda(problem, hi))
     monotone = all(b >= a - 1e-12 for a, b in zip(samples, samples[1:]))
     lo = 0.0
     for _ in range(200):
@@ -219,7 +220,7 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
     mass = math.fsum(raw_psi.values())
     psi = {x: v / mass for x, v in raw_psi.items() if v > 0}
     value = math.fsum(
-        w * math.log(w / (dict(problem.alpha.items())[n] * problem.nu[x]))
+        w * math.log(w / (problem.alpha.pmf(n) * problem.nu[x]))
         for (n, x), w in gamma.items()
         if w > 0
     )
@@ -277,7 +278,7 @@ def brute_force_opt(problem: GibbsProblem) -> Tuple[Dict[Tuple[int, int], float]
         )
     cells = [(n, x) for n, _ in support for x in range(n_x)]
     base = np.array(
-        [dict(problem.alpha.items())[n] * problem.nu[x] for n, x in cells]
+        [problem.alpha.pmf(n) * problem.nu[x] for n, x in cells]
     )
     nh = np.array([n * problem.hfun[x] for n, x in cells])
 

@@ -16,6 +16,9 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from .trees import (
     CanonicalTree,
     HalfEdgeTree,
+    _Frozen,
+    _as_number,
+    _of_type,
     branch_views,
     tree_from_obj,
     tree_to_obj,
@@ -52,6 +55,16 @@ def _clean_weights(weights: Mapping, what: str, non_tree_mass: float = 0.0) -> D
     return clean
 
 
+def _fsum_by(pairs: Iterable[Tuple[object, float]]) -> Dict:
+    """Per key of the (key, weight) ``pairs``, the ``math.fsum`` of its
+    weights, with keys in first-seen order; being correctly rounded, each sum
+    has the same bits for every order of the pairs."""
+    acc: Dict = {}
+    for key, w in pairs:
+        acc.setdefault(key, []).append(w)
+    return {key: math.fsum(ws) for key, ws in acc.items()}
+
+
 def _is_probability(weights: List[float]) -> bool:
     return (
         bool(weights)
@@ -76,7 +89,7 @@ def _check_mark_laws(nu, xi=None):
     return nu, xi
 
 
-class TreeMeasure:
+class TreeMeasure(_Frozen):
     """A probability measure on canonical trees of depth at most ``depth_bound``.
 
     ``non_tree_mass`` holds probability carried by non-tree (cyclic) sample
@@ -107,9 +120,6 @@ class TreeMeasure:
         object.__setattr__(self, "non_tree_mass", non_tree_mass)
         object.__setattr__(self, "depth_bound", int(depth_bound))
         object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeMeasure is immutable")
 
     def __reduce__(self):
         # through the constructor: the trees re-intern and the memo starts empty
@@ -174,16 +184,8 @@ class TreeMeasure:
         over.  Computed once per ``h``."""
         if h >= self.depth_bound:
             return self
-
-        def build():
-            acc: Dict[CanonicalTree, List[float]] = {}
-            for t, w in self.atoms.items():
-                acc.setdefault(truncate(t, h), []).append(w)
-            return TreeMeasure(
-                {t: math.fsum(ws) for t, ws in acc.items()}, self.non_tree_mass, h
-            )
-
-        return self._memoized("truncated", h, build)
+        return self._memoized("truncated", h, lambda: TreeMeasure(
+            _fsum_by((truncate(t, h), w) for t, w in self.atoms.items()), self.non_tree_mass, h))
 
     def _require_tree_support(self, op: str) -> None:
         if self.non_tree_mass > MASS_TOL:
@@ -191,10 +193,7 @@ class TreeMeasure:
 
     def degree_law(self) -> "DegreeLaw":
         self._require_tree_support("degree_law")
-        acc: Dict[int, List[float]] = {}
-        for t, w in self.atoms.items():
-            acc.setdefault(t.root_degree, []).append(w)
-        return DegreeLaw({k: math.fsum(ws) for k, ws in acc.items()})
+        return DegreeLaw(_fsum_by((t.root_degree, w) for t, w in self.atoms.items()))
 
     def mean_degree(self) -> float:
         self._require_tree_support("mean_degree")
@@ -202,10 +201,7 @@ class TreeMeasure:
 
     def root_mark_law(self) -> Dict[int, float]:
         self._require_tree_support("root_mark_law")
-        acc: Dict[int, List[float]] = {}
-        for t, w in self.atoms.items():
-            acc.setdefault(t.mark, []).append(w)
-        return {x: math.fsum(ws) for x, ws in sorted(acc.items())}
+        return dict(sorted(_fsum_by((t.mark, w) for t, w in self.atoms.items()).items()))
 
     def to_obj(self) -> dict:
         return {
@@ -223,16 +219,13 @@ class TreeMeasure:
         )
 
 
-class PairMeasure:
+class PairMeasure(_Frozen):
     """A probability measure on ordered pairs of half-edge trees."""
 
     __slots__ = ("atoms",)
 
     def __init__(self, atoms: Mapping[Tuple[HalfEdgeTree, HalfEdgeTree], float]) -> None:
         object.__setattr__(self, "atoms", _clean_weights(atoms, "pair measure"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairMeasure is immutable")
 
     def get(self, a: HalfEdgeTree, b: HalfEdgeTree) -> float:
         return self.atoms.get((a, b), 0.0)
@@ -257,7 +250,7 @@ class PairMeasure:
         return defect
 
 
-class DegreeLaw:
+class DegreeLaw(_Frozen):
     """A probability law on nonnegative integer degrees."""
 
     __slots__ = ("probs",)
@@ -268,9 +261,6 @@ class DegreeLaw:
                 raise ValueError(f"bad degree {k!r}")
         clean = _clean_weights(probs, "degree law")
         object.__setattr__(self, "probs", {int(k): w for k, w in clean.items()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DegreeLaw is immutable")
 
     def pmf(self, k: int) -> float:
         return self.probs.get(k, 0.0)
@@ -287,8 +277,25 @@ class DegreeLaw:
     def __eq__(self, other) -> bool:
         return isinstance(other, DegreeLaw) and self.probs == other.probs
 
+    def to_obj(self) -> Dict[str, float]:
+        """The law as a JSON object from each degree, in decimal, to its weight."""
+        return {str(k): w for k, w in self.items()}
 
-class DepthChain:
+    @classmethod
+    def from_obj(cls, obj, path: str) -> "DegreeLaw":
+        """Inverse of ``to_obj``.  A key that is not the canonical decimal
+        spelling of a nonnegative integer (such as "02", "+2", " 2" or "0_2"),
+        a weight that is a bool or not a number, or an ``obj`` that is not a
+        dict raises ValueError naming ``path`` or the entry ``path["k"]``."""
+        probs = {}
+        for k, w in _of_type(obj, dict, path).items():
+            if not (isinstance(k, str) and k.isascii() and k.isdigit() and str(int(k)) == k):
+                raise ValueError(f"{path} key {k!r} is not a degree in canonical decimal form")
+            probs[int(k)] = _as_number(w, f'{path}["{k}"]')
+        return cls(probs)
+
+
+class DepthChain(_Frozen):
     """A consistent family (rho_1, ..., rho_H) of depth-h measures.
 
     ``levels[h-1]`` is the depth-h law.  ``extension_exact`` records that
@@ -308,9 +315,6 @@ class DepthChain:
                 raise ValueError(f"level {h} has depth_bound {m.depth_bound}")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "extension_exact", bool(extension_exact))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DepthChain is immutable")
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -397,14 +401,8 @@ def _pair_weights(u: TreeMeasure, h: int) -> Dict[Tuple[HalfEdgeTree, HalfEdgeTr
     """Per pair of depth-(h-1) cut views, the u-mass of root children cut to it
     (memoized on ``u``: read, do not mutate)."""
 
-    def build():
-        acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], List[float]] = {}
-        for t, w in u.atoms.items():
-            for key in branch_views(t, h - 1):
-                acc.setdefault(key, []).append(w)
-        return {k: math.fsum(ws) for k, ws in acc.items()}
-
-    return u._memoized("pair_weights", h, build)
+    return u._memoized("pair_weights", h, lambda: _fsum_by(
+        (key, w) for t, w in u.atoms.items() for key in branch_views(t, h - 1)))
 
 
 def pair_measure(rho: TreeMeasure, h: Optional[int] = None) -> PairMeasure:
@@ -441,13 +439,8 @@ def pair_marginals(p: PairMeasure):
     The disintegration identity p(a, b) = second(b) * cond[b][a] holds exactly
     on atoms.
     """
-    first_acc: Dict[HalfEdgeTree, List[float]] = {}
-    second_acc: Dict[HalfEdgeTree, List[float]] = {}
-    for (a, b), w in p.atoms.items():
-        first_acc.setdefault(a, []).append(w)
-        second_acc.setdefault(b, []).append(w)
-    first = {a: math.fsum(ws) for a, ws in first_acc.items()}
-    second = {b: math.fsum(ws) for b, ws in second_acc.items()}
+    first = _fsum_by((a, w) for (a, _), w in p.atoms.items())
+    second = _fsum_by((b, w) for (_, b), w in p.atoms.items())
     cond: Dict[HalfEdgeTree, Dict[HalfEdgeTree, float]] = {b: {} for b in second}
     for (a, b), w in p.atoms.items():
         cond[b][a] = w / second[b]

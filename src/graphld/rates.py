@@ -21,7 +21,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .measures import (
     MASS_TOL,
@@ -30,6 +30,8 @@ from .measures import (
     PairMeasure,
     TreeMeasure,
     _check_mark_laws,
+    _fsum_by,
+    _pair_weights,
     entropy,
     is_admissible,
     pair_marginals,
@@ -37,7 +39,8 @@ from .measures import (
     relative_entropy,
     tv_distance,
 )
-from .trees import CanonicalTree, HalfEdgeTree, _as_number, _number_list, _of_type, branch_views
+from .trees import (CanonicalTree, HalfEdgeTree, _Frozen, _as_number, _number_list, _of_type,
+                    branch_views)
 
 GATE_TOL = 1e-9
 POISSON_TAIL = 1e-13
@@ -109,7 +112,7 @@ def matching_entropy_sum(intensity: Dict[Tuple[int, int], float]) -> float:
 # ---------------------------------------------------------------- reference law
 
 
-class ReferenceLaw:
+class ReferenceLaw(_Frozen):
     """The i.i.d.-marks reference law on depth-1 stars.
 
     The root degree follows either a fixed finite law or a Poisson law
@@ -117,12 +120,14 @@ class ReferenceLaw:
     ``neglected_tail``; a table longer than ``POISSON_TABLE_LIMIT`` entries
     raises ValueError before it is built); vertex marks are i.i.d. ``nu``
     and each edge carries an ordered mark pair with the symmetrized law
-    ``xibar``.
+    ``xibar``.  A fixed ``alpha`` that is not a ``DegreeLaw``, such as a
+    dict from degree to weight, is checked by passing it to ``DegreeLaw``.
     """
 
     __slots__ = ("alpha", "poisson_mean", "nu", "xi", "xibar", "degree_pmf", "neglected_tail")
 
-    def __init__(self, nu, xi, alpha: Optional[DegreeLaw] = None, poisson_mean: Optional[float] = None):
+    def __init__(self, nu, xi, alpha: Union[DegreeLaw, Mapping[int, float], None] = None,
+                 poisson_mean: Optional[float] = None):
         if (alpha is None) == (poisson_mean is None):
             raise ValueError("exactly one of alpha and poisson_mean is required")
         nu, xi = _check_mark_laws(nu, xi)
@@ -131,6 +136,8 @@ class ReferenceLaw:
             tuple((xi[y][yp] + xi[yp][y]) / 2.0 for yp in range(k)) for y in range(k)
         )
         if alpha is not None:
+            if not isinstance(alpha, DegreeLaw):
+                alpha = DegreeLaw(alpha)
             pmf = dict(alpha.items())
             tail = 0.0
         else:
@@ -171,11 +178,8 @@ class ReferenceLaw:
         object.__setattr__(self, "degree_pmf", pmf)
         object.__setattr__(self, "neglected_tail", max(tail, 0.0))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ReferenceLaw is immutable")
-
     @classmethod
-    def fixed_alpha(cls, alpha: DegreeLaw, nu, xi) -> "ReferenceLaw":
+    def fixed_alpha(cls, alpha: Union[DegreeLaw, Mapping[int, float]], nu, xi) -> "ReferenceLaw":
         return cls(nu, xi, alpha=alpha)
 
     @classmethod
@@ -238,7 +242,7 @@ class ReferenceLaw:
     def to_obj(self) -> dict:
         obj = {"nu": list(self.nu), "xi": [list(r) for r in self.xi]}
         if self.alpha is not None:
-            obj["degree"] = {"type": "fixed", "pmf": {str(k): w for k, w in self.alpha.items()}}
+            obj["degree"] = {"type": "fixed", "pmf": self.alpha.to_obj()}
         else:
             obj["degree"] = {"type": "poisson", "mean": self.poisson_mean}
         return obj
@@ -246,17 +250,15 @@ class ReferenceLaw:
     @classmethod
     def from_obj(cls, obj: dict) -> "ReferenceLaw":
         """Inverse of ``to_obj``.  A weight or mean that is a bool or not a
-        number, or a part of the law that is not the expected dict or list,
-        raises ValueError naming its path, such as ``degree.pmf["1"]`` or
-        ``nu[0]``."""
+        number, a degree key that is not in canonical decimal form, or a part
+        of the law that is not the expected dict or list, raises ValueError
+        naming its path, such as ``degree.pmf["1"]`` or ``nu[0]``."""
         _of_type(obj, dict, "law")
         deg = _of_type(obj["degree"], dict, "degree")
         nu = _number_list(obj["nu"], "nu")
         xi = [_number_list(row, f"xi[{i}]") for i, row in enumerate(_of_type(obj["xi"], list, "xi"))]
         if deg["type"] == "fixed":
-            pmf = _of_type(deg["pmf"], dict, "degree.pmf")
-            alpha = DegreeLaw({int(k): _as_number(w, f'degree.pmf["{k}"]') for k, w in pmf.items()})
-            return cls.fixed_alpha(alpha, nu, xi)
+            return cls.fixed_alpha(DegreeLaw.from_obj(deg["pmf"], "degree.pmf"), nu, xi)
         if deg["type"] == "poisson":
             return cls.poisson(_as_number(deg["mean"], "degree.mean"), nu, xi)
         raise ValueError(f"unknown degree law type {deg['type']!r}")
@@ -509,7 +511,7 @@ def vertex_only_rate(beta: float, law: ReferenceLaw, mu: TreeMeasure) -> float:
 # ------------------------------------------------------------ depth extension
 
 
-class ExtensionKernel:
+class ExtensionKernel(_Frozen):
     """Conditional laws of the one-step-deeper half-edge view across a root edge.
 
     For a size-biased tree and a uniformly chosen root neighbor, this is the
@@ -528,30 +530,22 @@ class ExtensionKernel:
         beta = rho.mean_degree()
         if beta <= 0:
             raise ValueError("degenerate kernel: mean degree is 0")
-        acc: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], Dict[HalfEdgeTree, List[float]]] = {}
-        for s, w in rho.items():
-            for branch, rest in branch_views(s, h):
-                cell = acc.setdefault((rest.truncated(h - 1), branch), {})
-                cell.setdefault(rest, []).append(w)
-        # the cells' total masses over beta are pair_measure(rho, h), bit for bit
-        pi = PairMeasure({
-            (branch, prior): math.fsum(w for ws in cand.values() for w in ws) / beta
-            for (prior, branch), cand in acc.items()
-        })
-        ok, defect = is_admissible(pi)
+        # the masses of (branch, depth-h remainder) pairs, each candidate
+        # remainder filed under its cell: its depth-(h-1) cut and the branch
+        cells: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], Dict[HalfEdgeTree, float]] = {}
+        for (branch, rest), w in _pair_weights(rho, h + 1).items():
+            cells.setdefault((rest.truncated(h - 1), branch), {})[rest] = w
+        totals = {key: math.fsum(cand.values()) for key, cand in cells.items()}
+        # the cells' masses over beta are pair_measure(rho, h) up to rounding
+        ok, defect = is_admissible(PairMeasure(
+            {(branch, prior): m / beta for (prior, branch), m in totals.items()}))
         if not ok:
             raise ValueError(f"input law is inadmissible (asymmetry {defect:.3g})")
-        laws = {}
-        for key, cand in acc.items():
-            sums = {c: math.fsum(ws) for c, ws in cand.items()}
-            total = math.fsum(sums.values())
-            laws[key] = {c: v / total for c, v in sorted(sums.items(), key=lambda kv: kv[0].sort_key)}
+        laws = {key: {c: cand[c] / totals[key] for c in sorted(cand, key=lambda c: c.sort_key)}
+                for key, cand in cells.items()}
         object.__setattr__(self, "h", int(h))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "_laws", laws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtensionKernel is immutable")
 
     def cells(self) -> List[Tuple[HalfEdgeTree, HalfEdgeTree]]:
         return sorted(self._laws, key=lambda k: (k[0].sort_key, k[1].sort_key))
@@ -591,22 +585,20 @@ def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
             f"one-step extension would need {projected} atoms (limit {EXTENSION_ATOM_LIMIT})"
         )
     kernel = extension_kernel(rho, h)
-    acc: Dict[CanonicalTree, List[float]] = {}
-    for s, w in rho.items():
-        if s.root_degree == 0:
-            acc.setdefault(s, []).append(w)
-            continue
-        # per root child, its deeper entries with their kernel probabilities;
-        # s has depth <= h, so these branches are its whole root subtrees
-        options = [[(((deeper.pendant_mark, rest.pendant_mark), deeper.tree), p)
-                    for deeper, p in kernel.law(branch, rest).items()]
-                   for branch, rest in branch_views(s, h - 1)]
-        for combo in itertools.product(*options):
-            wt = w
-            for _, p in combo:
-                wt *= p
-            acc.setdefault(CanonicalTree(s.mark, tuple(entry for entry, _ in combo)), []).append(wt)
-    return TreeMeasure({t: math.fsum(ws) for t, ws in acc.items()}, 0.0, h + 1)
+
+    def deepened():
+        for s, w in rho.items():
+            # per root child, its deeper entries with their kernel
+            # probabilities; s has depth <= h, so these branches are its whole
+            # root subtrees, and a degree-0 atom is its one empty combination
+            options = [[(((deeper.pendant_mark, rest.pendant_mark), deeper.tree), p)
+                        for deeper, p in kernel.law(branch, rest).items()]
+                       for branch, rest in branch_views(s, h - 1)]
+            for combo in itertools.product(*options):
+                yield (CanonicalTree(s.mark, tuple(entry for entry, _ in combo)),
+                       math.prod((p for _, p in combo), start=w))
+
+    return TreeMeasure(_fsum_by(deepened()), 0.0, h + 1)
 
 
 def _extension_atoms(rho: TreeMeasure, h: int) -> int:
@@ -701,11 +693,9 @@ def edge_mark_intensity(level1: TreeMeasure) -> Dict[Tuple[int, int], float]:
     beta = level1.mean_degree()
     if beta == 0:
         return {}
-    acc: Dict[Tuple[int, int], List[float]] = {}
-    for cell, w in pair_measure(level1, 1).items():
-        a, b = cell
-        acc.setdefault((a.pendant_mark, b.pendant_mark), []).append(w)
-    return {k: beta * math.fsum(ws) for k, ws in sorted(acc.items())}
+    cells = _fsum_by(((a.pendant_mark, b.pendant_mark), w)
+                     for (a, b), w in pair_measure(level1, 1).items())
+    return {k: beta * w for k, w in sorted(cells.items())}
 
 
 @dataclass
@@ -939,19 +929,11 @@ def _log_factorial_sum(t: CanonicalTree) -> float:
     of the root children of a tree of depth <= h: two children have equal
     views exactly when their entries in ``t.children`` are equal, and equal
     entries are adjacent in that sorted tuple, so each m is a run length.
-    Runs of one add log(1!) = 0 and are skipped."""
+    A run of one adds lgamma(2), exactly 0.0: distinct entries skip grouping."""
     kids = t.children
-    terms = []
-    run = 1
-    for i in range(1, len(kids)):
-        if kids[i] == kids[i - 1]:
-            run += 1
-        elif run > 1:
-            terms.append(math.lgamma(run + 1))
-            run = 1
-    if run > 1:
-        terms.append(math.lgamma(run + 1))
-    return math.fsum(terms)
+    if len(set(kids)) == len(kids):
+        return 0.0
+    return math.fsum(math.lgamma(len(list(run)) + 1) for _, run in itertools.groupby(kids))
 
 
 def _combinatorial_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .measures import DegreeLaw, _check_mark_laws
-from .trees import LabeledTree, _as_index, _of_type
+from .trees import LabeledTree, _Frozen, _as_index, _of_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,7 +32,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------- graph type
 
 
-class MarkedGraph:
+class MarkedGraph(_Frozen):
     """A finite simple graph, optionally with vertex and directed edge marks.
 
     ``emarks[(u, v)]`` is the mark vertex ``u`` carries on edge {u, v}; every
@@ -86,9 +86,6 @@ class MarkedGraph:
         object.__setattr__(self, "vmarks", vmarks)
         object.__setattr__(self, "emarks", emarks)
         object.__setattr__(self, "_views", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkedGraph is immutable")
 
     def __reduce__(self):
         # copies and pickles rebuild the graph and leave its views behind
@@ -189,16 +186,17 @@ class ModelConfig:
         if self.kappa is not None:
             obj["kappa"] = self.kappa
         if self.alpha is not None:
-            obj["alpha"] = {str(k): w for k, w in self.alpha.items()}
+            obj["alpha"] = self.alpha.to_obj()
         if self.m_n is not None:
             obj["m_n"] = self.m_n
         return obj
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ModelConfig":
+        """Inverse of ``to_obj``; ``alpha`` is read by ``DegreeLaw.from_obj``."""
         alpha = obj.get("alpha")
         if alpha is not None:
-            alpha = DegreeLaw({int(k): w for k, w in alpha.items()})
+            alpha = DegreeLaw.from_obj(alpha, "alpha")
         return cls(
             ensemble=obj["ensemble"],
             nu=tuple(obj["nu"]),

@@ -40,7 +40,17 @@ __all__ = [
 ]
 
 
-class CanonicalTree:
+class _Frozen:
+    """Base of the immutable classes: their constructors set each attribute
+    once with ``object.__setattr__``, and assigning one afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class CanonicalTree(_Frozen):
     """Isomorphism-class representative of a rooted marked tree.
 
     ``children`` is a tuple of ``((y_child_side, y_root_side), subtree)``
@@ -63,9 +73,6 @@ class CanonicalTree:
 
     def __init__(self, mark: int, children: Tuple = ()) -> None:
         """Nothing to do: ``__new__`` returns a complete, possibly shared, tree."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalTree is immutable")
 
     def __reduce__(self):
         return (CanonicalTree, (self.mark, self.children))

@@ -148,6 +148,26 @@ def test_a_flag_value_that_is_not_a_number_is_bad_input(command, flag, value, me
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command, alpha, key", [
+    ("gibbs", '{"0_2": 1.0}', "0_2"),
+    ("gibbs", '{"2": 1.0, "02": 1.0}', "02"),
+    ("sample", '{"1": 0.5, "+3": 0.5}', "+3"),
+], ids=["underscore", "two-spellings", "plus-sign"])
+def test_a_degree_key_that_is_not_canonical_is_bad_input(command, alpha, key, tmp_path,
+                                                         monkeypatch, capsys):
+    # int() read "0_2" and "+3" as degrees, and of "2" and "02" the later
+    # weight replaced the earlier one, so each of these runs exited 0
+    monkeypatch.chdir(tmp_path)
+    flags = dict(VALID_FLAGS[command], **{"--alpha": alpha})
+    argv = [command] + (["--ensemble", "cm"] if command == "sample" else [])
+    argv += [f"{f}={v}" for f, v in flags.items()] + FIXED_FLAGS[command]
+    assert run(*argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "bad_input",
+        "message": f"ValueError: --alpha key {key!r} is not a degree in canonical decimal form"}
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------- empirical
 
 
@@ -241,6 +261,19 @@ def test_rate_of_a_mistyped_law_is_bad_input(truth_fixture, tmp_path, degree, me
     assert not (tmp_path / "r.json").exists()
 
 
+def test_rate_of_a_law_with_a_padded_degree_key_is_bad_input(truth_fixture, tmp_path, capsys):
+    # int(" 2") is 2, so this law used to be read as the fixture's own law
+    _, chain_path = truth_fixture
+    law = json.dumps({"degree": {"type": "fixed", "pmf": {"1": 0.5, " 2": 0.5}},
+                      "nu": [0.5, 0.5], "xi": [[0.25, 0.25], [0.25, 0.25]]})
+    assert run("rate", "--input", chain_path, "--law", law,
+               "--report", tmp_path / "r.json") == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "bad_input",
+        "message": "ValueError: degree.pmf key ' 2' is not a degree in canonical decimal form"}
+    assert not (tmp_path / "r.json").exists()
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -294,6 +327,19 @@ def test_gibbs_worked_instance_solution_and_mc(tmp_path):
     # lattice h: the exact conditional TV is reported beside the sampled one
     assert float(table["exact_joint_tv"]) == pytest.approx(
         float(table["joint_tv"]), abs=5 * float(table["joint_se"]))
+
+
+def test_gibbs_mc_csv_keys_in_report_field_order(tmp_path):
+    prefix = tmp_path / "gb"
+    assert run("gibbs", "--alpha", '{"1": 0.5, "3": 0.5}', "--nu", "[0.5,0.5]",
+               "--hfun", "[0.0,1.0]", "--c", 1.5, "--n", 20, "--samples", 2000,
+               "--seed", 3, "--out-prefix", prefix) == 0
+    lines = (tmp_path / "gb_mc.csv").read_text().splitlines()
+    assert [row[0] for row in csv.reader(lines[2:])] == [
+        "key", "n", "delta", "threshold", "draws", "accepted", "acceptance_rate",
+        "joint_tv", "joint_se", "leaf_tv", "leaf_se", "degree_marginal_exact",
+        "fast_path", "exact_joint_tv", "exact_leaf_tv",
+        "joint:1,0", "joint:1,1", "joint:3,0", "joint:3,1", "leaf:0", "leaf:1"]
 
 
 def test_gibbs_solver_only_when_samples_zero(tmp_path):

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from graphld.measures import (
     DepthChain,
     PairMeasure,
     TreeMeasure,
+    _fsum_by,
     entropy,
     is_admissible,
     mtp_check,
@@ -126,6 +128,43 @@ def test_degree_law_examples():
     law = u.degree_law()
     np.testing.assert_allclose([law.pmf(1), law.pmf(2)], [2 / 3, 1 / 3])
     np.testing.assert_allclose(u.mean_degree(), 4 / 3)
+
+
+def test_degree_law_obj_round_trip():
+    law = DegreeLaw({10: 0.5, 0: 0.25, 2: 0.25})
+    assert law.to_obj() == {"0": 0.25, "2": 0.25, "10": 0.5}
+    assert list(law.to_obj()) == ["0", "2", "10"]
+    assert DegreeLaw.from_obj(law.to_obj(), "alpha") == law
+
+
+@pytest.mark.parametrize("key", ["0_2", " 2", "2 ", "+2", "02", "00", "-1", "two", "", "\uff12"])
+def test_degree_law_reads_only_canonical_degree_keys(key):
+    # int() accepts all but "two" and "", so "0_2", " 2" and "\uff12" were read as 2
+    with pytest.raises(ValueError, match=f"^alpha key {re.escape(repr(key))} is not a degree"):
+        DegreeLaw.from_obj({key: 1.0}, "alpha")
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1.0], "alpha must be a dict, not [1.0]"),
+    ({"1": True}, 'alpha["1"] must be a number, not True'),
+])
+def test_degree_law_from_obj_names_the_mistyped_path(obj, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DegreeLaw.from_obj(obj, "alpha")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.floats(-1e300, 1e300)), max_size=40),
+       data=st.data())
+def test_fsum_by_gives_the_per_key_fsum_in_every_order(pairs, data):
+    got = _fsum_by(pairs)
+    assert list(got) == list(dict.fromkeys(key for key, _ in pairs))
+    for key, total in got.items():
+        assert total.hex() == math.fsum(w for k, w in pairs if k == key).hex()
+    shuffled = data.draw(st.permutations(pairs))
+    again = _fsum_by(shuffled)
+    assert list(again) == list(dict.fromkeys(key for key, _ in shuffled))
+    assert {k: v.hex() for k, v in again.items()} == {k: v.hex() for k, v in got.items()}
 
 
 def test_root_mark_law():

@@ -191,6 +191,16 @@ def test_reference_roundtrip_and_validation():
         ReferenceLaw.poisson(-1.0, (1.0,), ((1.0,),))
 
 
+def test_reference_law_checks_an_alpha_given_as_a_mapping():
+    # a dict used to be stored as is: mean_degree raised AttributeError, and
+    # a negative degree got as far as math.comb in materialize
+    law = ReferenceLaw.fixed_alpha({1: 0.5, 2: 0.5}, (0.4, 0.6), ((1.0,),))
+    assert law.alpha == DegreeLaw({1: 0.5, 2: 0.5})
+    assert law.mean_degree() == 1.5
+    with pytest.raises(ValueError, match="^bad degree -1$"):
+        ReferenceLaw.fixed_alpha({-1: 0.5, 2: 0.5}, (0.4, 0.6), ((1.0,),))
+
+
 GOOD_LAW = {"degree": {"type": "fixed", "pmf": {"1": 0.5, "3": 0.5}},
             "nu": [0.5, 0.5], "xi": [[0.25, 0.25], [0.25, 0.25]]}
 

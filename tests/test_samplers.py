@@ -144,6 +144,17 @@ def test_model_config_validation():
     assert rt.alpha == DegreeLaw({1: 0.5, 3: 0.5})
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ({"1": 0.5, "03": 0.5}, "alpha key '03' is not a degree in canonical decimal form"),
+    ({"1": 0.5, "3": "0.5"}, "alpha[\"3\"] must be a number, not '0.5'"),
+], ids=["padded-key", "string-weight"])
+def test_model_config_from_obj_checks_the_degree_law(alpha, message):
+    # the keys went through int() and the weights through float() unchecked
+    obj = cm_cfg({1: 0.5, 3: 0.5}).to_obj()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelConfig.from_obj(dict(obj, alpha=alpha))
+
+
 # ---------------------------------------------------------------- pair indexing
 
 
