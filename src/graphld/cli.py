@@ -16,7 +16,8 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .gibbs import GibbsProblem, conditional_mc, solve
@@ -29,6 +30,7 @@ from .measures import (
     mtp_check,
     pair_measure,
     size_bias,
+    tv_distance,
 )
 from .empirical import component_measure, neighborhood_measure
 from .rates import (
@@ -271,12 +273,7 @@ def cmd_verify(args) -> int:
         pm = pair_measure(level, h)
         _, defect = is_admissible(pm)
         add("admissibility", f"level {h}", defect, tol)
-        recon = _pair_from_size_bias(level, h)
-        drift = 0.5 * math.fsum(
-            abs(pm.get(*k) - recon.get(k, 0.0))
-            for k in set(recon) | {k for k, _ in pm.items()}
-        )
-        add("pair_size_bias", f"level {h}", drift, tol)
+        add("pair_size_bias", f"level {h}", tv_distance(pm, _pair_from_size_bias(level, h)), tol)
     deepest = levels[-1]
     try:
         add("mass_transport", f"level {len(levels)}",
@@ -368,13 +365,9 @@ def cmd_extend(args) -> int:
         raise ValueError(f"--depth {args.depth} is below 1 or the input's depth {h}")
     if args.samples > 0:
         rng = make_rng(args.seed)
-        counts: Dict = {}
-        for _ in range(args.samples):
-            t = canonicalize(sample_ugwt(rho, h, args.depth, rng))
-            counts[t] = counts.get(t, 0) + 1
-        out = TreeMeasure(
-            {t: c / args.samples for t, c in counts.items()}, 0.0, args.depth
-        )
+        out = TreeMeasure.from_counts(Counter(
+            canonicalize(sample_ugwt(rho, h, args.depth, rng)) for _ in range(args.samples)
+        ), depth_bound=args.depth)
         payload = {"measure": out.to_obj(), "mode": "sampled"}
     else:
         chain = extension_chain(levels, args.depth)

@@ -14,11 +14,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .measures import DegreeLaw, TreeMeasure, _check_mark_laws, tv_distance
+from .measures import (DegreeLaw, TreeMeasure, _check_mark_laws, _fsum_by, relative_entropy,
+                       tv_distance)
 from .rates import _star_law
 from .samplers import integer_degree_counts
 
@@ -213,17 +214,10 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
         for x, p in enumerate(row):
             if p > 0:
                 gamma[(n, x)] = an * p
-    raw_psi = {
-        x: math.fsum(n * w for (n, xx), w in gamma.items() if xx == x)
-        for x in range(len(problem.nu))
-    }
-    mass = math.fsum(raw_psi.values())
-    psi = {x: v / mass for x, v in raw_psi.items() if v > 0}
-    value = math.fsum(
-        w * math.log(w / (problem.alpha.pmf(n) * problem.nu[x]))
-        for (n, x), w in gamma.items()
-        if w > 0
-    )
+    raw_psi = sorted(_fsum_by((x, n * w) for (n, x), w in gamma.items()).items())
+    mass = math.fsum(v for _, v in raw_psi)
+    psi = {x: v / mass for x, v in raw_psi if v > 0}
+    value = relative_entropy(gamma, lambda k: problem.alpha.pmf(k[0]) * problem.nu[k[1]])
 
     # KKT residuals: per-degree multiplier recovered from normalization
     stat = 0.0
@@ -239,11 +233,8 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
         ]
         lam_prime = math.fsum(devs) / len(devs)
         stat = max(stat, max(abs(d - lam_prime) for d in devs))
-    row_res = max(
-        abs(math.fsum(w for (n, x), w in gamma.items() if n == nn) - an)
-        for nn, an in problem.alpha.items()
-        if an > 0
-    )
+    rows = _fsum_by((n, w) for (n, _), w in gamma.items())
+    row_res = max(abs(s - problem.alpha.pmf(n)) for n, s in rows.items())
     active = math.fsum(
         n * problem.hfun[x] * w for (n, x), w in gamma.items()
     )
@@ -367,22 +358,9 @@ class MCReport:
 
     def to_obj(self) -> dict:
         return {
-            "n": self.n,
-            "delta": self.delta,
-            "threshold": self.threshold,
-            "draws": self.draws,
-            "accepted": self.accepted,
-            "acceptance_rate": self.acceptance_rate,
+            **asdict(self),
             "joint_emp": {f"{d},{x}": w for (d, x), w in sorted(self.joint_emp.items())},
-            "joint_tv": self.joint_tv,
-            "joint_se": self.joint_se,
             "leaf_emp": {str(x): w for x, w in sorted(self.leaf_emp.items())},
-            "leaf_tv": self.leaf_tv,
-            "leaf_se": self.leaf_se,
-            "degree_marginal_exact": self.degree_marginal_exact,
-            "fast_path": self.fast_path,
-            "exact_joint_tv": self.exact_joint_tv,
-            "exact_leaf_tv": self.exact_leaf_tv,
         }
 
 
@@ -390,10 +368,7 @@ def _joint_and_leaf(cell_means, n, classes):
     """Joint (degree, mark) law and size-biased leaf law from mean cell counts."""
     total_deg = sum(d * c for d, c in classes)
     joint = {cell: m / n for cell, m in cell_means.items()}
-    leaf: Dict[int, float] = {}
-    for (d, x), m in cell_means.items():
-        leaf[x] = leaf.get(x, 0.0) + d * m / total_deg
-    return joint, leaf
+    return joint, _fsum_by((x, d * m / total_deg) for (d, x), m in cell_means.items())
 
 
 def _finish_report(

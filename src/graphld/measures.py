@@ -11,6 +11,7 @@ depth and shared by every caller.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .trees import (
@@ -257,7 +258,9 @@ class DegreeLaw(_Frozen):
 
     def __init__(self, probs: Mapping[int, float]) -> None:
         for k in probs:
-            if k < 0 or k != int(k):
+            # a bool is an int, but not a degree; 2.0 and numpy's 2 are
+            if (isinstance(k, bool) or not isinstance(k, numbers.Real) or k < 0
+                    or not (isinstance(k, numbers.Integral) or float(k).is_integer())):
                 raise ValueError(f"bad degree {k!r}")
         clean = _clean_weights(probs, "degree law")
         object.__setattr__(self, "probs", {int(k): w for k, w in clean.items()})
@@ -351,7 +354,9 @@ def entropy(m) -> float:
 
 
 def relative_entropy(m, base) -> float:
-    """sum m log(m/base) in nats; +inf when m is not absolutely continuous."""
+    """sum m log(m/base) in nats over the positive weights of ``m``; +inf when
+    m is not absolutely continuous.  ``base`` is a measure, a degree law, a
+    weight dict or a density: a function of an atom or pair key."""
     if isinstance(m, TreeMeasure) and isinstance(base, TreeMeasure):
         if m.non_tree_mass > MASS_TOL:
             if base.non_tree_mass > MASS_TOL:
@@ -360,13 +365,13 @@ def relative_entropy(m, base) -> float:
     if m is base and isinstance(m, (TreeMeasure, PairMeasure)):
         # every term is w log(w/w) = 0.0
         return 0.0
-    base_weights = _weights(base)
+    density = base if callable(base) else _weights(base).get
     terms = []
     for key, w in _weights(m).items():
         if w <= 0:
             continue
-        b = base_weights.get(key, 0.0)
-        if b <= 0:
+        b = density(key)
+        if b is None or b <= 0:
             return math.inf
         terms.append(w * math.log(w / b))
     return math.fsum(terms)

@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .measures import (
@@ -408,20 +408,8 @@ def leaf_cond_law(mu: TreeMeasure, law: ReferenceLaw) -> TreeMeasure:
 # --------------------------------------------------------- neighborhood rates
 
 
-def _relent_vs_density(m, density: Callable[[object], float]) -> float:
-    """Relative entropy of a tree or pair measure against an atom density."""
-    terms = []
-    for atom, w in m.items():
-        d = density(atom)
-        if d <= 0.0:
-            return math.inf
-        terms.append(w * math.log(w / d))
-    return math.fsum(terms)
-
-
 def _root_mark_divergence(mu: TreeMeasure, law: ReferenceLaw) -> float:
-    nu_dict = {x: w for x, w in enumerate(law.nu) if w > 0}
-    return relative_entropy(mu.root_mark_law(), nu_dict)
+    return relative_entropy(mu.root_mark_law(), law.nu_pmf)
 
 
 def nbd_rate_generic(beta: float, law: ReferenceLaw, mu: TreeMeasure) -> float:
@@ -500,11 +488,9 @@ def vertex_only_rate(beta: float, law: ReferenceLaw, mu: TreeMeasure) -> float:
         return an.short
     pi = an.pi(1)
     _, cond = _sb_stats(pi)
-    h_cond = _relent_vs_density(mu, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
+    h_cond = relative_entropy(mu, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
     first, second, _ = pair_marginals(pi)
-    mutual = math.fsum(
-        w * math.log(w / (first[a] * second[b])) for (a, b), w in pi.items()
-    )
+    mutual = relative_entropy(pi, lambda k: first[k[0]] * second[k[1]])
     return h_cond + 0.5 * beta * mutual
 
 
@@ -721,19 +707,7 @@ class RateReport:
     flags: Dict[str, object] = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        return {
-            "form": self.form,
-            "ensemble": self.ensemble,
-            "beta": self.beta,
-            "depth": self.depth,
-            "value": self.value,
-            "boundary": self.boundary,
-            "terms": [list(t) for t in self.terms],
-            "prefix_totals": list(self.prefix_totals),
-            "j_values": list(self.j_values),
-            "log_factorial_terms": list(self.log_factorial_terms),
-            "flags": dict(self.flags),
-        }
+        return {**asdict(self), "terms": [list(t) for t in self.terms]}
 
 
 @dataclass
@@ -879,8 +853,8 @@ def _component_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport,
         lv = an.chain.level(h)
         if h == 1:
             child, cond = _sb_stats(an.pi(1))
-            a = _relent_vs_density(lv, functools.partial(_leaf_density, law, _indep_ratio(law, child)))
-            b = _relent_vs_density(lv, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
+            a = relative_entropy(lv, functools.partial(_leaf_density, law, _indep_ratio(law, child)))
+            b = relative_entropy(lv, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
         else:
             rstar, pistar = an.extension(h)
             a = relative_entropy(lv, rstar)
@@ -906,8 +880,8 @@ def _intermediate_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateRepo
     for h in range(1, depth + 1):
         lv = an.chain.level(h)
         if h == 1:
-            a = _relent_vs_density(lv, law.star_density)
-            b = 0.5 * an.beta * _relent_vs_density(an.pi(1), law.pair_density)
+            a = relative_entropy(lv, law.star_density)
+            b = 0.5 * an.beta * relative_entropy(an.pi(1), law.pair_density)
         else:
             rstar, pistar = an.extension(h)
             a = relative_entropy(lv, rstar)

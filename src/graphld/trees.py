@@ -49,6 +49,11 @@ class _Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, past the raising __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
 
 class CanonicalTree(_Frozen):
     """Isomorphism-class representative of a rooted marked tree.

@@ -697,6 +697,22 @@ def test_min_accepted_stops_at_first_hitting_draw():
     assert mean == pytest.approx(200 / mass, abs=5 * sd)
 
 
+def test_joint_and_leaf_sums_each_leaf_weight_exactly():
+    # with three degree classes a running sum in class order rounds mark 0's
+    # weight up in its last bit; each leaf weight is the per-mark fsum
+    classes = [(1, 3), (2, 5), (3, 7)]
+    total_deg = sum(d * c for d, c in classes)
+    cell_means = {(1, 0): 2.637, (1, 1): 0.363, (2, 0): 0.68, (2, 1): 4.32,
+                  (3, 0): 6.758, (3, 1): 0.242}
+    joint, leaf = gibbs._joint_and_leaf(cell_means, 15, classes)
+    assert joint == {cell: m / 15 for cell, m in cell_means.items()}
+    assert list(leaf) == [0, 1]
+    for x in (0, 1):
+        terms = [d * m / total_deg for (d, xx), m in cell_means.items() if xx == x]
+        assert leaf[x].hex() == math.fsum(terms).hex()
+    assert leaf[0] != (2.637 / total_deg + 2 * 0.68 / total_deg) + 3 * 6.758 / total_deg
+
+
 def test_min_accepted_must_be_positive():
     with pytest.raises(ValueError, match="min_accepted"):
         conditional_mc(canonical_problem(), 20, 100, make_rng(1), min_accepted=0)

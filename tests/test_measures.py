@@ -8,6 +8,7 @@ transport sums on a distinguishing test function.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -37,7 +38,7 @@ from graphld.measures import (
     tv_distance,
 )
 from graphld.gibbs import GibbsProblem
-from graphld.rates import ReferenceLaw
+from graphld.rates import ExtensionKernel, ReferenceLaw
 from graphld.samplers import ModelConfig
 from graphld.trees import CanonicalTree, HalfEdgeTree, random_labeling, split_at_child
 
@@ -153,6 +154,44 @@ def test_degree_law_from_obj_names_the_mistyped_path(obj, message):
         DegreeLaw.from_obj(obj, "alpha")
 
 
+@pytest.mark.parametrize("key", ["1", True, None, 1.5, -1, math.nan, math.inf])
+def test_degree_law_checks_the_type_of_each_key(key):
+    # "1" raised TypeError from `<`, True was read as degree 1, and NaN and
+    # inf raised from int()
+    message = f"^bad degree {re.escape(repr(key))}$"
+    with pytest.raises(ValueError, match=message):
+        DegreeLaw({key: 1.0})
+    with pytest.raises(ValueError, match=message):
+        ReferenceLaw.fixed_alpha({key: 1.0}, (1.0,), ((1.0,),))
+
+
+def test_degree_law_reads_integral_keys_of_any_number_type():
+    law = DegreeLaw({2.0: 0.5, np.int64(3): 0.5})
+    assert law.probs == {2: 0.5, 3: 0.5}
+    assert all(type(k) is int for k in law.probs)
+
+
+def _frozen_instances():
+    law = ReferenceLaw.fixed_alpha({1: 0.5, 2: 0.5}, (0.4, 0.6), ((0.1, 0.2), (0.3, 0.4)))
+    rho = law.materialize()
+    return [DegreeLaw({1: 0.5, 2: 0.5}), pair_measure(rho, 1), DepthChain([rho]), law,
+            ExtensionKernel(rho, 1)]
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_immutable_classes_copy_and_pickle(copier):
+    # each raised "... is immutable": the slot state was restored by setattr
+    for obj in _frozen_instances():
+        twin = copier(obj)
+        assert type(twin) is type(obj)
+        slots = type(obj).__slots__
+        assert all(getattr(twin, name) == getattr(obj, name) for name in slots)
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(twin, slots[0], None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pairs=st.lists(st.tuples(st.integers(0, 5), st.floats(-1e300, 1e300)), max_size=40),
        data=st.data())
@@ -245,6 +284,32 @@ def test_relative_entropy_nonnegative(cm, cb):
     assert d >= -1e-12
     if all(abs(m[i] - b[i]) < 1e-15 for i in m):
         assert abs(d) < 1e-12
+
+
+_HETS = [HalfEdgeTree(t, y) for t in (LEAF0, LEAF1, S1) for y in (0, 1)]
+_KINDS = {
+    "dict": (dict, list(range(6))),
+    "tree": (TreeMeasure, POOL),
+    "pair": (PairMeasure, [(a, b) for a in _HETS[:3] for b in _HETS[:2]]),
+}
+
+
+@given(kind=st.sampled_from(sorted(_KINDS)),
+       m_counts=st.lists(st.integers(0, 9), min_size=6, max_size=6).filter(any),
+       base_counts=st.lists(st.integers(0, 9), min_size=6, max_size=6).filter(any))
+@settings(max_examples=150, deadline=None)
+def test_relative_entropy_against_a_density_equals_it_against_the_weights(
+        kind, m_counts, base_counts):
+    make, keys = _KINDS[kind]
+    # a dict keeps its zero weights; the measures drop them
+    m = make({k: c / sum(m_counts) for k, c in zip(keys, m_counts)})
+    base = make({k: c / sum(base_counts) for k, c in zip(keys, base_counts)})
+    weights = getattr(base, "atoms", base)
+    got = relative_entropy(m, base)
+    assert got.hex() == relative_entropy(m, lambda k: weights.get(k, 0.0)).hex()
+    assert (got == math.inf) == any(a and not b for a, b in zip(m_counts, base_counts))
+    own = getattr(m, "atoms", m)
+    assert relative_entropy(m, m) == relative_entropy(m, lambda k: own.get(k, 0.0)) == 0.0
 
 
 def test_relative_entropy_chain_rule():

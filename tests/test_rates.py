@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from graphld.measures import (
     relative_entropy,
 )
 from graphld.rates import (
+    RateReport,
     ReferenceLaw,
     combinatorial_rate,
     component_rate,
@@ -199,6 +201,20 @@ def test_reference_law_checks_an_alpha_given_as_a_mapping():
     assert law.mean_degree() == 1.5
     with pytest.raises(ValueError, match="^bad degree -1$"):
         ReferenceLaw.fixed_alpha({-1: 0.5, 2: 0.5}, (0.4, 0.6), ((1.0,),))
+
+
+def test_rate_report_to_obj_has_each_field_once_in_field_order():
+    alpha = DegreeLaw({1: 0.5, 2: 0.5})
+    law = ReferenceLaw.fixed_alpha(alpha, (0.4, 0.6), ((1.0,),))
+    report = component_rate(extension_chain(law.materialize(), 2), alpha.mean(), law,
+                            ensemble="CM", depth=3)
+    obj = report.to_obj()
+    assert list(obj) == [f.name for f in dataclasses.fields(RateReport)]
+    assert len(obj["terms"]) == 3
+    assert obj["terms"] == [list(t) for t in report.terms]
+    assert all(type(t) is list for t in obj["terms"])
+    assert obj["flags"] == report.flags and obj["flags"] is not report.flags
+    assert obj["prefix_totals"] == report.prefix_totals
 
 
 GOOD_LAW = {"degree": {"type": "fixed", "pmf": {"1": 0.5, "3": 0.5}},
