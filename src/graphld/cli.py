@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
         })
 
     for h, level in enumerate(levels, start=1):
-        mass = math.fsum(w for _, w in level.items()) + level.non_tree_mass
+        mass = math.fsum(level.atoms.values()) + level.non_tree_mass
         add("normalization", f"level {h}", abs(mass - 1.0), tol)
         add("tree_support", f"level {h}", level.non_tree_mass, tol)
     if len(levels) >= 2:

@@ -153,10 +153,6 @@ class TreeMeasure(_Frozen):
             depth_bound,
         )
 
-    @classmethod
-    def point_mass(cls, t: CanonicalTree) -> "TreeMeasure":
-        return cls({t: 1.0})
-
     def get(self, t: CanonicalTree) -> float:
         return self.atoms.get(t, 0.0)
 
@@ -240,9 +236,6 @@ class PairMeasure(_Frozen):
     def __eq__(self, other) -> bool:
         return isinstance(other, PairMeasure) and self.atoms == other.atoms
 
-    def swapped(self) -> "PairMeasure":
-        return PairMeasure({(b, a): w for (a, b), w in self.atoms.items()})
-
     def symmetry_defect(self) -> float:
         """max over pairs of |p(a,b) - p(b,a)|."""
         defect = 0.0
@@ -273,9 +266,6 @@ class DegreeLaw(_Frozen):
 
     def mean(self) -> float:
         return math.fsum(k * w for k, w in self.items())
-
-    def max_degree(self) -> int:
-        return max(self.probs, default=0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DegreeLaw) and self.probs == other.probs
@@ -346,6 +336,11 @@ def _weights(m) -> Mapping:
     return m.atoms if isinstance(m, (TreeMeasure, PairMeasure)) else m
 
 
+def _non_tree_mass(m) -> float:
+    """The non-tree mass of a ``TreeMeasure``; 0.0 for any other argument."""
+    return m.non_tree_mass if isinstance(m, TreeMeasure) else 0.0
+
+
 def entropy(m) -> float:
     """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
     if isinstance(m, TreeMeasure):
@@ -356,12 +351,13 @@ def entropy(m) -> float:
 def relative_entropy(m, base) -> float:
     """sum m log(m/base) in nats over the positive weights of ``m``; +inf when
     m is not absolutely continuous.  ``base`` is a measure, a degree law, a
-    weight dict or a density: a function of an atom or pair key."""
-    if isinstance(m, TreeMeasure) and isinstance(base, TreeMeasure):
-        if m.non_tree_mass > MASS_TOL:
-            if base.non_tree_mass > MASS_TOL:
-                raise ValueError("cannot compare two unresolved non-tree masses")
-            return math.inf
+    weight dict or a density: a function of an atom or pair key.  Non-tree
+    mass of ``m`` gives +inf against every base, except that against a base
+    with non-tree mass too it raises ValueError."""
+    if _non_tree_mass(m) > MASS_TOL:
+        if _non_tree_mass(base) > MASS_TOL:
+            raise ValueError("cannot compare two unresolved non-tree masses")
+        return math.inf
     if m is base and isinstance(m, (TreeMeasure, PairMeasure)):
         # every term is w log(w/w) = 0.0
         return 0.0
@@ -378,11 +374,11 @@ def relative_entropy(m, base) -> float:
 
 
 def tv_distance(m, base) -> float:
-    """Total variation distance (half the l1 distance over the joint support)."""
+    """Total variation distance (half the l1 distance over the joint support,
+    the non-tree mass of either side counted as one more atom)."""
     ma, ba = _weights(m), _weights(base)
     total = math.fsum(abs(ma.get(k, 0.0) - ba.get(k, 0.0)) for k in set(ma) | set(ba))
-    if isinstance(m, TreeMeasure) and isinstance(base, TreeMeasure):
-        total += abs(m.non_tree_mass - base.non_tree_mass)
+    total += abs(_non_tree_mass(m) - _non_tree_mass(base))
     return 0.5 * total
 
 

@@ -297,9 +297,7 @@ def _star_law(root_mass: Dict[Tuple[int, int], float],
     for (x_o, d), base in root_mass.items():
         if base == 0.0:
             continue
-        if d == 0:
-            atoms[CanonicalTree(x_o)] = atoms.get(CanonicalTree(x_o), 0.0) + base
-            continue
+        # a degree-0 root is its one empty combination
         ew = per_root[x_o]
         for combo in itertools.combinations_with_replacement(range(len(ew)), d):
             groups = [(ew[i], m) for i, m in Counter(combo).items()]
@@ -323,38 +321,22 @@ def _reweighted(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float])
     )
 
 
-def _sb_stats(pi):
-    """Size-biased child statistics of a depth-1 law from its pair law: the
-    child entry marginal keyed (child mark, child-side edge mark) and the
-    conditional entry law given the root entry (root mark, root-side edge mark)."""
+def _leaf_ratios(law: ReferenceLaw, pi: PairMeasure):
+    """(indep, cond): the leaf reweightings ``ratio(x_o, x, yc, yr)`` of the
+    reference star law toward i.i.d. entries from the child marginal of the
+    depth-1 pair law ``pi``, and toward entries drawn from its conditional
+    given the root entry (root mark x_o, root-side edge mark yr).  Both read
+    ``pair_marginals(pi)`` at the depth-0 views of the entries."""
     first, _, cond = pair_marginals(pi)
-    child = {(a.tree.mark, a.pendant_mark): w for a, w in first.items()}
-    cond_flat = {
-        (b.tree.mark, b.pendant_mark): {
-            (a.tree.mark, a.pendant_mark): w for a, w in row.items()
-        }
-        for b, row in cond.items()
-    }
-    return child, cond_flat
 
-
-def _indep_ratio(law: ReferenceLaw, child: Dict):
-    """Leaf reweighting toward i.i.d. entries from the child marginal."""
-
-    def ratio(x_o: int, x: int, yc: int, yr: int) -> float:
+    def indep(x_o: int, x: int, yc: int, yr: int) -> float:
         base = law.nu_pmf(x) * law.xibar_marginal(yc)
         if base == 0.0:
             return 0.0
-        return child.get((x, yc), 0.0) / base
+        return first.get(HalfEdgeTree(CanonicalTree(x), yc), 0.0) / base
 
-    return ratio
-
-
-def _cond_ratio(law: ReferenceLaw, cond: Dict):
-    """Leaf reweighting toward entries drawn from the conditional given the root entry."""
-
-    def ratio(x_o: int, x: int, yc: int, yr: int) -> float:
-        row = cond.get((x_o, yr))
+    def conditional(x_o: int, x: int, yc: int, yr: int) -> float:
+        row = cond.get(HalfEdgeTree(CanonicalTree(x_o), yr))
         if row is None:
             # conditioning entry carries no size-biased mass; any conditional
             # version is admissible, and ratio 1 keeps the total mass exactly 1
@@ -362,9 +344,9 @@ def _cond_ratio(law: ReferenceLaw, cond: Dict):
         base = law.nu_pmf(x) * law.xibar_pmf(yc, yr)
         if base == 0.0:
             return 0.0
-        return row.get((x, yc), 0.0) * law.xibar_marginal(yr) / base
+        return row.get(HalfEdgeTree(CanonicalTree(x), yc), 0.0) * law.xibar_marginal(yr) / base
 
-    return ratio
+    return indep, conditional
 
 
 def _leaf_density(law: ReferenceLaw, ratio, t: CanonicalTree) -> float:
@@ -378,7 +360,7 @@ def _leaf_density(law: ReferenceLaw, ratio, t: CanonicalTree) -> float:
 
 
 def _leaf_stats(mu: TreeMeasure, law: ReferenceLaw, op: str):
-    """The input checks of the leaf laws, then the size-biased statistics of ``mu``."""
+    """The input checks of the leaf laws, then ``_leaf_ratios`` of ``mu``."""
     if mu.depth_bound > 1:
         raise ValueError(f"{op} is defined on depth-1 laws")
     mu._require_tree_support(op)
@@ -387,22 +369,20 @@ def _leaf_stats(mu: TreeMeasure, law: ReferenceLaw, op: str):
     for t, _ in mu.items():
         if law.star_density(t) <= 0.0:
             raise ValueError(f"{op}: input is not absolutely continuous at {t!r}")
-    return _sb_stats(pair_measure(mu, 1))
+    return _leaf_ratios(law, pair_measure(mu, 1))
 
 
 def leaf_indep_law(mu: TreeMeasure, law: ReferenceLaw) -> TreeMeasure:
     """The reference star law reweighted so leaf entries are i.i.d. from the
     size-biased child marginal of ``mu``; a probability measure dominating
     ``mu`` whenever ``mu`` is dominated by the reference."""
-    child, _ = _leaf_stats(mu, law, "leaf_indep_law")
-    return _reweighted(law, _indep_ratio(law, child))
+    return _reweighted(law, _leaf_stats(mu, law, "leaf_indep_law")[0])
 
 
 def leaf_cond_law(mu: TreeMeasure, law: ReferenceLaw) -> TreeMeasure:
     """The reference star law reweighted so leaf entries are conditionally
     i.i.d. given the root entry, from the size-biased conditional of ``mu``."""
-    _, cond = _leaf_stats(mu, law, "leaf_cond_law")
-    return _reweighted(law, _cond_ratio(law, cond))
+    return _reweighted(law, _leaf_stats(mu, law, "leaf_cond_law")[1])
 
 
 # --------------------------------------------------------- neighborhood rates
@@ -486,9 +466,8 @@ def vertex_only_rate(beta: float, law: ReferenceLaw, mu: TreeMeasure) -> float:
     an = _prepare([mu], beta, law, None, None)
     if an.short is not None:
         return an.short
+    h_cond = relative_entropy(mu, an.component_bases(1)[1])
     pi = an.pi(1)
-    _, cond = _sb_stats(pi)
-    h_cond = relative_entropy(mu, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
     first, second, _ = pair_marginals(pi)
     mutual = relative_entropy(pi, lambda k: first[k[0]] * second[k[1]])
     return h_cond + 0.5 * beta * mutual
@@ -507,7 +486,7 @@ class ExtensionKernel(_Frozen):
     valid for either orientation of the edge.
     """
 
-    __slots__ = ("h", "beta", "_laws")
+    __slots__ = ("h", "_laws")
 
     def __init__(self, rho: TreeMeasure, h: int) -> None:
         rho._require_tree_support("extension kernel")
@@ -530,7 +509,6 @@ class ExtensionKernel(_Frozen):
         laws = {key: {c: cand[c] / totals[key] for c in sorted(cand, key=lambda c: c.sort_key)}
                 for key, cand in cells.items()}
         object.__setattr__(self, "h", int(h))
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "_laws", laws)
 
     def cells(self) -> List[Tuple[HalfEdgeTree, HalfEdgeTree]]:
@@ -680,7 +658,7 @@ def edge_mark_intensity(level1: TreeMeasure) -> Dict[Tuple[int, int], float]:
     if beta == 0:
         return {}
     cells = _fsum_by(((a.pendant_mark, b.pendant_mark), w)
-                     for (a, b), w in pair_measure(level1, 1).items())
+                     for (a, b), w in pair_measure(level1, 1).atoms.items())
     return {k: beta * w for k, w in sorted(cells.items())}
 
 
@@ -716,12 +694,15 @@ class _ChainAnalysis:
 
     ``short`` is None when the positive-mean machinery should run, +inf when
     a gate fails, or the finite mean-degree-0 value.  ``beta`` is re-centred
-    at the measured mean degree for ER once the gates pass.  The laws below
+    at the measured mean degree for ER once the gates pass.  ``bases`` and
+    ``component_bases`` are the one place that picks each depth's reference
+    laws from ``law`` (depth 1) or from the chain (deeper).  The laws below
     are read from the levels' memos, so every form and call on the same
     chain shares them.
     """
 
     chain: DepthChain
+    law: ReferenceLaw
     ensemble: Optional[str]
     beta: float
     flags: Dict[str, object]
@@ -732,27 +713,41 @@ class _ChainAnalysis:
         """pi_h: the pair law of level h."""
         return pair_measure(self.chain.level(h), h)
 
-    def extension(self, h: int):
-        """(rho*_h, pi*_h): the one-step extension of level h-1 and its pair law."""
+    def bases(self, h: int):
+        """(tree base, pair base) of depth h: the reference star and pair
+        densities at h = 1; beyond, (rho*_h, pi*_h), the one-step extension
+        of level h-1 and its pair law."""
+        if h == 1:
+            return self.law.star_density, self.law.pair_density
         rstar = one_step_extension(self.chain.level(h - 1), h - 1)
         return rstar, pair_measure(rstar, h)
+
+    def component_bases(self, h: int):
+        """(indep, cond) of depth h: the reference star law with i.i.d. and
+        with conditionally i.i.d. leaves at h = 1; beyond, rho*_h and its
+        reweighting by pi_h / pi*_h."""
+        if h == 1:
+            return tuple(functools.partial(_leaf_density, self.law, ratio)
+                         for ratio in _leaf_ratios(self.law, self.pi(1)))
+        rstar, pistar = self.bases(h)
+        return rstar, _cond_from_extension(rstar, self.pi(h), pistar, h)
 
 
 def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
     """The gates shared by every rate form; see ``_ChainAnalysis``."""
     chain = levels if isinstance(levels, DepthChain) else DepthChain(levels)
     ens = ensemble.upper() if ensemble else None
-    an = _ChainAnalysis(chain, ens, beta, {
+    an = _ChainAnalysis(chain, law, ens, beta, {
         "extension_exact": chain.extension_exact,
         "neglected_tail": law.neglected_tail,
     })
     flags = an.flags
+    if ens == "ER" and kappa is None:
+        raise ValueError("ER evaluation needs kappa")
     tree_ok = all(lv.non_tree_mass <= MASS_TOL for lv in chain.levels)
     flags["tree_supported"] = tree_ok
     if not tree_ok:
         if ens == "ER":
-            if kappa is None:
-                raise ValueError("ER evaluation needs kappa")
             flags["mean_degree"] = None
         an.short = math.inf
         return an
@@ -771,8 +766,6 @@ def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
             an.short = math.inf
             return an
     if ens == "ER":
-        if kappa is None:
-            raise ValueError("ER evaluation needs kappa")
         an.boundary = edge_density_rate(kappa, mean)
         if law.poisson_mean is None or abs(law.poisson_mean - mean) > GATE_TOL:
             raise ValueError("ER evaluation needs the reference centered at the measured mean degree")
@@ -791,7 +784,7 @@ def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
     if worst > GATE_TOL:
         an.short = math.inf
         return an
-    dominated = all(law.star_density(t) > 0.0 for t, _ in chain.level(1).items())
+    dominated = all(law.star_density(t) > 0.0 for t in chain.level(1).atoms)
     flags["absolutely_continuous"] = dominated
     if not dominated:
         an.short = math.inf
@@ -821,7 +814,7 @@ def _resolve_depth(chain: DepthChain, depth: Optional[int]) -> Tuple[int, int]:
 def _evaluate(form: str, levels, beta, law, ensemble, kappa, depth, totals) -> RateReport:
     """One rate form over the shared gates; all three forms run through here.
 
-    ``totals(an, law, report, depth)`` yields the form's prefix total at
+    ``totals(an, report, depth)`` yields the form's prefix total at
     depths 1..depth and records its per-depth terms in ``report``; this
     function owns the gated short-circuit, the depth padding and the report.
     """
@@ -835,7 +828,7 @@ def _evaluate(form: str, levels, beta, law, ensemble, kappa, depth, totals) -> R
         return report
     evald, padded = _resolve_depth(an.chain, depth)
     an.flags["padded_depths"] = padded
-    report.prefix_totals.extend(totals(an, law, report, evald))
+    report.prefix_totals.extend(totals(an, report, evald))
     # along declared extensions the summands vanish and the microstate
     # entropy is unchanged
     report.prefix_totals += report.prefix_totals[-1:] * padded
@@ -847,18 +840,10 @@ def _evaluate(form: str, levels, beta, law, ensemble, kappa, depth, totals) -> R
     return report
 
 
-def _component_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):
+def _component_totals(an: _ChainAnalysis, report: RateReport, depth: int):
     total = 0.0
     for h in range(1, depth + 1):
-        lv = an.chain.level(h)
-        if h == 1:
-            child, cond = _sb_stats(an.pi(1))
-            a = relative_entropy(lv, functools.partial(_leaf_density, law, _indep_ratio(law, child)))
-            b = relative_entropy(lv, functools.partial(_leaf_density, law, _cond_ratio(law, cond)))
-        else:
-            rstar, pistar = an.extension(h)
-            a = relative_entropy(lv, rstar)
-            b = relative_entropy(lv, _cond_from_extension(rstar, an.pi(h), pistar, h))
+        a, b = (relative_entropy(an.chain.level(h), base) for base in an.component_bases(h))
         report.terms.append((a, b))
         total += 0.5 * (a + b)
         yield total
@@ -875,17 +860,12 @@ def component_rate(levels, beta: float, law: ReferenceLaw, ensemble: Optional[st
     return _evaluate("component", levels, beta, law, ensemble, kappa, depth, _component_totals)
 
 
-def _intermediate_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):
+def _intermediate_totals(an: _ChainAnalysis, report: RateReport, depth: int):
     total = 0.0
     for h in range(1, depth + 1):
-        lv = an.chain.level(h)
-        if h == 1:
-            a = relative_entropy(lv, law.star_density)
-            b = 0.5 * an.beta * relative_entropy(an.pi(1), law.pair_density)
-        else:
-            rstar, pistar = an.extension(h)
-            a = relative_entropy(lv, rstar)
-            b = 0.5 * an.beta * relative_entropy(an.pi(h), pistar)
+        tree_base, pair_base = an.bases(h)
+        a = relative_entropy(an.chain.level(h), tree_base)
+        b = 0.5 * an.beta * relative_entropy(an.pi(h), pair_base)
         report.terms.append((a, b))
         total += a - b
         yield total
@@ -910,8 +890,8 @@ def _log_factorial_sum(t: CanonicalTree) -> float:
     return math.fsum(math.lgamma(len(list(run)) + 1) for _, run in itertools.groupby(kids))
 
 
-def _combinatorial_totals(an: _ChainAnalysis, law: ReferenceLaw, report: RateReport, depth: int):
-    beta = an.beta
+def _combinatorial_totals(an: _ChainAnalysis, report: RateReport, depth: int):
+    beta, law = an.beta, an.law
     level1 = an.chain.level(1)
     intensity = edge_mark_intensity(level1)
     normalized = {k: v / beta for k, v in intensity.items()}

@@ -89,10 +89,6 @@ class CanonicalTree(_Frozen):
     def __lt__(self, other: "CanonicalTree") -> bool:
         return self.encoding < other.encoding
 
-    def size(self) -> int:
-        """Number of vertices."""
-        return 1 + sum(sub.size() for _, sub in self.children)
-
     def __repr__(self) -> str:
         return f"CanonicalTree(mark={self.mark}, deg={self.root_degree}, depth={self.depth})"
 

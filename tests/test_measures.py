@@ -353,6 +353,17 @@ def test_entropies_of_an_all_non_tree_measure():
         relative_entropy(cyc, cyc)
 
 
+@pytest.mark.parametrize("base", [{LEAF0: 1.0}, lambda t: 1.0, TreeMeasure({LEAF0: 1.0})],
+                         ids=["dict", "density", "tree_measure"])
+def test_non_tree_mass_counts_against_every_base(base):
+    # a dict, a density and the equal TreeMeasure are one base: the non-tree
+    # half of cyc is mass the base does not carry
+    cyc = TreeMeasure({LEAF0: 0.5}, non_tree_mass=0.5)
+    assert relative_entropy(cyc, base) == math.inf
+    if not callable(base):
+        assert tv_distance(cyc, base) == tv_distance(base, cyc) == 0.5
+
+
 # ---------------------------------------------------------------- size-biasing
 
 

@@ -952,6 +952,35 @@ def test_markov_measures_admissible_and_forms_agree(a, b, c, d1):
     assert vertex_only_rate(beta, law, mu) == pytest.approx(val, abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    degs=st.dictionaries(st.integers(0, 4), st.integers(1, 5), min_size=1, max_size=5).filter(
+        lambda degs: any(degs.keys())),
+    data=st.data(),
+)
+def test_depth1_rates_equal_their_closed_form(degs, data):
+    # mu has root mark q and leaves i.i.d. from p(. | root) for p = A / sum A:
+    # every depth-1 form equals H(q | nu) + (beta/2) H(p | q x q), here summed
+    # by hand from p, q and nu
+    k = data.draw(st.integers(1, 3))
+    upper = data.draw(st.lists(st.integers(1, 9), min_size=k * k, max_size=k * k))
+    a_mat = [[upper[min(x, y) * k + max(x, y)] for y in range(k)] for x in range(k)]
+    nu_w = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    alpha = DegreeLaw({d: c / sum(degs.values()) for d, c in degs.items()})
+    nu = [w / sum(nu_w) for w in nu_w]
+    law = ReferenceLaw.fixed_alpha(alpha, nu, ((1.0,),))
+    mu = markov_product_measure(alpha, a_mat)
+    total = sum(map(sum, a_mat))
+    p = {(x, y): a_mat[x][y] / total for x in range(k) for y in range(k)}
+    q = [math.fsum(p[x, y] for x in range(k)) for y in range(k)]
+    beta = math.fsum(d * w for d, w in alpha.items())
+    want = (math.fsum(q[x] * math.log(q[x] / nu[x]) for x in range(k))
+            + 0.5 * beta * math.fsum(w * math.log(w / (q[x] * q[y])) for (x, y), w in p.items()))
+    for form in (component_rate, intermediate_rate, combinatorial_rate):
+        assert form([mu], beta, law, ensemble="CM").value == pytest.approx(want, abs=1e-12)
+    assert vertex_only_rate(beta, law, mu) == pytest.approx(want, abs=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     degs=st.dictionaries(st.integers(0, 3), st.integers(1, 5), min_size=1, max_size=3),
