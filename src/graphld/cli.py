@@ -20,7 +20,6 @@ from collections import Counter
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .gibbs import GibbsProblem, conditional_mc, solve
 from .measures import (
     DegreeLaw,
     DepthChain,
@@ -31,25 +30,6 @@ from .measures import (
     pair_measure,
     size_bias,
     tv_distance,
-)
-from .empirical import component_measure, neighborhood_measure
-from .rates import (
-    ReferenceLaw,
-    _completed,
-    combinatorial_rate,
-    component_rate,
-    extension_chain,
-    intermediate_rate,
-)
-from .samplers import (
-    MarkedGraph,
-    ModelConfig,
-    assign_marks,
-    make_rng,
-    sample_cm,
-    sample_er,
-    sample_fe,
-    sample_ugwt,
 )
 from .trees import _number_list, _of_type, branch_views, canonicalize
 
@@ -120,6 +100,8 @@ def _parse_matrix(text: str, flag: str) -> Tuple[Tuple[float, ...], ...]:
 def _load_levels(value) -> List[TreeMeasure]:
     """The levels of a chain file, or a single measure of depth h completed
     by its truncations to depths 1..h-1."""
+    from .rates import _completed
+
     obj = _load_value(value)
     if isinstance(obj, dict) and "levels" in obj:
         return [TreeMeasure.from_obj(o) for o in obj["levels"]]
@@ -137,7 +119,12 @@ def _structured_error(message: str, kind: str) -> int:
 # ---------------------------------------------------------------- subcommands
 
 
+# Each command imports the modules it runs, so that a process loads only those.
+
+
 def cmd_sample(args) -> int:
+    from .samplers import ModelConfig, assign_marks, make_rng, sample_cm, sample_er, sample_fe
+
     nu = _parse_vector(args.nu, "--nu")
     xi = _parse_matrix(args.xi, "--xi")
     alpha = DegreeLaw.from_obj(_load_value(args.alpha), "--alpha") if args.alpha else None
@@ -166,7 +153,9 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_graph(path: str) -> MarkedGraph:
+def _load_graph(path: str):
+    from .samplers import MarkedGraph
+
     obj = _load_value(path)
     if isinstance(obj, dict) and "graph" in obj:
         obj = obj["graph"]
@@ -174,6 +163,8 @@ def _load_graph(path: str) -> MarkedGraph:
 
 
 def cmd_empirical(args) -> int:
+    from .empirical import component_measure, neighborhood_measure
+
     if args.depth < 0:
         raise ValueError(f"--depth {args.depth} is negative")
     config = _config(args, "graph", "depth", "out_prefix")
@@ -192,11 +183,12 @@ def cmd_empirical(args) -> int:
     return 0
 
 
-_FORMS = {
-    "component": component_rate,
-    "intermediate": intermediate_rate,
-    "combinatorial": combinatorial_rate,
-}
+def _forms() -> dict:
+    """The three rate forms, by name."""
+    from .rates import combinatorial_rate, component_rate, intermediate_rate
+
+    return {"component": component_rate, "intermediate": intermediate_rate,
+            "combinatorial": combinatorial_rate}
 
 
 def _spread(vals: List[float]) -> float:
@@ -207,16 +199,19 @@ def _spread(vals: List[float]) -> float:
 
 
 def cmd_rate(args) -> int:
+    from .rates import ReferenceLaw
+
     config = _config(args, "ensemble", "depth", "input", "law", "beta", "kappa", "form")
     levels = _load_levels(args.input)
     law = ReferenceLaw.from_obj(_load_value(args.law))
     beta = args.beta if args.beta is not None else levels[0].mean_degree()
     ensemble = args.ensemble.upper() if args.ensemble else None
-    wanted = list(_FORMS) if args.form == "all" else [args.form]
+    forms = _forms()
+    wanted = list(forms) if args.form == "all" else [args.form]
     reports = {}
     try:
         for name in wanted:
-            reports[name] = _FORMS[name](
+            reports[name] = forms[name](
                 levels, beta, law, ensemble=ensemble, kappa=args.kappa,
                 depth=args.depth,
             )
@@ -242,6 +237,8 @@ def _pair_from_size_bias(level: TreeMeasure, h: int):
 
 
 def cmd_verify(args) -> int:
+    from .rates import ReferenceLaw
+
     config = _config(args, "input", "law", "ensemble", "depth", "kappa", "tol")
     tol = args.tol
     if not tol >= 0:
@@ -286,7 +283,7 @@ def cmd_verify(args) -> int:
         ensemble = args.ensemble.upper() if args.ensemble else None
         try:
             vals = [form(levels, beta, law, ensemble=ensemble, kappa=args.kappa,
-                         depth=depth).value for form in _FORMS.values()]
+                         depth=depth).value for form in _forms().values()]
             add("three_form_agreement", f"depth {depth}", _spread(vals),
                 max(tol, 1e-8))
         except ValueError as e:
@@ -310,6 +307,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
+    from .gibbs import GibbsProblem, conditional_mc, solve
+
     alpha = DegreeLaw.from_obj(_load_value(args.alpha), "--alpha")
     nu = _parse_vector(args.nu, "--nu")
     hfun = _parse_vector(args.hfun, "--hfun")
@@ -330,6 +329,8 @@ def cmd_gibbs(args) -> int:
     if args.samples == 0:
         print("mc skipped (samples=0)")
         return 0
+    from .samplers import make_rng
+
     try:
         rep = conditional_mc(
             problem, args.n, args.samples, make_rng(args.seed),
@@ -355,6 +356,8 @@ def cmd_gibbs(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from .rates import extension_chain
+
     config = _config(args, "input", "depth", "samples", "seed")
     levels = _load_levels(args.input)
     rho = levels[-1]
@@ -364,6 +367,8 @@ def cmd_extend(args) -> int:
     if args.depth < max(h, 1):
         raise ValueError(f"--depth {args.depth} is below 1 or the input's depth {h}")
     if args.samples > 0:
+        from .samplers import make_rng, sample_ugwt
+
         rng = make_rng(args.seed)
         out = TreeMeasure.from_counts(Counter(
             canonicalize(sample_ugwt(rho, h, args.depth, rng)) for _ in range(args.samples)

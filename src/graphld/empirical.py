@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .measures import TreeMeasure, transport_violation
 from .samplers import MarkedGraph
@@ -25,77 +27,104 @@ class ComponentView:
     cycle_detected: bool
 
 
-def _refine(views: "_GraphViews", ids: List[int], trees: List[CanonicalTree], roots: bool):
+def _refine(views: "_GraphViews", ids, trees: List[CanonicalTree], roots: bool):
     """One round of colour refinement (Weisfeiler-Leman): the views of one
     more level, given the previous round's edge ids ``ids`` and their trees.
 
     Slot s of vertex u stands for the directed edge from u to its neighbor w
-    at s, and ``ids[s]`` is the id of u's view away from w.  The new id of
-    slot s interns the key of u's mark and the sorted codes, one per other
-    slot t of u, of t's edge mark pair and the id of the view toward u from
-    t's neighbor.  With ``roots`` no slot is left out and there is one id per
-    vertex.  One ``CanonicalTree`` is built per new id, from the first key
-    that gets it.  Returns the new ids, in slot (or vertex) order, and their
-    trees.
+    at s, and ``ids[s]`` is the id of u's view away from w.  The code of slot
+    t is ``codes[t] * base + ids[rev[t]]``: t's edge mark pair and the id of
+    the view toward u from t's neighbor.  The key of slot s is u's mark and
+    the sorted codes of u's other slots; with ``roots`` no slot is left out
+    and there is one key per vertex.  Keys are rows of one array per root
+    degree, and one ``CanonicalTree`` is built per distinct row.  A vertex
+    whose sorted codes repeat a value has one leave-one-out row per distinct
+    value, as leaving out either copy gives the same key.  Returns the new
+    ids, in slot (or vertex) order, and their trees.
     """
-    marks, indptr, rev, codes, pairs = views.marks, views.indptr, views.rev, views.codes, views.pairs
     base = len(trees)
-    table: Dict[tuple, int] = {}
+    # int32 codes while they fit: the key arrays are the round's largest
+    wide = np.int32 if len(views.pairs) * base < 2**31 else np.int64
+    code = views.codes.astype(wide) * base + ids[views.rev]
+    # each vertex's slots, their codes in increasing order
+    order = np.lexsort((code, views.owner))
+    code = code[order]
+    pairs, marks, indptr = views.pairs, views.leaf_marks, views.indptr
+    deg = np.diff(indptr)
+    out = np.empty(len(deg) if roots else len(code), dtype=indptr.dtype)
     new_trees: List[CanonicalTree] = []
-    out: List[int] = []
-    for u, mark in enumerate(marks):
-        seen = [codes[t] * base + ids[rev[t]] for t in range(indptr[u], indptr[u + 1])]
-        full = sorted(seen)
+    for d in np.unique(deg).tolist():
+        us = np.flatnonzero(deg == d)
+        cols = indptr[us, None] + np.arange(d)
+        full = code[cols]
         if roots:
-            keys = [(mark, *full)]
+            at, rows = us, np.column_stack((views.mark_ids[us], full))
+        elif d == 0:
+            continue
         else:
-            keys = [(mark, *full[:i], *full[i + 1:]) for i in map(full.index, seen)]
-        for key in keys:
-            i = table.get(key)
-            if i is None:
-                i = table[key] = len(new_trees)
-                new_trees.append(CanonicalTree(mark, tuple(
-                    (pairs[c // base], trees[c % base]) for c in key[1:])))
-            out.append(i)
+            first = np.ones(full.shape, dtype=bool)
+            first[:, 1:] = full[:, 1:] != full[:, :-1]
+            r, j = np.nonzero(first)
+            # row r of ``full`` less its column j
+            rest = np.arange(d - 1) + (np.arange(d - 1) >= j[:, None])
+            rows = np.column_stack((views.mark_ids[us[r]], full[r[:, None], rest]))
+            # a repeated code's slot takes the row of its first copy
+            at, pick = order[cols.ravel()], np.cumsum(first.ravel()) - 1
+        keys, inverse = np.unique(rows, axis=0, return_inverse=True)
+        start = len(new_trees)
+        for key in keys.tolist():
+            new_trees.append(CanonicalTree(marks[key[0]], tuple(
+                (pairs[c // base], trees[c % base]) for c in key[1:])))
+        inverse = inverse.ravel() + start
+        out[at] = inverse if roots else inverse[pick]
     return out, new_trees
+
+
+# roots per block of the ball-flag walk pass, which bounds its temporaries
+_BALL_BLOCK = 1 << 10
 
 
 class _GraphViews:
     """The views of one graph, computed once and kept in ``MarkedGraph._views``.
 
-    Half-edges are stored in CSR order (compressed sparse rows): the slots of
-    vertex u are ``indptr[u]:indptr[u + 1]``, one per neighbor ``nbr[s]`` in
-    increasing order, with the slot ``rev[s]`` of the reverse half-edge and
-    the code in ``pairs`` of its edge marks (y(w, u), y(u, w)).  Edge ids are
-    kept for the deepest refinement round built so far; root views and
-    ball-tree flags are kept per depth.
+    Half-edges are stored in CSR order (compressed sparse rows), as numpy
+    arrays of int32 (int64 from 2**31 slots on): the slots of vertex u are
+    ``indptr[u]:indptr[u + 1]``, one per neighbor ``nbr[s]`` in increasing
+    order, with ``owner[s] = u``, the slot ``rev[s]`` of the reverse
+    half-edge and the index ``codes[s]`` in ``pairs`` of its edge marks
+    (y(w, u), y(u, w)).  Vertex marks are kept as
+    indices ``mark_ids`` into ``leaf_marks``.  Edge ids are kept for the
+    deepest refinement round built so far; root views and ball-tree flags
+    are kept per depth.
     """
 
-    __slots__ = ("marks", "indptr", "nbr", "rev", "codes", "pairs",
-                 "depth", "ids", "trees", "roots", "flags")
+    __slots__ = ("n", "leaf_marks", "mark_ids", "indptr", "nbr", "owner", "rev", "codes",
+                 "pairs", "depth", "ids", "trees", "roots", "flags")
 
     def __init__(self, g: MarkedGraph) -> None:
-        deg = [0] * g.n
-        for u, v in g.edges:
-            deg[u] += 1
-            deg[v] += 1
-        self.marks = g.vmarks if g.is_marked else (0,) * g.n
-        self.indptr = indptr = [0, *accumulate(deg)]
-        fill = indptr[:-1]
-        self.nbr = nbr = [0] * indptr[-1]
-        self.rev = rev = [0] * indptr[-1]
-        self.codes = codes = [0] * indptr[-1]
+        n, m = g.n, len(g.edges)
+        self.n = n
+        index = np.int32 if max(n, 2 * m) < 2**31 else np.int64
+        table: Dict[int, int] = {}
+        marks = g.vmarks if g.is_marked else (0,) * n
+        self.mark_ids = np.array([table.setdefault(x, len(table)) for x in marks], dtype=index)
+        self.leaf_marks = list(table)
+        # half-edge 2e runs from the first end of edge e to the second, 2e + 1 back
+        ends = np.fromiter(chain.from_iterable(g.edges), dtype=index, count=2 * m).reshape(m, 2)
+        tail, head = ends.ravel(), ends[:, ::-1].ravel()
+        order = np.lexsort((head, tail))
+        slot = np.empty(2 * m, dtype=index)
+        slot[order] = np.arange(2 * m)
+        self.owner, self.nbr, self.rev = tail[order], head[order], slot[order ^ 1]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=n)))).astype(index)
         pair_code: Dict[Tuple[int, int], int] = {(0, 0): 0}
-        # edges are sorted, so each vertex's neighbors arrive in increasing order
-        for u, v in g.edges:
-            a, b = fill[u], fill[v]
-            fill[u], fill[v] = a + 1, b + 1
-            nbr[a], nbr[b] = v, u
-            rev[a], rev[b] = b, a
-            if g.is_marked:
-                yu, yv = g.emarks[(u, v)], g.emarks[(v, u)]
-                codes[a] = pair_code.setdefault((yv, yu), len(pair_code))
-                codes[b] = pair_code.setdefault((yu, yv), len(pair_code))
+        if g.is_marked:
+            y = g.emarks
+            half = [pair_code.setdefault(pair, len(pair_code)) for u, v in g.edges
+                    for pair in ((y[(v, u)], y[(u, v)]), (y[(u, v)], y[(v, u)]))]
+            self.codes = np.array(half, dtype=index)[order]
+        else:
+            self.codes = np.zeros(2 * m, dtype=index)
         self.pairs = list(pair_code)
         self.depth = 0
         self.ids, self.trees = self._leaves(False)
@@ -105,11 +134,8 @@ class _GraphViews:
     def _leaves(self, roots: bool):
         """Round 0, as ``_refine`` returns it: every slot's (with ``roots``,
         every vertex's) mark id, and the leaf of each mark."""
-        table: Dict[int, int] = {}
-        indptr = self.indptr
-        ids = [table.setdefault(x, len(table)) for u, x in enumerate(self.marks)
-               for _ in range(1 if roots else indptr[u + 1] - indptr[u])]
-        return ids, [CanonicalTree(x) for x in table]
+        ids = self.mark_ids if roots else self.mark_ids[self.owner]
+        return ids, [CanonicalTree(x) for x in self.leaf_marks]
 
     def edge_round(self, k: int):
         """Edge ids and their trees after k rounds; deeper rounds continue
@@ -133,13 +159,12 @@ class _GraphViews:
                 ids, trees = self._leaves(True)
             else:
                 ids, trees = _refine(self, *self.edge_round(h - 1), True)
-            views = self.roots[h] = [trees[i] for i in ids]
+            views = self.roots[h] = [trees[i] for i in ids.tolist()]
         return views
 
-    def ball(self, root: int, h: int, whole: bool = True):
+    def ball(self, root: int, h: int):
         """BFS layers of the radius-h ball around ``root``, and whether the
-        subgraph induced on the ball is a tree; without ``whole`` the search
-        stops at the first edge that closes a cycle."""
+        subgraph induced on the ball is a tree."""
         nbr, indptr = self.nbr, self.indptr
         parent = {root: root}
         layers: List[List[int]] = [[root]]
@@ -147,7 +172,7 @@ class _GraphViews:
         for d in range(h + 1):
             nxt: List[int] = []
             for v in layers[-1]:
-                for w in nbr[indptr[v]:indptr[v + 1]]:
+                for w in nbr[indptr[v]:indptr[v + 1]].tolist():
                     if w not in parent:
                         if d < h:
                             parent[w] = v
@@ -155,8 +180,6 @@ class _GraphViews:
                     elif w != parent[v]:
                         # w was reached before, along another path
                         is_tree = False
-                        if not whole:
-                            return layers, False
             if not nxt:
                 break
             layers.append(nxt)
@@ -166,8 +189,49 @@ class _GraphViews:
         """Per vertex, whether its radius-h ball is a tree."""
         flags = self.flags.get(h)
         if flags is None:
-            flags = self.flags[h] = [self.ball(v, h, False)[1] for v in range(len(self.marks))]
+            n = self.n
+            flags = self.flags[h] = [ok for lo in range(0, n, _BALL_BLOCK) for ok in
+                                     self._tree_balls(lo, min(lo + _BALL_BLOCK, n), h).tolist()]
         return flags
+
+    def _tree_balls(self, lo: int, hi: int, h: int):
+        """Whether the radius-h ball of each root in ``lo:hi`` is a tree.
+
+        One pass over non-backtracking walks, each kept as (root, last slot)
+        and extended by every slot of its end except the reverse of its last
+        one.  A ball is a tree iff the keys ``root * n + end`` of its walks of
+        length 0..h are pairwise distinct (in a tree, one walk reaches each
+        vertex of the ball) and no walk of length h + 1 ends on one of them
+        (the step that would close a cycle through two vertices at distance
+        h).  A root drops its walks as soon as one of its keys repeats, so no
+        walk count grows beyond the ball and its boundary.
+        """
+        n, indptr, nbr, rev = self.n, self.indptr, self.nbr, self.rev
+        index, n64 = indptr.dtype, np.int64(n)
+        roots = np.arange(lo, hi, dtype=index)
+        tree = np.ones(hi - lo, dtype=bool)
+        seen = roots * n64 + roots  # sorted, as every ``seen`` below
+        # the walks of length 1: every slot of a root
+        walk_root = np.repeat(roots, np.diff(indptr[lo:hi + 1]))
+        last = np.arange(indptr[lo], indptr[hi], dtype=index)
+        for k in range(1, h + 2):
+            end = nbr[last]
+            keys = walk_root * n64 + end
+            if k > h:
+                hit = seen[np.searchsorted(seen, keys).clip(max=len(seen) - 1)] == keys
+                tree[walk_root[hit] - lo] = False
+                break
+            seen = np.sort(np.concatenate((seen, keys)))
+            tree[seen[1:][seen[1:] == seen[:-1]] // n - lo] = False
+            alive = tree[walk_root - lo]
+            walk_root, last, end = walk_root[alive], last[alive], end[alive]
+            # every slot of the end but the one back along the walk
+            deg = indptr[end + 1] - indptr[end]
+            step = (np.repeat(indptr[end] - np.cumsum(deg, dtype=index) + deg, deg)
+                    + np.arange(deg.sum(), dtype=index))
+            keep = step != np.repeat(rev[last], deg)
+            walk_root, last = np.repeat(walk_root, deg)[keep], step[keep]
+        return tree
 
 
 def _views(g: MarkedGraph) -> _GraphViews:

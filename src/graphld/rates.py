@@ -326,15 +326,18 @@ def _leaf_ratios(law: ReferenceLaw, pi: PairMeasure):
     reference star law toward i.i.d. entries from the child marginal of the
     depth-1 pair law ``pi``, and toward entries drawn from its conditional
     given the root entry (root mark x_o, root-side edge mark yr).  Both read
-    ``pair_marginals(pi)`` at the depth-0 views of the entries."""
+    ``pair_marginals(pi)`` at the depth-0 views of the entries.  Each is a
+    table: a ratio is computed on its first lookup and read back after."""
     first, _, cond = pair_marginals(pi)
 
+    @functools.cache
     def indep(x_o: int, x: int, yc: int, yr: int) -> float:
         base = law.nu_pmf(x) * law.xibar_marginal(yc)
         if base == 0.0:
             return 0.0
         return first.get(HalfEdgeTree(CanonicalTree(x), yc), 0.0) / base
 
+    @functools.cache
     def conditional(x_o: int, x: int, yc: int, yr: int) -> float:
         row = cond.get(HalfEdgeTree(CanonicalTree(x_o), yr))
         if row is None:
@@ -349,9 +352,9 @@ def _leaf_ratios(law: ReferenceLaw, pi: PairMeasure):
     return indep, conditional
 
 
-def _leaf_density(law: ReferenceLaw, ratio, t: CanonicalTree) -> float:
-    """Reference star density of ``t`` with each leaf entry reweighted by ``ratio``."""
-    dens = law.star_density(t)
+def _leaf_density(dens: float, ratio, t: CanonicalTree) -> float:
+    """Reference star density ``dens`` of ``t`` with each leaf entry
+    reweighted by ``ratio``."""
     for (yc, yr), sub in t.children:
         if dens == 0.0:
             return 0.0
@@ -708,6 +711,8 @@ class _ChainAnalysis:
     flags: Dict[str, object]
     boundary: float = 0.0
     short: Optional[float] = None
+    # the reference star density of each level-1 atom, from the dominance gate
+    stars: Dict[CanonicalTree, float] = field(default_factory=dict)
 
     def pi(self, h: int) -> PairMeasure:
         """pi_h: the pair law of level h."""
@@ -718,7 +723,7 @@ class _ChainAnalysis:
         densities at h = 1; beyond, (rho*_h, pi*_h), the one-step extension
         of level h-1 and its pair law."""
         if h == 1:
-            return self.law.star_density, self.law.pair_density
+            return self.stars, self.law.pair_density
         rstar = one_step_extension(self.chain.level(h - 1), h - 1)
         return rstar, pair_measure(rstar, h)
 
@@ -727,7 +732,7 @@ class _ChainAnalysis:
         with conditionally i.i.d. leaves at h = 1; beyond, rho*_h and its
         reweighting by pi_h / pi*_h."""
         if h == 1:
-            return tuple(functools.partial(_leaf_density, self.law, ratio)
+            return tuple({t: _leaf_density(dens, ratio, t) for t, dens in self.stars.items()}
                          for ratio in _leaf_ratios(self.law, self.pi(1)))
         rstar, pistar = self.bases(h)
         return rstar, _cond_from_extension(rstar, self.pi(h), pistar, h)
@@ -784,7 +789,8 @@ def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
     if worst > GATE_TOL:
         an.short = math.inf
         return an
-    dominated = all(law.star_density(t) > 0.0 for t in chain.level(1).atoms)
+    an.stars = {t: law.star_density(t) for t in chain.level(1).atoms}
+    dominated = all(dens > 0.0 for dens in an.stars.values())
     flags["absolutely_continuous"] = dominated
     if not dominated:
         an.short = math.inf

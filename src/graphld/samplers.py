@@ -316,6 +316,8 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator) -> MarkedGraph
 
 def sample_fe(n: int, m_n: int, rng: np.random.Generator) -> MarkedGraph:
     """Uniform simple graph with exactly m_n edges (partial Fisher-Yates)."""
+    import numpy as np  # here, so that importing graphld does not load numpy
+
     total = _pair_count(n)
     if m_n < 0:
         raise ValueError(f"negative m_n = {m_n}")
@@ -323,8 +325,10 @@ def sample_fe(n: int, m_n: int, rng: np.random.Generator) -> MarkedGraph:
         raise ValueError(f"m_n = {m_n} exceeds {total} available pairs")
     swap: Dict[int, int] = {}
     picks = []
-    for i in range(m_n):
-        j = i + int(rng.integers(total - i))
+    # step i swaps in a uniform pick of the last total - i pairs; one call
+    # draws all steps, the same integers as one scalar draw per step
+    for i, r in enumerate(rng.integers(total - np.arange(m_n)).tolist()):
+        j = i + r
         picks.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
     return MarkedGraph(n, [_unrank_pair(t, n) for t in picks])

@@ -1,6 +1,9 @@
 """Shared builders for tests: raw trees, exact reference laws, small forests,
 the per-vertex ball trees and message-passing views that graph views are
-checked against, the uncached derived laws that the memoized ones are checked
+checked against, the per-vertex BFS and per-slot refinement that the array
+ball flags and refinement are checked against, the scalar-draw FE sampler,
+the per-call depth-1 leaf ratios that the rate tables are checked against,
+the uncached derived laws that the memoized ones are checked
 against, the sort-and-cut branch views and the Counter log-factorial sum that
 the run-based ones are checked against, the rejection sampler that conditional Monte Carlo is checked
 against, the scipy log-gamma weights that its exact tables are checked
@@ -9,6 +12,7 @@ and a runner for code that must start in a fresh interpreter."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -25,7 +29,7 @@ from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
 from graphld.measures import PairMeasure, TreeMeasure, is_admissible
-from graphld.samplers import integer_degree_counts
+from graphld.samplers import MarkedGraph, _pair_count, _unrank_pair, integer_degree_counts
 from graphld.trees import CanonicalTree, HalfEdgeTree, _entry_key, _interned, split_at_child, truncate
 
 
@@ -227,6 +231,133 @@ def oracle_mtp_weights(g, h):
                       HalfEdgeTree(unfold(v, w, h - 1), _em(g, v, w)))
                      for v in range(g.n) for w in adj[v])
     return {k: c / g.n for k, c in counts.items()}
+
+
+def _bfs_ball_is_tree(adj, root, h):
+    parent = {root: root}
+    layer = [root]
+    for d in range(h + 1):
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                if w not in parent:
+                    if d < h:
+                        parent[w] = v
+                        nxt.append(w)
+                elif w != parent[v]:
+                    # w was reached before, along another path
+                    return False
+        layer = nxt
+    return True
+
+
+def bfs_ball_flags(g, h):
+    """Per vertex, whether its radius-h ball is a tree, by one BFS per vertex
+    that stops at the first edge closing a cycle: the search that the walk
+    pass of ``_GraphViews.ball_flags`` replaced."""
+    adj = g.adjacency()
+    return [_bfs_ball_is_tree(adj, v, h) for v in range(g.n)]
+
+
+def oracle_refine(views, ids, trees, roots):
+    """``empirical._refine`` with one Python key per slot, on the views' arrays
+    read as lists: the round that the array refinement replaced."""
+    marks = [views.leaf_marks[i] for i in views.mark_ids.tolist()]
+    indptr, rev, codes = views.indptr.tolist(), views.rev.tolist(), views.codes.tolist()
+    pairs = views.pairs
+    base = len(trees)
+    table = {}
+    new_trees = []
+    out = []
+    for u, mark in enumerate(marks):
+        seen = [codes[t] * base + ids[rev[t]] for t in range(indptr[u], indptr[u + 1])]
+        full = sorted(seen)
+        if roots:
+            keys = [(mark, *full)]
+        else:
+            keys = [(mark, *full[:i], *full[i + 1:]) for i in map(full.index, seen)]
+        for key in keys:
+            i = table.get(key)
+            if i is None:
+                i = table[key] = len(new_trees)
+                new_trees.append(CanonicalTree(mark, tuple(
+                    (pairs[c // base], trees[c % base]) for c in key[1:])))
+            out.append(i)
+    return out, new_trees
+
+
+def oracle_refined_views(views, k, roots):
+    """The view of every slot (with ``roots``, every vertex) after k rounds
+    of ``oracle_refine``, the last one a root round."""
+    ids = (views.mark_ids if roots and k == 0 else views.mark_ids[views.owner]).tolist()
+    trees = [CanonicalTree(x) for x in views.leaf_marks]
+    for i in range(k):
+        ids, trees = oracle_refine(views, ids, trees, roots and i == k - 1)
+    return [trees[i] for i in ids]
+
+
+def scalar_sample_fe(n, m_n, rng):
+    """``sample_fe`` with one scalar draw per Fisher-Yates step: the loop that
+    its single array draw replaced."""
+    total = _pair_count(n)
+    swap = {}
+    picks = []
+    for i in range(m_n):
+        j = i + int(rng.integers(total - i))
+        picks.append(swap.get(j, j))
+        swap[j] = swap.get(i, i)
+    return MarkedGraph(n, [_unrank_pair(t, n) for t in picks])
+
+
+# ----------------------------------------------- per-call depth-1 leaf ratios
+
+
+def oracle_leaf_ratios(law, pi):
+    """``rates._leaf_ratios`` with every ratio computed anew on each call."""
+    first, _, cond = graphld.pair_marginals(pi)
+
+    def indep(x_o, x, yc, yr):
+        base = law.nu_pmf(x) * law.xibar_marginal(yc)
+        if base == 0.0:
+            return 0.0
+        return first.get(HalfEdgeTree(CanonicalTree(x), yc), 0.0) / base
+
+    def conditional(x_o, x, yc, yr):
+        row = cond.get(HalfEdgeTree(CanonicalTree(x_o), yr))
+        if row is None:
+            return 1.0
+        base = law.nu_pmf(x) * law.xibar_pmf(yc, yr)
+        if base == 0.0:
+            return 0.0
+        return row.get(HalfEdgeTree(CanonicalTree(x), yc), 0.0) * law.xibar_marginal(yr) / base
+
+    return indep, conditional
+
+
+def oracle_leaf_density(law, ratio, t):
+    """The reference star density of ``t``, computed on this call, with each
+    leaf entry reweighted by ``ratio``."""
+    dens = law.star_density(t)
+    for (yc, yr), sub in t.children:
+        if dens == 0.0:
+            return 0.0
+        dens *= ratio(t.mark, sub.mark, yc, yr)
+    return dens
+
+
+def oracle_depth1_bases(an, h):
+    """``rates._ChainAnalysis.bases`` at depth 1, the star density a function
+    evaluated per atom."""
+    assert h == 1
+    return an.law.star_density, an.law.pair_density
+
+
+def oracle_depth1_component_bases(an, h):
+    """``rates._ChainAnalysis.component_bases`` at depth 1 through the
+    per-call leaf ratios and star densities."""
+    assert h == 1
+    return tuple(functools.partial(oracle_leaf_density, an.law, ratio)
+                 for ratio in oracle_leaf_ratios(an.law, an.pi(1)))
 
 
 # ------------------------------------------- uncached derived laws (oracles)

@@ -736,7 +736,7 @@ PIPELINE = [
 # per command: the module it runs without, the pipeline steps that write its
 # inputs, and its own step
 BLOCKED = {
-    "empirical": ("numpy", PIPELINE[:1], PIPELINE[1]),
+    "empirical": ("scipy", PIPELINE[:1], PIPELINE[1]),
     "rate": ("numpy", PIPELINE[:2], PIPELINE[2]),
     "extend": ("numpy", PIPELINE[:2], PIPELINE[3]),
     "verify": ("numpy", PIPELINE[:2] + PIPELINE[3:4], PIPELINE[4]),
@@ -763,6 +763,33 @@ def test_command_runs_without_the_module_it_does_not_use(command, tmp_path, monk
     files = {p.name: p.read_bytes() for p in ref.iterdir()}
     assert set(files) > inputs
     assert {p.name: p.read_bytes() for p in blocked.iterdir()} == files
+
+
+def test_rate_loads_only_the_modules_it_runs(tmp_path):
+    # graphld resolves its public names on first access, and each command
+    # imports what it runs: `rate` needs no graph, sampler or Gibbs code
+    (tmp_path / "mu.json").write_text(json.dumps(
+        {"measure": TreeMeasure({star(0, [0]): 1.0}, 0.0, 1).to_obj()}))
+    res = run_python(
+        "import json, sys\nfrom graphld.cli import main\n"
+        f"code = main(['rate', '--input', 'mu.json', '--law', {LAW!r}, '--report', 'r.json'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('graphld'))]))",
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [
+        0, ["graphld", "graphld.cli", "graphld.measures", "graphld.rates", "graphld.trees"]]
+
+
+def test_star_import_binds_every_public_name(tmp_path):
+    res = run_python(
+        "import graphld\nnames = {}\nexec('from graphld import *', names)\n"
+        "print(sorted(set(graphld.__all__) - set(names)),"
+        " set(graphld.__all__) <= set(dir(graphld)))",
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["[]", "True"]
 
 
 def test_pipeline_artifacts_independent_of_the_process(tmp_path):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphld import empirical
 from graphld.empirical import (
@@ -20,13 +20,16 @@ from graphld.empirical import (
     mtp_check_graph,
     neighborhood_measure,
 )
-from graphld.measures import mtp_check, transport_violation, tv_distance
-from graphld.samplers import MarkedGraph, make_rng, sample_er, assign_marks
+from graphld.measures import DegreeLaw, mtp_check, transport_violation, tv_distance
+from graphld.samplers import (
+    MarkedGraph, ModelConfig, assign_marks, make_rng, sample_cm, sample_er, sample_fe,
+)
 from graphld.trees import CanonicalTree, HalfEdgeTree, branch_views
 
 from helpers import (
-    canon_raw, component_law, mp_root_views, oracle_component_measure,
-    oracle_mtp_weights, oracle_neighborhood_measure, oracle_view, random_forest, star,
+    bfs_ball_flags, canon_raw, component_law, mp_root_views, oracle_component_measure,
+    oracle_mtp_weights, oracle_neighborhood_measure, oracle_refined_views, oracle_view,
+    random_forest, star,
 )
 
 
@@ -278,6 +281,71 @@ def test_views_match_ball_tree_oracle(n, kappa, seed, marked, h):
     assert got == transport_violation(want) == 0.0
 
 
+@st.composite
+def random_graphs(draw):
+    """A CM, FE or ER graph of up to 40 vertices, dense enough for short
+    cycles, with or without marks."""
+    ensemble = draw(st.sampled_from(["CM", "FE", "ER"]))
+    n = draw(st.integers(1, 40))
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    if ensemble == "CM":
+        degrees = draw(st.dictionaries(st.integers(0, 5), st.integers(1, 3), min_size=1))
+        total = sum(degrees.values())
+        cfg = ModelConfig(ensemble="CM", nu=(1.0,), xi=((1.0,),),
+                          alpha=DegreeLaw({d: c / total for d, c in degrees.items()}))
+        try:
+            g = sample_cm(n, cfg, rng)
+        except (ValueError, RuntimeError):
+            # no simple graph with this degree histogram, or none found
+            g = MarkedGraph(n, [])
+    elif ensemble == "FE":
+        g = sample_fe(n, draw(st.integers(0, n * (n - 1) // 2)) // 4, rng)
+    else:
+        g = sample_er(n, min(draw(st.floats(0.0, 4.0)), n), rng)
+    if draw(st.booleans()):
+        g = assign_marks(g, (0.5, 0.3, 0.2), ((0.4, 0.1), (0.2, 0.3)), rng)
+    return g
+
+
+def cycle(n):
+    return MarkedGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# a degree-40 hub in a triangle (0, 1, 2) and a 7-cycle through 39 and 40
+HUB = MarkedGraph(45, [(0, i) for i in range(1, 41)]
+                  + [(1, 2), (40, 41), (41, 42), (42, 43), (43, 44), (39, 44)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=random_graphs())
+@example(g=MarkedGraph(6, []))
+@example(g=cycle(3))
+@example(g=cycle(4))
+@example(g=cycle(5))  # at h = 2 the edge (2, 3) joins two layer-2 vertices of 0
+@example(g=HUB)
+def test_ball_flags_match_the_bfs_oracle(g):
+    views = empirical._views(g)
+    for h in range(4):
+        assert views.ball_flags(h) == bfs_ball_flags(g, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=random_graphs())
+@example(g=MarkedGraph(6, []))
+@example(g=HUB)
+def test_array_refinement_matches_the_per_slot_oracle(g):
+    # every slot's edge view and every vertex's root view is the very tree
+    # the per-slot keys give
+    views = empirical._views(g)
+    for k in range(4):
+        ids, trees = views.edge_round(k)
+        want = oracle_refined_views(views, k, False)
+        assert len(ids) == len(want) and all(trees[i] is t for i, t in zip(ids.tolist(), want))
+        want = oracle_refined_views(views, k, True)
+        got = views.root_views(k)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
 def _cyclic_er_graph():
     g = sample_er(40, 3.0, make_rng(31, 0))
     g = assign_marks(g, (0.5, 0.5), ((0.4, 0.1), (0.2, 0.3)), make_rng(31, 1))
@@ -292,10 +360,7 @@ def _backtracking_refine(views, ids, trees, roots):
     """``empirical._refine`` that leaves no neighbor out of an edge's view:
     every slot of u gets u's root view id."""
     vertex_ids, new_trees = _refine(views, ids, trees, True)
-    if roots:
-        return vertex_ids, new_trees
-    indptr = views.indptr
-    return [i for u, i in enumerate(vertex_ids) for _ in range(indptr[u], indptr[u + 1])], new_trees
+    return (vertex_ids if roots else vertex_ids[views.owner]), new_trees
 
 
 def test_mtp_check_graph_fails_on_broken_views():

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from graphld.rates import (
     one_step_extension,
     vertex_only_rate,
 )
-from graphld.samplers import MarkedGraph, ModelConfig, make_rng
+from graphld.samplers import MarkedGraph, ModelConfig, assign_marks, make_rng, sample_cm
 from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child, truncate
 
 from helpers import (
@@ -59,6 +60,9 @@ from helpers import (
     eta1_exact,
     half_edge_view,
     markov_product_measure,
+    oracle_depth1_bases,
+    oracle_depth1_component_bases,
+    oracle_leaf_ratios,
     random_forest,
     run_python,
     star,
@@ -412,6 +416,54 @@ def test_nbd_rate_ensembles():
     )
     with pytest.raises(ValueError):
         nbd_rate("XX", cfg_cm, eta)
+
+
+def _normalized(weights):
+    return tuple(w / sum(weights) for w in weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 10).map(lambda k: 8 * k),
+       graph_nu=st.lists(st.integers(1, 5), min_size=2, max_size=2),
+       nu=st.lists(st.integers(1, 5), min_size=2, max_size=2), extra=st.integers(0, 3),
+       xi=st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any),
+       scale=st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_depth1_tables_equal_the_per_call_leaf_ratios(seed, n, graph_nu, nu, extra, xi, scale):
+    # a CM graph of root degrees 1..3, so the leaf laws stay small; it never
+    # uses vertex mark 2, which the reference gives mass ``extra`` (0: a zero
+    # nu entry; else a root entry with no size-biased mass, the ratio-1.0
+    # path of the conditional leaves), and the reference xi is zero exactly
+    # where the graph's is
+    rng = make_rng(seed)
+    graph_xi = _normalized(xi)
+    cfg = ModelConfig("CM", (1.0,), ((1.0,),), alpha=DegreeLaw({1: 0.5, 2: 0.25, 3: 0.25}))
+    g = assign_marks(sample_cm(n, cfg, rng), _normalized(graph_nu + [0]),
+                     (graph_xi[:2], graph_xi[2:]), rng)
+    mu = neighborhood_measure(g)
+    ref = _normalized([w * c for w, c in zip(xi, scale)])
+    ref_nu, ref_xi = _normalized(nu + [extra]), (ref[:2], ref[2:])
+    alpha = mu.degree_law()
+    law = ReferenceLaw.fixed_alpha(alpha, ref_nu, ref_xi)
+    beta = mu.mean_degree()
+    configs = [ModelConfig("CM", ref_nu, ref_xi, alpha=alpha),
+               ModelConfig("FE", ref_nu, ref_xi, kappa=beta),
+               ModelConfig("ER", ref_nu, ref_xi, kappa=2.0)]
+
+    def values():
+        out = [nbd_rate(cfg.ensemble, cfg, mu) for cfg in configs]
+        out += [form([mu], beta, law, ensemble="CM").value
+                for form in (component_rate, intermediate_rate, combinatorial_rate)]
+        return out
+
+    got = values()
+    assert math.isfinite(got[0])
+    with mock.patch.object(rates._ChainAnalysis, "bases", oracle_depth1_bases), \
+            mock.patch.object(rates._ChainAnalysis, "component_bases",
+                              oracle_depth1_component_bases):
+        assert values() == got
+    ratios = oracle_leaf_ratios(law, pair_measure(mu, 1))
+    for leaf_law, ratio in zip((leaf_indep_law, leaf_cond_law), ratios):
+        assert leaf_law(mu, law).to_obj() == rates._reweighted(law, ratio).to_obj()
 
 
 def test_ensemble_reference_tuples():

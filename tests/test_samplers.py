@@ -34,7 +34,7 @@ from graphld.samplers import (
 )
 from graphld.trees import canonicalize, truncate
 
-from helpers import canon_raw, eta1_exact, star
+from helpers import canon_raw, eta1_exact, scalar_sample_fe, star
 
 UNIF2 = (0.5, 0.5)
 XI_SYM = ((0.25, 0.25), (0.25, 0.25))
@@ -247,6 +247,22 @@ def test_fe_edges():
     for _ in range(10):
         g = sample_fe(9, 5, rng)
         assert len(g.edges) == 5 and len(set(g.edges)) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 60), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+@example(n=0, frac=0.0, seed=0)
+@example(n=5, frac=0.0, seed=1)
+@example(n=5, frac=1.0, seed=2)
+@example(n=4000, frac=0.0005, seed=3)
+def test_fe_one_draw_is_the_scalar_loop(n, frac, seed):
+    # one array draw gives the m scalar draws bit for bit and leaves the
+    # generator where the scalar loop leaves it; frac 1.0 takes every pair
+    m = round(frac * (n * (n - 1) // 2))
+    a, b = make_rng(seed), make_rng(seed)
+    assert sample_fe(n, m, a).edges == scalar_sample_fe(n, m, b).edges
+    assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+    assert a.integers(2**63) == b.integers(2**63)
 
 
 def test_fe_uniform_over_pairs():
