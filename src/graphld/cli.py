@@ -104,7 +104,8 @@ def _load_levels(value) -> List[TreeMeasure]:
 
     obj = _load_value(value)
     if isinstance(obj, dict) and "levels" in obj:
-        return [TreeMeasure.from_obj(o) for o in obj["levels"]]
+        levels = _of_type(obj["levels"], list, "levels")
+        return [TreeMeasure.from_obj(o, "levels[{}].", h) for h, o in enumerate(levels)]
     if isinstance(obj, dict) and "measure" in obj:
         obj = obj["measure"]
     return _completed(TreeMeasure.from_obj(obj))
@@ -170,15 +171,12 @@ def cmd_empirical(args) -> int:
     config = _config(args, "graph", "depth", "out_prefix")
     g = _load_graph(args.graph)
     outputs = []
-    L = neighborhood_measure(g)
-    _write_json(f"{args.out_prefix}_L.json", {"measure": L.to_obj()}, config)
-    _write_csv(f"{args.out_prefix}_L.csv", _measure_csv_rows(L), config)
-    outputs.append(f"{args.out_prefix}_L.json")
-    for h in range(1, args.depth + 1):
-        U = component_measure(g, h)
-        _write_json(f"{args.out_prefix}_U{h}.json", {"measure": U.to_obj()}, config)
-        _write_csv(f"{args.out_prefix}_U{h}.csv", _measure_csv_rows(U), config)
-        outputs.append(f"{args.out_prefix}_U{h}.json")
+    for h in range(args.depth + 1):
+        name, m = (f"U{h}", component_measure(g, h)) if h else ("L", neighborhood_measure(g))
+        path = f"{args.out_prefix}_{name}"
+        _write_json(f"{path}.json", {"measure": m.to_obj()}, config)
+        _write_csv(f"{path}.csv", _measure_csv_rows(m), config)
+        outputs.append(f"{path}.json")
     print("wrote " + ", ".join(outputs))
     return 0
 

@@ -93,13 +93,13 @@ class _GraphViews:
     order, with ``owner[s] = u``, the slot ``rev[s]`` of the reverse
     half-edge and the index ``codes[s]`` in ``pairs`` of its edge marks
     (y(w, u), y(u, w)).  Vertex marks are kept as
-    indices ``mark_ids`` into ``leaf_marks``.  Edge ids are kept for the
-    deepest refinement round built so far; root views and ball-tree flags
-    are kept per depth.
+    indices ``mark_ids`` into ``leaf_marks``.  ``rounds[k]`` holds the edge
+    ids and trees of refinement round k; root views and ball-tree flags are
+    kept per depth.
     """
 
     __slots__ = ("n", "leaf_marks", "mark_ids", "indptr", "nbr", "owner", "rev", "codes",
-                 "pairs", "depth", "ids", "trees", "roots", "flags")
+                 "pairs", "rounds", "roots", "flags")
 
     def __init__(self, g: MarkedGraph) -> None:
         n, m = g.n, len(g.edges)
@@ -126,64 +126,43 @@ class _GraphViews:
         else:
             self.codes = np.zeros(2 * m, dtype=index)
         self.pairs = list(pair_code)
-        self.depth = 0
-        self.ids, self.trees = self._leaves(False)
+        # round 0: every slot's mark id, and the leaf of each mark
+        self.rounds = [(self.mark_ids[self.owner], [CanonicalTree(x) for x in self.leaf_marks])]
         self.roots: Dict[int, List[CanonicalTree]] = {}
         self.flags: Dict[int, List[bool]] = {}
 
-    def _leaves(self, roots: bool):
-        """Round 0, as ``_refine`` returns it: every slot's (with ``roots``,
-        every vertex's) mark id, and the leaf of each mark."""
-        ids = self.mark_ids if roots else self.mark_ids[self.owner]
-        return ids, [CanonicalTree(x) for x in self.leaf_marks]
-
     def edge_round(self, k: int):
-        """Edge ids and their trees after k rounds; deeper rounds continue
-        from the kept one and replace it, shallower ones start over."""
-        depth, ids, trees = self.depth, self.ids, self.trees
-        if k < depth:
-            depth = 0
-            ids, trees = self._leaves(False)
-        while depth < k:
-            ids, trees = _refine(self, ids, trees, False)
-            depth += 1
-            if depth > self.depth:
-                self.depth, self.ids, self.trees = depth, ids, trees
-        return ids, trees
+        """Edge ids and their trees after k rounds, each round built once."""
+        while len(self.rounds) <= k:
+            self.rounds.append(_refine(self, *self.rounds[-1], False))
+        return self.rounds[k]
 
     def root_views(self, h: int) -> List[CanonicalTree]:
         """The depth-h view of every vertex."""
         views = self.roots.get(h)
         if views is None:
             if h == 0:
-                ids, trees = self._leaves(True)
+                ids, trees = self.mark_ids, self.rounds[0][1]
             else:
                 ids, trees = _refine(self, *self.edge_round(h - 1), True)
             views = self.roots[h] = [trees[i] for i in ids.tolist()]
         return views
 
-    def ball(self, root: int, h: int):
-        """BFS layers of the radius-h ball around ``root``, and whether the
-        subgraph induced on the ball is a tree."""
+    def ball(self, root: int, h: int) -> List[List[int]]:
+        """BFS layers of the radius-h ball around ``root``."""
         nbr, indptr = self.nbr, self.indptr
-        parent = {root: root}
-        layers: List[List[int]] = [[root]]
-        is_tree = True
-        for d in range(h + 1):
+        seen, layers = {root}, [[root]]
+        for _ in range(h):
             nxt: List[int] = []
             for v in layers[-1]:
                 for w in nbr[indptr[v]:indptr[v + 1]].tolist():
-                    if w not in parent:
-                        if d < h:
-                            parent[w] = v
-                            nxt.append(w)
-                    elif w != parent[v]:
-                        # w was reached before, along another path
-                        is_tree = False
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
             if not nxt:
                 break
             layers.append(nxt)
-        return layers, is_tree
+        return layers
 
     def ball_flags(self, h: int) -> List[bool]:
         """Per vertex, whether its radius-h ball is a tree."""
@@ -249,8 +228,10 @@ def component_view(g: MarkedGraph, root: int, h: int) -> ComponentView:
         raise ValueError("depth must be nonnegative")
     if not 0 <= root < g.n:
         raise IndexError(f"root {root} out of range")
-    layers, is_tree = _views(g).ball(root, h)
-    return ComponentView(root, tuple(tuple(sorted(l)) for l in layers), not is_tree)
+    views = _views(g)
+    layers = views.ball(root, h)
+    return ComponentView(root, tuple(tuple(sorted(l)) for l in layers),
+                         not views._tree_balls(root, root + 1, h)[0])
 
 
 # ---------------------------------------------------------------- measures

@@ -443,7 +443,7 @@ def _lattice(hvals: Sequence[float]) -> Tuple[Fraction, Fraction, List[int]]:
 
 def _compositions(c: int, k: int) -> np.ndarray:
     """All k-part compositions of c as rows of an (M, k) integer array."""
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     cuts = np.zeros((1, 0), dtype=np.int64)
     last = np.zeros(1, dtype=np.int64)
@@ -459,7 +459,7 @@ def _compositions(c: int, k: int) -> np.ndarray:
 
 def _dilate(law: np.ndarray, d: int) -> np.ndarray:
     """Law of d * s from the law of s."""
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     if d == 0:
         return np.array([law.sum()])
@@ -506,7 +506,7 @@ def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
     if cost > EXACT_TABLE_BUDGET:
         return None
 
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
     logp = np.log(np.array([problem.nu[x] for x in marks]))
     jv = np.array(j, dtype=np.int64)
     comps, weights, sums, laws = [], [], [], []
@@ -562,7 +562,7 @@ def _binomial_below(rng, samples: int, p: float, limit: int) -> int:
 
 def _sample_exact(law: _CountLaw, rng, samples, min_accepted, n_x):
     """Draw count, accepted count and accepted cell sums, rejection-free."""
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     mass = law.mass
     if min_accepted is None:
@@ -634,7 +634,7 @@ def _sample_exact(law: _CountLaw, rng, samples, min_accepted, n_x):
 
 def _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted):
     """Draw count, accepted count and accepted cell sums by rejection."""
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     n_x = len(problem.nu)
     cell_sums: Dict[Tuple[int, int], float] = {
@@ -647,7 +647,6 @@ def _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted
     h_vec = np.array(problem.hfun)
     while drawn < samples and (min_accepted is None or accepted < min_accepted):
         size = min(REJECTION_BATCH, samples - drawn)
-        drawn += size
         per_class = []
         t = np.zeros(size)
         for d, c in classes:
@@ -660,11 +659,18 @@ def _rejection_counts(problem, classes, n, threshold, samples, rng, min_accepted
             t += d * (ks @ h_vec)
         t /= n
         mask = t > threshold + TIE_TOL
+        if min_accepted is not None:
+            # the batch ends at the draw that brings the count to min_accepted
+            hit = np.flatnonzero(mask)
+            if len(hit) >= min_accepted - accepted:
+                size = int(hit[min_accepted - accepted - 1]) + 1
+                mask = mask[:size]
+        drawn += size
         hits = int(mask.sum())
         if hits:
             accepted += hits
             for (d, _), ks in zip(classes, per_class):
-                kept = ks[mask].astype(np.float64)
+                kept = ks[:size][mask].astype(np.float64)
                 for x in range(n_x):
                     cell_sums[(d, x)] += float(kept[:, x].sum())
                     cell_sqsums[(d, x)] += float((kept[:, x] ** 2).sum())

@@ -18,6 +18,7 @@ from .trees import (
     CanonicalTree,
     HalfEdgeTree,
     _Frozen,
+    _as_index,
     _as_number,
     _of_type,
     branch_views,
@@ -188,6 +189,14 @@ class TreeMeasure(_Frozen):
         if self.non_tree_mass > MASS_TOL:
             raise ValueError(f"{op} needs full tree support, non_tree_mass > 0")
 
+    def _gate(self, op: str, h: int) -> float:
+        """The mean degree, after checking that the depth-``h`` operation
+        ``op`` has full tree support and no atom deeper than ``h``."""
+        self._require_tree_support(op)
+        if self.depth_bound > h:
+            raise ValueError(f"{op}: atoms of depth {self.depth_bound} exceed h={h}")
+        return self.mean_degree()
+
     def degree_law(self) -> "DegreeLaw":
         self._require_tree_support("degree_law")
         return DegreeLaw(_fsum_by((t.root_degree, w) for t, w in self.atoms.items()))
@@ -208,12 +217,22 @@ class TreeMeasure(_Frozen):
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "TreeMeasure":
-        return cls(
-            {tree_from_obj(a["tree"]): a["weight"] for a in obj["atoms"]},
-            obj.get("non_tree_mass", 0.0),
-            obj.get("depth_bound"),
-        )
+    def from_obj(cls, obj: dict, path: str = "", *at) -> "TreeMeasure":
+        """Inverse of ``to_obj``.  A measure or atom that is not a dict, atoms
+        that are not a list, a weight or mass that is a bool or not a number,
+        or a mark or depth that is not an integer, raises ValueError naming
+        its path after the prefix ``path.format(*at)``, such as
+        ``atoms[1].weight``; paths are only formatted then."""
+        _of_type(obj, dict, path[:-1] or "measure", *at)
+        atom = path + "atoms[{}]"
+        tree, weight = atom + ".tree.", atom + ".weight"
+        atoms = {}
+        for i, a in enumerate(_of_type(obj["atoms"], list, path + "atoms", *at)):
+            _of_type(a, dict, atom, *at, i)
+            atoms[tree_from_obj(a["tree"], tree, *at, i)] = _as_number(a["weight"], weight, *at, i)
+        depth = obj.get("depth_bound")
+        return cls(atoms, _as_number(obj.get("non_tree_mass", 0.0), path + "non_tree_mass", *at),
+                   None if depth is None else _as_index(depth, path + "depth_bound", *at))
 
 
 class PairMeasure(_Frozen):
@@ -417,10 +436,7 @@ def pair_measure(rho: TreeMeasure, h: Optional[int] = None) -> PairMeasure:
         h = rho.depth_bound
 
     def build():
-        rho._require_tree_support("pair_measure")
-        if rho.depth_bound > h:
-            raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}; truncate first")
-        beta = rho.mean_degree()
+        beta = rho._gate("pair_measure", h)
         if beta <= 0:
             raise ValueError("degenerate pair measure: mean degree is 0")
         return PairMeasure({k: w / beta for k, w in _pair_weights(rho, h).items()})

@@ -364,10 +364,7 @@ def _leaf_density(dens: float, ratio, t: CanonicalTree) -> float:
 
 def _leaf_stats(mu: TreeMeasure, law: ReferenceLaw, op: str):
     """The input checks of the leaf laws, then ``_leaf_ratios`` of ``mu``."""
-    if mu.depth_bound > 1:
-        raise ValueError(f"{op} is defined on depth-1 laws")
-    mu._require_tree_support(op)
-    if mu.mean_degree() <= 0:
+    if mu._gate(op, 1) <= 0:
         raise ValueError(f"{op} needs positive mean degree")
     for t, _ in mu.items():
         if law.star_density(t) <= 0.0:
@@ -492,10 +489,7 @@ class ExtensionKernel(_Frozen):
     __slots__ = ("h", "_laws")
 
     def __init__(self, rho: TreeMeasure, h: int) -> None:
-        rho._require_tree_support("extension kernel")
-        if rho.depth_bound > h:
-            raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}")
-        beta = rho.mean_degree()
+        beta = rho._gate("extension kernel", h)
         if beta <= 0:
             raise ValueError("degenerate kernel: mean degree is 0")
         # the masses of (branch, depth-h remainder) pairs, each candidate
@@ -541,10 +535,7 @@ def one_step_extension(rho: TreeMeasure, h: int) -> TreeMeasure:
 
 
 def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
-    rho._require_tree_support("one_step_extension")
-    if rho.depth_bound > h:
-        raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}")
-    if rho.mean_degree() == 0:
+    if rho._gate("one_step_extension", h) == 0:
         return TreeMeasure(rho.atoms, 0.0, h + 1)
     projected = _extension_atoms(rho, h)
     if projected > EXTENSION_ATOM_LIMIT:
@@ -619,9 +610,7 @@ def cond_extension_law(rho: TreeMeasure, h: int, law: Optional[ReferenceLaw] = N
         if law is None:
             raise ValueError("the depth-1 form needs the reference law")
         return leaf_cond_law(rho, law)
-    rho._require_tree_support("cond_extension_law")
-    if rho.depth_bound > h:
-        raise ValueError(f"atoms of depth {rho.depth_bound} exceed h={h}")
+    rho._gate("cond_extension_law", h)
     rstar = one_step_extension(rho.truncated(h - 1), h - 1)
     return _cond_from_extension(rstar, pair_measure(rho, h), pair_measure(rstar, h), h)
 

@@ -22,7 +22,7 @@ CM_RESTARTS = 1000
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; distinct (seed, stream) pairs mod 2**64 are independent."""
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     # a uint64 array: a plain list would pass key words >= 2**63 through float64
     key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
@@ -51,6 +51,8 @@ class MarkedGraph(_Frozen):
         emarks: Optional[Dict[Tuple[int, int], int]] = None,
     ) -> None:
         n = _as_index(n, "n")
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, not {n}")
         norm = []
         seen = set()
         for i, (u, v) in enumerate(edges):
@@ -166,11 +168,6 @@ class ModelConfig:
             raise ValueError("ER needs kappa")
         if self.ensemble == "FE" and self.kappa is None and self.m_n is None:
             raise ValueError("FE needs kappa or m_n")
-
-    def mean_degree(self) -> float:
-        if self.ensemble == "CM":
-            return self.alpha.mean()
-        return float(self.kappa) if self.kappa is not None else 0.0
 
     def edge_count(self, n: int) -> int:
         if self.m_n is not None:
@@ -293,7 +290,7 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator) -> MarkedGraph
     containing a self-loop or multi-edge restarts from scratch, which leaves
     the uniform law on simple realizations.
     """
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     counts = _degree_counts(cfg, n)
     if not _is_graphical(counts):
@@ -316,7 +313,7 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator) -> MarkedGraph
 
 def sample_fe(n: int, m_n: int, rng: np.random.Generator) -> MarkedGraph:
     """Uniform simple graph with exactly m_n edges (partial Fisher-Yates)."""
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     total = _pair_count(n)
     if m_n < 0:
@@ -362,7 +359,7 @@ def assign_marks(g: MarkedGraph, nu: Sequence[float], xi, rng: np.random.Generat
     """I.i.d. vertex marks from nu; per edge an ordered pair from xi assigned
     to the two sides by a fair coin, so each directed pair has the symmetrized
     law (xi + xi^T) / 2."""
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     if g.is_marked:
         raise ValueError("graph is already marked")
@@ -399,7 +396,7 @@ def sample_sized_biased_gw(offspring, nu, xi, depth: int, rng: np.random.Generat
     size-biased shifted law (k+1) q(k+1) / mean) or a float Poisson mean, for
     which the shifted law is again Poisson.
     """
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -447,7 +444,7 @@ def sample_sized_biased_gw(offspring, nu, xi, depth: int, rng: np.random.Generat
 
 def _draw_table(law):
     """(atoms, probabilities) of a tree measure, in encoding order."""
-    import numpy as np  # here, so that importing graphld does not load numpy
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
     atoms, weights = zip(*law.items())
     p = np.asarray(weights) / math.fsum(weights)

@@ -335,19 +335,26 @@ def tree_to_obj(t: CanonicalTree) -> dict:
     }
 
 
-def tree_from_obj(obj: dict) -> CanonicalTree:
+def tree_from_obj(obj: dict, path: str = "", *at) -> CanonicalTree:
     """Inverse of ``tree_to_obj``; a mark that is a bool or not an integer
-    raises ValueError naming its field, such as ``children[0].ym_child``."""
+    raises ValueError naming its field after the prefix ``path.format(*at)``,
+    such as ``children[0].ym_child``, which is only formatted then."""
+    names: List[Tuple[str, str, str]] = []  # per depth, the fields of a node's marks
 
-    def build(o: dict, at: str) -> CanonicalTree:
+    def build(o: dict, depth: int, at: tuple) -> CanonicalTree:
+        if depth == len(names):
+            node = path + "children[{}].tree." * depth
+            kid = node + "children[{}]."
+            names.append((node + "mark", kid + "ym_child", kid + "ym_root"))
+        mark, ym_child, ym_root = names[depth]
         kids = []
         for i, c in enumerate(o["children"]):
-            f = f"{at}children[{i}]."
-            pair = (_as_index(c["ym_child"], f + "ym_child"), _as_index(c["ym_root"], f + "ym_root"))
-            kids.append((pair, build(c["tree"], f + "tree.")))
-        return CanonicalTree(_as_index(o["mark"], at + "mark"), tuple(kids))
+            a = (*at, i)
+            pair = (_as_index(c["ym_child"], ym_child, *a), _as_index(c["ym_root"], ym_root, *a))
+            kids.append((pair, build(c["tree"], depth + 1, a)))
+        return CanonicalTree(_as_index(o["mark"], mark, *at), tuple(kids))
 
-    return build(obj, "")
+    return build(obj, 0, at)
 
 
 def _as_index(value, field: str, *at) -> int:
@@ -361,18 +368,19 @@ def _as_index(value, field: str, *at) -> int:
     return operator.index(value)
 
 
-def _of_type(value, kind: type, path: str):
-    """``value``, after checking that it is a ``kind``; else ValueError naming ``path``."""
+def _of_type(value, kind: type, path: str, *at):
+    """``value``, after checking that it is a ``kind``; else ValueError naming
+    ``path.format(*at)``."""
     if not isinstance(value, kind):
-        raise ValueError(f"{path} must be a {kind.__name__}, not {value!r}")
+        raise ValueError(f"{path.format(*at)} must be a {kind.__name__}, not {value!r}")
     return value
 
 
-def _as_number(value, path: str) -> float:
+def _as_number(value, path: str, *at) -> float:
     """``value`` as a float; a bool (JSON ``true``) or a value that is not a
-    real number raises ValueError naming ``path``."""
+    real number raises ValueError naming ``path.format(*at)``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{path} must be a number, not {value!r}")
+        raise ValueError(f"{path.format(*at)} must be a number, not {value!r}")
     return float(value)
 
 

@@ -578,8 +578,9 @@ def rejection_conditional_mc(problem, n, samples, rng, delta=None,
     One degree class with two marks and a tail-set acceptance event draws
     the mark-1 count by inversion of its binomial CDF in chunks of uniforms;
     every other problem draws whole per-class count vectors in batches of
-    ``REJECTION_BATCH``.  Both stop after the chunk or batch in which
-    ``min_accepted`` acceptances were reached.
+    ``REJECTION_BATCH``.  The batches stop at the draw that brings the
+    accepted count to ``min_accepted``; the chunks stop after the chunk in
+    which that count was reached.
     """
     if solution is None:
         solution = solve(problem)

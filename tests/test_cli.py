@@ -500,7 +500,7 @@ def test_rate_of_an_edge_mark_that_is_not_an_integer_is_bad_input(er_depth2, val
     # JSON `true` used to be kept as an edge mark and 0.5 reported as out of range
     d = er_depth2
     obj = json.loads((d / "emp_L.json").read_text())
-    atom = next(a for a in obj["measure"]["atoms"] if a["tree"]["children"])
+    i, atom = next((i, a) for i, a in enumerate(obj["measure"]["atoms"]) if a["tree"]["children"])
     atom["tree"]["children"][0]["ym_child"] = value
     (d / "bad_L.json").write_text(json.dumps(obj))
     law = ReferenceLaw.poisson(1.0, (0.5, 0.5), ((1.0,),))
@@ -509,9 +509,43 @@ def test_rate_of_an_edge_mark_that_is_not_an_integer_is_bad_input(er_depth2, val
     assert run("rate", "--input", d / "bad_L.json", "--law", d / "law.json",
                "--ensemble", "er", "--kappa", 1, "--report", d / "rate.json") == 2
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err == {"type": "bad_input", "message": "ValueError: children[0].ym_child"
-                   f" must be an integer, not {value!r}"}
+    assert err == {"type": "bad_input", "message": f"ValueError: atoms[{i}].tree.children[0]"
+                   f".ym_child must be an integer, not {value!r}"}
     assert not (d / "rate.json").exists()
+
+
+LEAF = {"mark": 0, "children": []}
+EDGE = {"mark": 0, "children": [{"ym_child": 0, "ym_root": 0, "tree": LEAF}]}
+
+
+@pytest.mark.parametrize("measure, message", [
+    ({"atoms": [{"tree": LEAF, "weight": "1.0"}]}, "atoms[0].weight must be a number, not '1.0'"),
+    ({"atoms": [{"tree": LEAF, "weight": True}]}, "atoms[0].weight must be a number, not True"),
+    ({"atoms": {"x": 1}}, "atoms must be a list, not {'x': 1}"),
+    ({"atoms": [1, 2]}, "atoms[0] must be a dict, not 1"),
+    ([{"tree": LEAF, "weight": 1.0}], "measure must be a dict, not [{"),
+    ({"levels": {"0": {}}}, "levels must be a list, not {'0': {}}"),
+    ({"levels": [{"atoms": [{"tree": LEAF, "weight": 0.5}, {"tree": {
+        "mark": 0, "children": [{"ym_child": 0, "ym_root": "0", "tree": LEAF}]}, "weight": 0.5}]}]},
+     "levels[0].atoms[1].tree.children[0].ym_root must be an integer, not '0'"),
+    ({"levels": [{"atoms": [{"tree": EDGE, "weight": 1.0}]}, {"atoms": [{"tree": {
+        "mark": 0, "children": [{"ym_child": 0, "ym_root": 0, "tree": EDGE}]}, "weight": 1.0}],
+        "non_tree_mass": None}]},
+     "levels[1].non_tree_mass must be a number, not None"),
+], ids=["string-weight", "true-weight", "atoms-dict", "atoms-numbers", "list", "levels-dict",
+        "level-mark", "level-mass"])
+def test_rate_of_a_mistyped_measure_is_bad_input(measure, message, tmp_path, capsys):
+    # a string or `true` weight used to be read as a number; the others ended
+    # in a bare TypeError, and a bad mark was named without its atom
+    (tmp_path / "m.json").write_text(json.dumps(measure))
+    law = ReferenceLaw.poisson(1.0, (1.0,), ((1.0,),))
+    (tmp_path / "law.json").write_text(json.dumps(law.to_obj()))
+    assert run("rate", "--input", tmp_path / "m.json", "--law", tmp_path / "law.json",
+               "--beta", 1.0, "--report", tmp_path / "rate.json") == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "bad_input"
+    assert err["message"].startswith(f"ValueError: {message}")
+    assert not (tmp_path / "rate.json").exists()
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -549,6 +583,16 @@ def test_empirical_of_a_graph_of_the_wrong_type_is_bad_input(graph, message, tmp
     assert json.loads(out.out)["error"] == {"type": "bad_input",
                                             "message": f"ValueError: {message}"}
     assert out.err == ""
+    assert os.listdir(tmp_path) == ["g.json"]
+
+
+def test_empirical_of_a_graph_with_negative_n_is_bad_input(tmp_path, capsys):
+    # this used to fail only inside numpy, as "'minlength' must not be negative"
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"graph": {"n": -3, "edges": []}}))
+    assert run("empirical", "--graph", path, "--out-prefix", tmp_path / "e") == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "bad_input", "message": "ValueError: n must be nonnegative, not -3"}
     assert os.listdir(tmp_path) == ["g.json"]
 
 
@@ -695,6 +739,18 @@ def test_import_loads_no_numpy_scipy_or_networkx(tmp_path):
     res = run_python(
         "import sys, graphld, graphld.cli\n"
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'numpy', 'scipy'}))",
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_import_of_samplers_gibbs_and_rates_loads_no_numpy_or_scipy(tmp_path):
+    # the import that the benchmark's set-up pays: numpy and scipy load
+    # inside the functions that use them
+    res = run_python(
+        "import sys, graphld.samplers, graphld.gibbs, graphld.rates\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))",
         tmp_path,
     )
     assert res.returncode == 0, res.stderr

@@ -424,7 +424,7 @@ def test_views_are_refined_once_per_graph():
             u2 = component_measure(g, 2)
             assert mtp_check_graph(g, 2) == 0.0
     assert rounds == [True, False, True]
-    assert g._views.depth == 1
+    assert len(g._views.rounds) == 2
     leaves = len(set(g.vmarks))
     assert len(built) <= leaves + sum(ids_per_round)
     assert L.to_obj() == oracle_neighborhood_measure(g).to_obj()

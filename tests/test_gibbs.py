@@ -697,6 +697,22 @@ def test_min_accepted_stops_at_first_hitting_draw():
     assert mean == pytest.approx(200 / mass, abs=5 * sd)
 
 
+def test_rejection_path_stops_at_first_hitting_draw():
+    # h = (0, 1, sqrt 2) has no common lattice, so draws are rejected in
+    # batches; the accepted count used to run on to the end of the batch
+    p = GibbsProblem(DegreeLaw({2: 1.0}), (1 / 3, 1 / 3, 1 / 3),
+                     (0.0, 1.0, math.sqrt(2.0)), 2.2)
+    mass, _ = enumerate_conditional(p, 20, p.c - p.delta)
+    s = solve(p)
+    reps = [conditional_mc(p, 20, 20_000, make_rng(281, i), min_accepted=10, solution=s)
+            for i in range(200)]
+    assert all(r.exact_joint_tv is None and r.accepted == 10 for r in reps)
+    # draws - 10 is negative binomial: mean 10 (1 - P) / P
+    mean = float(np.mean([r.draws for r in reps]))
+    sd = math.sqrt(10 * (1 - mass)) / mass / math.sqrt(len(reps))
+    assert mean == pytest.approx(10 / mass, abs=5 * sd)
+
+
 def test_joint_and_leaf_sums_each_leaf_weight_exactly():
     # with three degree classes a running sum in class order rounds mark 0's
     # weight up in its last bit; each leaf weight is the per-mark fsum

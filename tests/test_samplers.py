@@ -122,6 +122,12 @@ def test_marked_graph_rejects_marks_and_endpoints_that_are_not_integers(edit, fi
         MarkedGraph.from_obj(obj)
 
 
+def test_marked_graph_rejects_a_negative_vertex_count():
+    # n = -3 used to be kept, written by to_obj and only fail in numpy later
+    with pytest.raises(ValueError, match="^n must be nonnegative, not -3$"):
+        MarkedGraph(-3, [])
+
+
 def test_marked_graph_takes_numpy_integers():
     g = MarkedGraph(np.int64(3), np.array([[0, 1], [1, 2]]), np.array([1, 0, 1]),
                     {(np.int32(0), 1): np.uint8(1), (1, 0): 0, (1, 2): 0, (2, 1): np.int16(1)})
