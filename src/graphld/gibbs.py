@@ -50,6 +50,9 @@ BRACKET_MAX = 2.0**60
 # Larger problems are sampled by rejection, in batches of REJECTION_BATCH.
 EXACT_TABLE_BUDGET = 1 << 22
 REJECTION_BATCH = 1 << 20
+# Largest draw budget of conditional_mc: numpy draws binomial counts and
+# Poisson means below about 2**63, and the Poisson cap is 2 * samples + 1e6.
+SAMPLES_LIMIT = 1 << 61
 
 # Largest denominator tried when reading an h value as a fraction (0.1 = 1/10).
 _MAX_DENOMINATOR = 10**6
@@ -76,8 +79,8 @@ class GibbsProblem:
         object.__setattr__(self, "hfun", tuple(float(v) for v in self.hfun))
         if len(self.hfun) != len(self.nu):
             raise ValueError("hfun and nu must have the same length")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not self.delta > 0:
+            raise ValueError(f"delta must be positive, not {self.delta!r}")
 
     def kappa(self) -> float:
         return self.alpha.mean()
@@ -716,15 +719,15 @@ def conditional_mc(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    if not 1 <= samples <= SAMPLES_LIMIT:
+        raise ValueError(f"samples must be in [1, {SAMPLES_LIMIT}], not {samples}")
     if min_accepted is not None and min_accepted < 1:
         raise ValueError("min_accepted must be at least 1")
     if solution is None:
         solution = solve(problem)
     delta = problem.delta if delta is None else float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, not {delta!r}")
     threshold = problem.c - delta
     counts = integer_degree_counts(problem.alpha, n)
     classes = sorted((d, c) for d, c in counts.items() if c > 0)

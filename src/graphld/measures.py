@@ -222,14 +222,19 @@ class TreeMeasure(_Frozen):
         that are not a list, a weight or mass that is a bool or not a number,
         or a mark or depth that is not an integer, raises ValueError naming
         its path after the prefix ``path.format(*at)``, such as
-        ``atoms[1].weight``; paths are only formatted then."""
+        ``atoms[1].weight``, and so does a tree listed twice, naming both
+        atoms; paths are only formatted then."""
         _of_type(obj, dict, path[:-1] or "measure", *at)
         atom = path + "atoms[{}]"
         tree, weight = atom + ".tree.", atom + ".weight"
-        atoms = {}
+        atoms, index = {}, {}
         for i, a in enumerate(_of_type(obj["atoms"], list, path + "atoms", *at)):
             _of_type(a, dict, atom, *at, i)
-            atoms[tree_from_obj(a["tree"], tree, *at, i)] = _as_number(a["weight"], weight, *at, i)
+            t = tree_from_obj(a.get("tree"), tree, *at, i)
+            if index.setdefault(t, i) != i:
+                raise ValueError(f"{atom.format(*at, index[t])} and {atom.format(*at, i)}"
+                                 " list the same tree")
+            atoms[t] = _as_number(a.get("weight"), weight, *at, i)
         depth = obj.get("depth_bound")
         return cls(atoms, _as_number(obj.get("non_tree_mass", 0.0), path + "non_tree_mass", *at),
                    None if depth is None else _as_index(depth, path + "depth_bound", *at))

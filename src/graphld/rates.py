@@ -277,36 +277,46 @@ def _star_weight(base: float, d: int, groups) -> float:
     return base * math.exp(logmult)
 
 
+def _multisets(roots, limit: int, what: str):
+    """One (tree, mass) per multiset of root entries.  Each root is a triple
+    (mark, mass, groups); a group (options, m) stands for m equal root
+    entries, each drawn i.i.d. from the sorted (entry, q) list ``options``,
+    so a tree's mass is ``_star_weight`` chained over the groups from the
+    root mass (callers keep distinct multisets distinct trees).  ValueError
+    "{what} would need N atoms (limit L)" is raised before any tree is built
+    when the roots have more than ``limit`` multisets: prod C(k+m-1, m) over
+    the groups of k options each, summed over the roots."""
+    projected = sum(math.prod(math.comb(len(options) + m - 1, m) for options, m in groups)
+                    for _, _, groups in roots)
+    if projected > limit:
+        raise ValueError(f"{what} would need {projected} atoms (limit {limit})")
+    for mark, mass, groups in roots:
+        if mass == 0.0:
+            continue
+        # the partial multisets over the groups so far; a root with no
+        # groups is its one empty multiset
+        partial = [((), mass)]
+        for options, m in groups:
+            choices = [(tuple(options[i][0] for i in combo),
+                        [(options[i][1], c) for i, c in Counter(combo).items()])
+                       for combo in itertools.combinations_with_replacement(range(len(options)), m)]
+            partial = [(kids + more, _star_weight(w, m, counts))
+                       for kids, w in partial for more, counts in choices]
+        for kids, w in partial:
+            if w > 0:
+                yield CanonicalTree(mark, kids), w
+
+
 def _star_law(root_mass: Dict[Tuple[int, int], float],
               entries: Dict[int, Dict[Tuple[Tuple[int, int], int], float]]) -> TreeMeasure:
     """The explicit depth-1 law whose root of mark x_o and degree d has mass
     ``root_mass[(x_o, d)]`` and whose d leaf entries ((yc, yr), x) are i.i.d.
-    with weights ``entries[x_o]``: a multiset of entries has mass
-    ``_star_weight`` of the root mass and the entry weights.  Raises
-    ValueError before building a support of more than STAR_ATOM_LIMIT atoms."""
-    per_root = {x_o: sorted((e, q) for e, q in ew.items() if q > 0) for x_o, ew in entries.items()}
-    projected = sum(
-        math.comb(len(per_root[x_o]) + d - 1, d) if per_root[x_o] else int(d == 0)
-        for x_o, d in root_mass
-    )
-    if projected > STAR_ATOM_LIMIT:
-        raise ValueError(
-            f"materialized support would need {projected} atoms (limit {STAR_ATOM_LIMIT})"
-        )
-    atoms: Dict[CanonicalTree, float] = {}
-    for (x_o, d), base in root_mass.items():
-        if base == 0.0:
-            continue
-        # a degree-0 root is its one empty combination
-        ew = per_root[x_o]
-        for combo in itertools.combinations_with_replacement(range(len(ew)), d):
-            groups = [(ew[i], m) for i, m in Counter(combo).items()]
-            w = _star_weight(base, d, ((q, m) for (_, q), m in groups))
-            if w > 0:
-                kids = tuple((pair, CanonicalTree(x)) for ((pair, x), _), m in groups for _ in range(m))
-                t = CanonicalTree(x_o, kids)
-                atoms[t] = atoms.get(t, 0.0) + w
-    return TreeMeasure(atoms, 0.0, 1)
+    with weights ``entries[x_o]``.  Raises ValueError before building a
+    support of more than STAR_ATOM_LIMIT atoms."""
+    per_root = {x_o: [((pair, CanonicalTree(x)), q) for (pair, x), q in sorted(ew.items()) if q > 0]
+                for x_o, ew in entries.items()}
+    roots = [(x_o, base, [(per_root[x_o], d)] if d else []) for (x_o, d), base in root_mass.items()]
+    return TreeMeasure(dict(_multisets(roots, STAR_ATOM_LIMIT, "materialized support")), 0.0, 1)
 
 
 def _reweighted(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float]) -> TreeMeasure:
@@ -492,17 +502,15 @@ class ExtensionKernel(_Frozen):
         beta = rho._gate("extension kernel", h)
         if beta <= 0:
             raise ValueError("degenerate kernel: mean degree is 0")
+        ok, defect = is_admissible(pair_measure(rho, h))
+        if not ok:
+            raise ValueError(f"input law is inadmissible (asymmetry {defect:.3g})")
         # the masses of (branch, depth-h remainder) pairs, each candidate
         # remainder filed under its cell: its depth-(h-1) cut and the branch
         cells: Dict[Tuple[HalfEdgeTree, HalfEdgeTree], Dict[HalfEdgeTree, float]] = {}
         for (branch, rest), w in _pair_weights(rho, h + 1).items():
             cells.setdefault((rest.truncated(h - 1), branch), {})[rest] = w
         totals = {key: math.fsum(cand.values()) for key, cand in cells.items()}
-        # the cells' masses over beta are pair_measure(rho, h) up to rounding
-        ok, defect = is_admissible(PairMeasure(
-            {(branch, prior): m / beta for (prior, branch), m in totals.items()}))
-        if not ok:
-            raise ValueError(f"input law is inadmissible (asymmetry {defect:.3g})")
         laws = {key: {c: cand[c] / totals[key] for c in sorted(cand, key=lambda c: c.sort_key)}
                 for key, cand in cells.items()}
         object.__setattr__(self, "h", int(h))
@@ -537,41 +545,19 @@ def one_step_extension(rho: TreeMeasure, h: int) -> TreeMeasure:
 def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
     if rho._gate("one_step_extension", h) == 0:
         return TreeMeasure(rho.atoms, 0.0, h + 1)
-    projected = _extension_atoms(rho, h)
-    if projected > EXTENSION_ATOM_LIMIT:
-        raise ValueError(
-            f"one-step extension would need {projected} atoms (limit {EXTENSION_ATOM_LIMIT})"
-        )
     kernel = extension_kernel(rho, h)
 
-    def deepened():
-        for s, w in rho.items():
-            # per root child, its deeper entries with their kernel
-            # probabilities; s has depth <= h, so these branches are its whole
-            # root subtrees, and a degree-0 atom is its one empty combination
-            options = [[(((deeper.pendant_mark, rest.pendant_mark), deeper.tree), p)
-                        for deeper, p in kernel.law(branch, rest).items()]
-                       for branch, rest in branch_views(s, h - 1)]
-            for combo in itertools.product(*options):
-                yield (CanonicalTree(s.mark, tuple(entry for entry, _ in combo)),
-                       math.prod((p for _, p in combo), start=w))
+    @functools.cache
+    def options(view: Tuple[HalfEdgeTree, HalfEdgeTree]) -> list:
+        # the deeper root entries of a child of view (branch, rest), with
+        # their kernel probabilities; the atoms have depth <= h, so a branch
+        # is a whole root subtree, and equal root entries have equal views
+        return sorted((((deeper.pendant_mark, view[1].pendant_mark), deeper.tree), p)
+                      for deeper, p in kernel.law(*view).items())
 
-    return TreeMeasure(_fsum_by(deepened()), 0.0, h + 1)
-
-
-def _extension_atoms(rho: TreeMeasure, h: int) -> int:
-    """The number of atoms of ``one_step_extension(rho, h)``, from the kernel
-    alone: equal root entries of an atom have equal views, so a group of m of
-    them whose kernel law has k outcomes deepens to C(k+m-1, m) multisets,
-    and distinct atoms or groups never deepen to the same tree."""
-    laws = extension_kernel(rho, h)._laws
-    total = 0
-    for s in rho.atoms:
-        n = 1
-        for view, m in Counter(branch_views(s, h - 1)).items():
-            n *= math.comb(len(laws[view]) + m - 1, m)
-        total += n
-    return total
+    roots = [(s.mark, w, [(options(view), m) for view, m in Counter(branch_views(s, h - 1)).items()])
+             for s, w in rho.items()]
+    return TreeMeasure(dict(_multisets(roots, EXTENSION_ATOM_LIMIT, "one-step extension")), 0.0, h + 1)
 
 
 def _cond_from_extension(rstar: TreeMeasure, pi, pistar, h: int) -> TreeMeasure:

@@ -336,23 +336,27 @@ def tree_to_obj(t: CanonicalTree) -> dict:
 
 
 def tree_from_obj(obj: dict, path: str = "", *at) -> CanonicalTree:
-    """Inverse of ``tree_to_obj``; a mark that is a bool or not an integer
-    raises ValueError naming its field after the prefix ``path.format(*at)``,
+    """Inverse of ``tree_to_obj``; a node or child entry that is not a dict,
+    children that are not a list, or a mark that is a bool or not an integer
+    raises ValueError naming its path after the prefix ``path.format(*at)``,
     such as ``children[0].ym_child``, which is only formatted then."""
-    names: List[Tuple[str, str, str]] = []  # per depth, the fields of a node's marks
+    names: List[Tuple[str, ...]] = []  # per depth, the paths of a node and its fields
 
     def build(o: dict, depth: int, at: tuple) -> CanonicalTree:
         if depth == len(names):
             node = path + "children[{}].tree." * depth
-            kid = node + "children[{}]."
-            names.append((node + "mark", kid + "ym_child", kid + "ym_root"))
-        mark, ym_child, ym_root = names[depth]
+            kid = node + "children[{}]"
+            names.append((node[:-1] or "tree", node + "mark", node + "children",
+                          kid, kid + ".ym_child", kid + ".ym_root"))
+        here, mark, children, kid, ym_child, ym_root = names[depth]
+        _of_type(o, dict, here, *at)
         kids = []
-        for i, c in enumerate(o["children"]):
+        for i, c in enumerate(_of_type(o.get("children"), list, children, *at)):
             a = (*at, i)
-            pair = (_as_index(c["ym_child"], ym_child, *a), _as_index(c["ym_root"], ym_root, *a))
-            kids.append((pair, build(c["tree"], depth + 1, a)))
-        return CanonicalTree(_as_index(o["mark"], mark, *at), tuple(kids))
+            _of_type(c, dict, kid, *a)
+            pair = (_as_index(c.get("ym_child"), ym_child, *a), _as_index(c.get("ym_root"), ym_root, *a))
+            kids.append((pair, build(c.get("tree"), depth + 1, a)))
+        return CanonicalTree(_as_index(o.get("mark"), mark, *at), tuple(kids))
 
     return build(obj, 0, at)
 

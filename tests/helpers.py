@@ -3,12 +3,14 @@ the per-vertex ball trees and message-passing views that graph views are
 checked against, the per-vertex BFS and per-slot refinement that the array
 ball flags and refinement are checked against, the scalar-draw FE sampler,
 the per-call depth-1 leaf ratios that the rate tables are checked against,
-the uncached derived laws that the memoized ones are checked
-against, the sort-and-cut branch views and the Counter log-factorial sum that
-the run-based ones are checked against, the rejection sampler that conditional Monte Carlo is checked
-against, the scipy log-gamma weights that its exact tables are checked
-against, the per-leaf product that the Gibbs optimizer is checked against,
-and a runner for code that must start in a fresh interpreter."""
+the uncached derived laws that the memoized ones are checked against, the
+ordered-product extension that the multiset one is checked against and the
+weight-by-weight check of two laws, the sort-and-cut branch views and the
+Counter log-factorial sum that the run-based ones are checked against, the
+rejection sampler that conditional Monte Carlo is checked against, the scipy
+log-gamma weights that its exact tables are checked against, the per-leaf
+product that the Gibbs optimizer is checked against, and a runner for code
+that must start in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import sys
 from collections import Counter, deque
 
 import numpy as np
+import pytest
 from scipy import special, stats
 
 import graphld
@@ -29,8 +32,10 @@ from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
 from graphld.measures import PairMeasure, TreeMeasure, is_admissible
+from graphld.rates import extension_kernel
 from graphld.samplers import MarkedGraph, _pair_count, _unrank_pair, integer_degree_counts
-from graphld.trees import CanonicalTree, HalfEdgeTree, _entry_key, _interned, split_at_child, truncate
+from graphld.trees import (CanonicalTree, HalfEdgeTree, _entry_key, _interned, branch_views,
+                           split_at_child, truncate)
 
 
 def run_python(code, cwd=None, timeout=120, **env):
@@ -503,6 +508,33 @@ def oracle_one_step_extension(rho, h):
                 wt *= p
                 kids.append(((deeper.pendant_mark, r.pendant_mark), deeper.tree))
             out.setdefault(CanonicalTree(s.mark, tuple(kids)), []).append(wt)
+    return TreeMeasure({t: math.fsum(ws) for t, ws in out.items()}, 0.0, h + 1)
+
+
+def assert_close_laws(got, want, rel=1e-14):
+    """``got`` has the depth bound and support of ``want`` and every weight
+    within ``rel`` relative of it."""
+    assert got.depth_bound == want.depth_bound
+    assert set(got.atoms) == set(want.atoms)
+    for t, w in want.atoms.items():
+        assert got.atoms[t] == pytest.approx(w, rel=rel, abs=0)
+
+
+def ordered_product_extension(rho, h):
+    """The one-step extension built from the library's kernel and views, one
+    tree per ordering of the deepened root children, the orderings merged
+    with ``fsum``."""
+    if rho.mean_degree() == 0:
+        return TreeMeasure(rho.atoms, 0.0, h + 1)
+    kernel = extension_kernel(rho, h)
+    out = {}
+    for s, w in rho.items():
+        options = [[(((deeper.pendant_mark, rest.pendant_mark), deeper.tree), p)
+                    for deeper, p in kernel.law(branch, rest).items()]
+                   for branch, rest in branch_views(s, h - 1)]
+        for combo in itertools.product(*options):
+            t = CanonicalTree(s.mark, tuple(entry for entry, _ in combo))
+            out.setdefault(t, []).append(math.prod((p for _, p in combo), start=w))
     return TreeMeasure({t: math.fsum(ws) for t, ws in out.items()}, 0.0, h + 1)
 
 

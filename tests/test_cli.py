@@ -532,11 +532,20 @@ EDGE = {"mark": 0, "children": [{"ym_child": 0, "ym_root": 0, "tree": LEAF}]}
         "mark": 0, "children": [{"ym_child": 0, "ym_root": 0, "tree": EDGE}]}, "weight": 1.0}],
         "non_tree_mass": None}]},
      "levels[1].non_tree_mass must be a number, not None"),
+    ({"atoms": [{"tree": 5, "weight": 1.0}]}, "atoms[0].tree must be a dict, not 5"),
+    ({"atoms": [{"tree": {"mark": 0, "children": [5]}, "weight": 1.0}]},
+     "atoms[0].tree.children[0] must be a dict, not 5"),
+    ({"atoms": [{"tree": {"mark": 0}, "weight": 1.0}]},
+     "atoms[0].tree.children must be a list, not None"),
+    ({"atoms": [{"tree": LEAF, "weight": 0.5}, {"tree": EDGE, "weight": 0.25},
+                {"tree": LEAF, "weight": 0.25}]}, "atoms[0] and atoms[2] list the same tree"),
 ], ids=["string-weight", "true-weight", "atoms-dict", "atoms-numbers", "list", "levels-dict",
-        "level-mark", "level-mass"])
+        "level-mark", "level-mass", "tree-number", "child-number", "no-children",
+        "repeated-tree"])
 def test_rate_of_a_mistyped_measure_is_bad_input(measure, message, tmp_path, capsys):
     # a string or `true` weight used to be read as a number; the others ended
-    # in a bare TypeError, and a bad mark was named without its atom
+    # in a bare TypeError or KeyError, a bad mark was named without its atom,
+    # and a repeated tree kept only its last weight
     (tmp_path / "m.json").write_text(json.dumps(measure))
     law = ReferenceLaw.poisson(1.0, (1.0,), ((1.0,),))
     (tmp_path / "law.json").write_text(json.dumps(law.to_obj()))
@@ -730,6 +739,25 @@ def test_gibbs_n_zero_is_mc_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert err["error"]["type"] == "mc_error"
     assert "n must be at least 1" in err["error"]["message"]
+
+
+def test_gibbs_draw_budget_beyond_numpy_is_mc_error(tmp_path, capsys):
+    # this used to end as "OverflowError: Python int too large to convert to C long"
+    assert run("gibbs", "--alpha", '{"2": 1.0}', "--nu", "[0.5,0.5]", "--hfun", "[0,1]",
+               "--c", 1.5, "--n", 400, "--samples", 10**20, "--out-prefix", tmp_path / "gb") == 2
+    err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+    assert err == {"type": "mc_error", "message": "samples must be in [1, 2305843009213693952],"
+                   " not 100000000000000000000"}
+    assert not (tmp_path / "gb_mc.csv").exists()
+
+
+def test_gibbs_nan_slack_is_a_hypothesis_violation(tmp_path, capsys):
+    # NaN passed the slack check: a solution was written, then the MC failed
+    assert run("gibbs", "--alpha", '{"2": 1.0}', "--nu", "[0.5,0.5]", "--hfun", "[0,1]",
+               "--c", 1.5, "--samples", 10, "--delta", "nan", "--out-prefix", tmp_path / "gb") == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "hypothesis_violation", "message": "delta must be positive, not nan"}
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- runtime imports

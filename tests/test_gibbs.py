@@ -366,6 +366,29 @@ def test_conditional_mc_input_validation():
         conditional_mc(p, 20, 100, make_rng(1), delta=-0.1)
 
 
+def test_conditional_mc_bounds_the_draw_budget():
+    # numpy overflowed on these budgets: 10**20 as "Python int too large to
+    # convert to C long", 10**300 as a Poisson "lam value too large"
+    p = canonical_problem()
+    for samples in (gibbs.SAMPLES_LIMIT + 1, 10**20, 10**300):
+        with pytest.raises(ValueError, match=rf"^samples must be in \[1, {gibbs.SAMPLES_LIMIT}\], not {samples}$"):
+            conditional_mc(p, 400, samples, make_rng(1), min_accepted=10)
+    # the largest budget passes numpy: a Poisson draw count at n = 200, and a
+    # binomial of the whole budget at n = 400, whose acceptance mass is 1.6e-20
+    rep = conditional_mc(p, 200, gibbs.SAMPLES_LIMIT, make_rng(1), min_accepted=10)
+    assert rep.accepted == 10 and rep.draws > 10**10
+    with pytest.raises(RuntimeError, match="zero accepted"):
+        conditional_mc(p, 400, gibbs.SAMPLES_LIMIT, make_rng(1), min_accepted=10)
+
+
+def test_nan_slack_is_rejected():
+    # NaN passed the test delta <= 0 and conditioned on an empty event
+    with pytest.raises(ValueError, match="^delta must be positive, not nan$"):
+        canonical_problem(delta=math.nan)
+    with pytest.raises(ValueError, match="^delta must be positive, not nan$"):
+        conditional_mc(canonical_problem(), 20, 100, make_rng(1), delta=math.nan)
+
+
 def test_delta_sweep_reports():
     p = canonical_problem()
     rng = make_rng(131)

@@ -37,7 +37,7 @@ from graphld.trees import (
 )
 
 from helpers import (
-    canon_raw, component_law, oracle_branch_views, oracle_mtp_check,
+    assert_close_laws, canon_raw, component_law, oracle_branch_views, oracle_mtp_check,
     oracle_one_step_extension, oracle_pair_measure, oracle_pair_weights,
     oracle_truncate, oracle_truncated, random_forest, star,
 )
@@ -173,8 +173,14 @@ def test_one_step_extension_matches_oracle(seed, n, order):
     for h in order + order:
         for rho in levels:
             hh = max(rho.depth_bound, 1) + h
-            got = outcome(one_step_extension, rho, hh)
-            assert got == outcome(oracle_one_step_extension, rho, hh)
+            got, want = (outcome(f, rho, hh, obj=lambda m: m)
+                         for f in (one_step_extension, oracle_one_step_extension))
+            if ValueError in (got, want):
+                assert got is want
+            else:
+                # the multiset weights and the oracle's fsum over orderings
+                # differ in rounding only
+                assert_close_laws(got, want)
             got = outcome(extension_kernel, rho, hh, obj=kernel_obj)
             assert got == outcome(ExtensionKernel, rho, hh, obj=kernel_obj)
 
@@ -261,7 +267,6 @@ def test_ugwt_draws_build_the_kernel_once(monkeypatch):
 
 def test_three_forms_build_each_pair_law_once(monkeypatch):
     law, eta1 = small_truth()
-    chain = extension_chain(eta1, 3)
     builds = []
     original = TreeMeasure._memoized
 
@@ -272,6 +277,9 @@ def test_three_forms_build_each_pair_law_once(monkeypatch):
         return original(self, kind, h, counted)
 
     monkeypatch.setattr(TreeMeasure, "_memoized", recorded)
+    # the extension kernels build the pair laws of levels 1 and 2, which the
+    # forms then read
+    chain = extension_chain(eta1, 3)
     for form in (component_rate, intermediate_rate, combinatorial_rate):
         assert abs(form(chain, 1.5, law, ensemble="CM").value) < 1e-9
     assert len(builds) == len(set(builds))

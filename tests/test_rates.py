@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import graphld
@@ -55,6 +55,7 @@ from graphld.samplers import MarkedGraph, ModelConfig, assign_marks, make_rng, s
 from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child, truncate
 
 from helpers import (
+    assert_close_laws,
     canon_raw,
     counter_log_factorial_sum,
     eta1_exact,
@@ -63,6 +64,7 @@ from helpers import (
     oracle_depth1_bases,
     oracle_depth1_component_bases,
     oracle_leaf_ratios,
+    ordered_product_extension,
     random_forest,
     run_python,
     star,
@@ -607,17 +609,15 @@ def test_extension_kernel_guards():
         kern.law(HalfEdgeTree(CanonicalTree(9), 0), HalfEdgeTree(LEAF, 0))
 
 
-def test_extension_kernel_checks_admissibility_from_its_own_cells(monkeypatch):
-    want = one_step_extension(THREE_PATH, 1)
-
-    def no_pair_measure(*args):
-        raise AssertionError("pair_measure recomputed")
-
-    monkeypatch.setattr(rates, "pair_measure", no_pair_measure)
-    # a fresh copy: THREE_PATH's own extension is memoized by the call above
+def test_extension_kernel_checks_admissibility_on_the_memoized_pair_law(monkeypatch):
+    # the kernel tests the pair law that pair_measure keeps, not a copy
     fresh = TreeMeasure(dict(THREE_PATH.atoms), 0.0, 1)
-    assert one_step_extension(fresh, 1) == want
-    with pytest.raises(ValueError, match="inadmissible"):
+    pi = pair_measure(fresh, 1)
+    tested = []
+    monkeypatch.setattr(rates, "is_admissible", lambda p: tested.append(p) or is_admissible(p))
+    extension_kernel(fresh, 1)
+    assert len(tested) == 1 and tested[0] is pi
+    with pytest.raises(ValueError, match=r"^input law is inadmissible \(asymmetry "):
         extension_kernel(TreeMeasure({star(0, [1]): 1.0}, 0.0, 1), 1)
 
 
@@ -679,8 +679,56 @@ def test_extension_atom_projection_is_the_built_count(alpha, nu, xi, sizes):
     chain = extension_chain(law.materialize(), len(sizes))
     assert tuple(len(chain.level(h)) for h in range(1, len(sizes) + 1)) == sizes
     for h in range(1, len(sizes)):
-        assert rates._extension_atoms(chain.level(h), h) == sizes[h]
+        # one atom short of the built count, the routine refuses and names it
+        with mock.patch.object(rates, "EXTENSION_ATOM_LIMIT", sizes[h] - 1), pytest.raises(
+                ValueError, match=rf"^one-step extension would need {sizes[h]} atoms \(limit"):
+            rates._extend(chain.level(h), h)
     assert max(sizes) <= rates.EXTENSION_ATOM_LIMIT
+
+
+@pytest.mark.parametrize("alpha, nu, xi, depth", [
+    ({1: 0.5, 3: 0.5}, (0.5, 0.5), ((1.0,),), 2),  # level 3 is CI's "Exact chain rates"
+    ({1: 0.5, 2: 0.5}, (0.4, 0.6), ((0.1, 0.2), (0.3, 0.4)), 2),
+    ({1: 0.5, 2: 0.5}, (0.2, 0.3, 0.5), ((1.0,),), 3),
+], ids=["readme", "d2", "d3"])
+def test_extension_matches_the_ordered_product_on_the_projection_chains(alpha, nu, xi, depth):
+    law = ReferenceLaw.fixed_alpha(DegreeLaw(alpha), nu, xi)
+    chain = extension_chain(law.materialize(), depth)
+    for h in range(1, depth):
+        assert_close_laws(one_step_extension(chain.level(h), h),
+                          ordered_product_extension(chain.level(h), h))
+
+
+def _normalized(ws):
+    return tuple(w / sum(ws) for w in ws)
+
+
+@st.composite
+def small_reference_laws(draw):
+    """Reference laws of degrees at most 3, one or two vertex marks and a 1x1
+    or 2x2 edge mark matrix."""
+    weights = lambda n: _normalized(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    degrees = sorted(draw(st.sets(st.integers(0, 3), min_size=1, max_size=3)))
+    k = draw(st.sampled_from([1, 2]))
+    xi = weights(k * k)
+    return ReferenceLaw.fixed_alpha(DegreeLaw(dict(zip(degrees, weights(len(degrees))))),
+                                    weights(draw(st.integers(1, 2))),
+                                    tuple(xi[i * k:(i + 1) * k] for i in range(k)))
+
+
+@given(small_reference_laws(), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_extension_matches_the_ordered_product(law, depth):
+    # admissible depth-1 laws, and depth-2 laws as their extensions; the
+    # limit keeps the oracle's orderings few
+    with mock.patch.object(rates, "EXTENSION_ATOM_LIMIT", 4000):
+        try:
+            rho = extension_chain(law.materialize(), depth).level(depth)
+            one_step_extension(rho, depth)
+        except ValueError as e:
+            assert str(e).startswith("one-step extension would need"), e
+            assume(False)
+    assert_close_laws(one_step_extension(rho, depth), ordered_product_extension(rho, depth))
 
 
 def test_extension_over_the_atom_limit_raises_before_building():
