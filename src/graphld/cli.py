@@ -124,7 +124,8 @@ def _structured_error(message: str, kind: str) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .samplers import ModelConfig, assign_marks, make_rng, sample_cm, sample_er, sample_fe
+    from .samplers import (ModelConfig, SamplerGaveUp, assign_marks, make_rng, sample_cm,
+                           sample_er, sample_fe)
 
     nu = _parse_vector(args.nu, "--nu")
     xi = _parse_matrix(args.xi, "--xi")
@@ -143,14 +144,18 @@ def cmd_sample(args) -> int:
     cfg = ModelConfig(ensemble=ens, nu=nu, xi=xi, kappa=args.kappa, alpha=alpha, m_n=args.m)
     rng = make_rng(args.seed)
     if ens == "CM":
-        g = sample_cm(args.n, cfg, rng)
+        try:
+            g = sample_cm(args.n, cfg, rng)
+        except SamplerGaveUp as e:
+            return _structured_error(str(e), "sampler_gave_up")
     elif ens == "FE":
         g = sample_fe(args.n, cfg.edge_count(args.n), rng)
     else:
         g = sample_er(args.n, cfg.kappa, rng)
     g = assign_marks(g, nu, xi, rng)
-    _write_json(args.out, {"graph": g.to_obj(), "n": g.n}, config)
-    print(f"wrote {args.out} ({g.n} vertices, {len(g.edges)} edges)")
+    graph = g.to_obj()
+    _write_json(args.out, {"graph": graph, "n": g.n}, config)
+    print(f"wrote {args.out} ({g.n} vertices, {len(graph['edges'])} edges)")
     return 0
 
 
@@ -305,7 +310,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gibbs(args) -> int:
-    from .gibbs import GibbsProblem, conditional_mc, solve
+    from .gibbs import GibbsProblem, _check_mc_size, conditional_mc, solve
 
     alpha = DegreeLaw.from_obj(_load_value(args.alpha), "--alpha")
     nu = _parse_vector(args.nu, "--nu")
@@ -316,6 +321,15 @@ def cmd_gibbs(args) -> int:
         raise ValueError(f"--samples {args.samples} is negative")
     try:
         problem = GibbsProblem(alpha, nu, hfun, args.c, args.delta)
+    except ValueError as e:
+        return _structured_error(str(e), "hypothesis_violation")
+    if args.samples > 0:
+        # before the solution is written, so that a failing run writes nothing
+        try:
+            _check_mc_size(args.n, args.samples)
+        except ValueError as e:
+            return _structured_error(str(e), "mc_error")
+    try:
         solution = solve(problem)
         sol_obj = solution.to_obj()
     except ValueError as e:

@@ -5,14 +5,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .measures import TreeMeasure, transport_violation
 from .samplers import MarkedGraph
-from .trees import CanonicalTree, branch_views
+from .trees import CanonicalTree, _interned, branch_views
 
 
 # ---------------------------------------------------------------- views
@@ -37,10 +36,13 @@ def _refine(views: "_GraphViews", ids, trees: List[CanonicalTree], roots: bool):
     the view toward u from t's neighbor.  The key of slot s is u's mark and
     the sorted codes of u's other slots; with ``roots`` no slot is left out
     and there is one key per vertex.  Keys are rows of one array per root
-    degree, and one ``CanonicalTree`` is built per distinct row.  A vertex
-    whose sorted codes repeat a value has one leave-one-out row per distinct
-    value, as leaving out either copy gives the same key.  Returns the new
-    ids, in slot (or vertex) order, and their trees.
+    degree, and one tree is interned per distinct row.  Pair codes follow
+    the order of the pairs and ids the encoding order of ``trees``, so the
+    codes of a row are the children in canonical order and the row is
+    interned with no sort.  A vertex whose sorted codes repeat a value has
+    one leave-one-out row per distinct value, as leaving out either copy
+    gives the same key.  Returns the new ids, in slot (or vertex) order,
+    and their trees, numbered in encoding order.
     """
     base = len(trees)
     # int32 codes while they fit: the key arrays are the round's largest
@@ -50,6 +52,8 @@ def _refine(views: "_GraphViews", ids, trees: List[CanonicalTree], roots: bool):
     order = np.lexsort((code, views.owner))
     code = code[order]
     pairs, marks, indptr = views.pairs, views.leaf_marks, views.indptr
+    # the child entry of each code that occurs
+    entry = {c: (pairs[c // base], trees[c % base]) for c in dict.fromkeys(code.tolist())}
     deg = np.diff(indptr)
     out = np.empty(len(deg) if roots else len(code), dtype=indptr.dtype)
     new_trees: List[CanonicalTree] = []
@@ -70,14 +74,32 @@ def _refine(views: "_GraphViews", ids, trees: List[CanonicalTree], roots: bool):
             rows = np.column_stack((views.mark_ids[us[r]], full[r[:, None], rest]))
             # a repeated code's slot takes the row of its first copy
             at, pick = order[cols.ravel()], np.cumsum(first.ravel()) - 1
-        keys, inverse = np.unique(rows, axis=0, return_inverse=True)
-        start = len(new_trees)
+        keys, inverse = _unique_rows(rows)
+        inverse += len(new_trees)
         for key in keys.tolist():
-            new_trees.append(CanonicalTree(marks[key[0]], tuple(
-                (pairs[c // base], trees[c % base]) for c in key[1:])))
-        inverse = inverse.ravel() + start
+            new_trees.append(_interned(marks[key[0]], tuple(map(entry.__getitem__, key[1:]))))
         out[at] = inverse if roots else inverse[pick]
-    return out, new_trees
+    return _in_encoding_order(out, new_trees)
+
+
+def _unique_rows(rows):
+    """The distinct rows of a 2-d array in increasing order, and the index of
+    each row among them (``np.unique(rows, axis=0, return_inverse=True)``)."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[new], inverse
+
+
+def _in_encoding_order(ids, trees: List[CanonicalTree]):
+    """``ids`` and their distinct ``trees`` renumbered in encoding order."""
+    order = sorted(range(len(trees)), key=lambda i: trees[i].encoding)
+    rank = np.empty(len(trees), dtype=ids.dtype)
+    rank[order] = np.arange(len(trees))
+    return rank[ids], [trees[i] for i in order]
 
 
 # roots per block of the ball-flag walk pass, which bounds its temporaries
@@ -92,42 +114,43 @@ class _GraphViews:
     ``indptr[u]:indptr[u + 1]``, one per neighbor ``nbr[s]`` in increasing
     order, with ``owner[s] = u``, the slot ``rev[s]`` of the reverse
     half-edge and the index ``codes[s]`` in ``pairs`` of its edge marks
-    (y(w, u), y(u, w)).  Vertex marks are kept as
-    indices ``mark_ids`` into ``leaf_marks``.  ``rounds[k]`` holds the edge
-    ids and trees of refinement round k; root views and ball-tree flags are
-    kept per depth.
+    (y(w, u), y(u, w)), the pairs in increasing order.  Vertex marks are
+    kept as indices ``mark_ids`` into ``leaf_marks``, in the encoding order
+    of their leaves.  ``rounds[k]`` holds the edge ids and trees of
+    refinement round k, the trees in encoding order; root views and
+    ball-tree flags are kept per depth.
     """
 
     __slots__ = ("n", "leaf_marks", "mark_ids", "indptr", "nbr", "owner", "rev", "codes",
                  "pairs", "rounds", "roots", "flags")
 
     def __init__(self, g: MarkedGraph) -> None:
-        n, m = g.n, len(g.edges)
+        n, ends = g.n, g._ends
+        m = len(ends)
         self.n = n
         index = np.int32 if max(n, 2 * m) < 2**31 else np.int64
-        table: Dict[int, int] = {}
-        marks = g.vmarks if g.is_marked else (0,) * n
-        self.mark_ids = np.array([table.setdefault(x, len(table)) for x in marks], dtype=index)
-        self.leaf_marks = list(table)
+        # vertex marks, numbered in the encoding order of their leaves
+        vm = g._vm if g.is_marked else np.zeros(n, dtype=np.int64)
+        values, inverse = np.unique(vm, return_inverse=True)
+        leaves = [_interned(x, ()) for x in values.tolist()]
+        self.mark_ids, leaves = _in_encoding_order(inverse.astype(index), leaves)
+        self.leaf_marks = [t.mark for t in leaves]
         # half-edge 2e runs from the first end of edge e to the second, 2e + 1 back
-        ends = np.fromiter(chain.from_iterable(g.edges), dtype=index, count=2 * m).reshape(m, 2)
+        ends = ends.astype(index)
         tail, head = ends.ravel(), ends[:, ::-1].ravel()
         order = np.lexsort((head, tail))
         slot = np.empty(2 * m, dtype=index)
         slot[order] = np.arange(2 * m)
         self.owner, self.nbr, self.rev = tail[order], head[order], slot[order ^ 1]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=n)))).astype(index)
-        pair_code: Dict[Tuple[int, int], int] = {(0, 0): 0}
-        if g.is_marked:
-            y = g.emarks
-            half = [pair_code.setdefault(pair, len(pair_code)) for u, v in g.edges
-                    for pair in ((y[(v, u)], y[(u, v)]), (y[(u, v)], y[(v, u)]))]
-            self.codes = np.array(half, dtype=index)[order]
-        else:
-            self.codes = np.zeros(2 * m, dtype=index)
-        self.pairs = list(pair_code)
+        # half-edge 2e carries (y(v, u), y(u, v)) for edge e = (u, v), 2e + 1 the
+        # reverse; the pairs are numbered in increasing order
+        y = g._em if g.is_marked else np.zeros((m, 2), dtype=np.int64)
+        pairs, codes = _unique_rows(np.stack((y[:, ::-1], y), axis=1).reshape(2 * m, 2))
+        self.pairs = list(map(tuple, pairs.tolist()))
+        self.codes = codes.astype(index)[order]
         # round 0: every slot's mark id, and the leaf of each mark
-        self.rounds = [(self.mark_ids[self.owner], [CanonicalTree(x) for x in self.leaf_marks])]
+        self.rounds = [(self.mark_ids[self.owner], leaves)]
         self.roots: Dict[int, List[CanonicalTree]] = {}
         self.flags: Dict[int, List[bool]] = {}
 

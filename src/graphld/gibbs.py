@@ -692,6 +692,14 @@ def _binomial_tail(problem, classes, n, threshold) -> bool:
     return any(ok) and all(ok[ok.index(True):])
 
 
+def _check_mc_size(n: int, samples: int) -> None:
+    """The size and draw budget that ``conditional_mc`` accepts."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 1 <= samples <= SAMPLES_LIMIT:
+        raise ValueError(f"samples must be in [1, {SAMPLES_LIMIT}], not {samples}")
+
+
 def conditional_mc(
     problem: GibbsProblem,
     n: int,
@@ -717,10 +725,7 @@ def conditional_mc(
     ``EXACT_TABLE_BUDGET`` cells, draws are rejected in batches of at most
     ``REJECTION_BATCH``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 1 <= samples <= SAMPLES_LIMIT:
-        raise ValueError(f"samples must be in [1, {SAMPLES_LIMIT}], not {samples}")
+    _check_mc_size(n, samples)
     if min_accepted is not None and min_accepted < 1:
         raise ValueError("min_accepted must be at least 1")
     if solution is None:

@@ -8,7 +8,9 @@ can use independent streams of the same seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .measures import DegreeLaw, _check_mark_laws
@@ -18,6 +20,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 CM_RESTARTS = 1000
+
+
+class SamplerGaveUp(RuntimeError):
+    """A sampler stopped on a valid input: ``sample_cm`` found no simple
+    pairing of a graphical degree sequence in ``CM_RESTARTS`` restarts."""
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -35,95 +42,124 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 class MarkedGraph(_Frozen):
     """A finite simple graph, optionally with vertex and directed edge marks.
 
-    ``emarks[(u, v)]`` is the mark vertex ``u`` carries on edge {u, v}; every
-    edge has entries for both directions.  Graphs are immutable: their views
-    are computed once and kept in ``_views`` (see ``graphld.empirical``) for
-    as long as the graph lives, so do not mutate ``emarks`` in place.
+    Stored as numpy arrays: the edges as an m×2 array of endpoints u < v in
+    increasing order, the vertex marks, and per edge the marks (y(u, v),
+    y(v, u)) of its two sides as an m×2 array.  ``edges`` (sorted pairs),
+    ``vmarks`` (a tuple) and ``emarks`` (a dict: ``emarks[(u, v)]`` is the
+    mark vertex ``u`` carries on edge {u, v}, for both directions of every
+    edge) are built from them on first access and kept.
+    Graphs are immutable: their views are computed once and kept in
+    ``_views`` (see ``graphld.empirical``) for as long as the graph lives,
+    so do not mutate ``emarks`` in place.
     """
 
-    __slots__ = ("n", "edges", "vmarks", "emarks", "_views")
+    __slots__ = ("n", "_ends", "_vm", "_em", "_edges", "_vmarks", "_emarks", "_views")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Sequence[Tuple[int, int]],
-        vmarks: Optional[Sequence[int]] = None,
-        emarks: Optional[Dict[Tuple[int, int], int]] = None,
-    ) -> None:
+    def __init__(self, n: int, edges, vmarks=None, emarks=None) -> None:
+        """``edges`` is a sequence or array of vertex pairs, ``vmarks`` one
+        mark per vertex, and ``emarks`` either a dict {(u, v): y} with both
+        directions of every edge or an m×2 array whose row i holds the marks
+        at the first and the second end of ``edges[i]``.  The first fault in
+        input order raises ValueError: a bool or non-integer names its field
+        (``edges[3]``, ``vmarks[0]``, ``emarks[(0, 1)]``), then come
+        self-loops, endpoints out of range, duplicate edges and marks that do
+        not match the edges."""
+        import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
         n = _as_index(n, "n")
         if n < 0:
             raise ValueError(f"n must be nonnegative, not {n}")
-        norm = []
-        seen = set()
-        for i, (u, v) in enumerate(edges):
-            u, v = _as_index(u, "edges[{}]", i), _as_index(v, "edges[{}]", i)
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
+        ends, bad = _leading_ints(edges, 2, "edges[{}]".format)
+        u, v = ends[:, 0], ends[:, 1]
+        out = ~((0 <= u) & (u < n) & (0 <= v) & (v < n))
+        # faulty rows get keys of their own, so they repeat no other row
+        own = -1 - np.arange(len(ends))
+        lo = np.where(out, own, np.minimum(u, v)).astype(np.int64)
+        hi = np.where(out, own, np.maximum(u, v)).astype(np.int64)
+        order = np.lexsort((hi, lo))  # stable: a repeat sorts after its first copy
+        repeat = np.zeros(len(ends), dtype=bool)
+        repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        fault = np.flatnonzero((u == v) | out | repeat)
+        if len(fault):
+            i = fault[0]
+            a, b = ends[i].tolist()
+            if a == b:
+                raise ValueError(f"self-loop at {a}")
+            if out[i]:
+                raise ValueError(f"edge ({a}, {b}) out of range")
+            raise ValueError(f"duplicate edge {(lo[i].item(), hi[i].item())}")
+        if bad is not None:
+            raise bad
         if (vmarks is None) != (emarks is None):
             raise ValueError("vertex and edge marks must be supplied together")
+        flip = u > v
         if vmarks is not None:
             if len(vmarks) != n:
                 raise ValueError("vmarks length mismatch")
-            vmarks = tuple(_as_index(x, "vmarks[{}]", i) for i, x in enumerate(vmarks))
-            marks = {}
-            for key, y in emarks.items():
-                a, b = key
-                at = "emarks[{}]"
-                marks[_as_index(a, at, key), _as_index(b, at, key)] = _as_index(y, at, key)
-            emarks = marks
-            for u, v in norm:
-                if (u, v) not in emarks or (v, u) not in emarks:
-                    raise ValueError(f"missing directed mark on edge ({u}, {v})")
-            if len(emarks) != 2 * len(norm):
-                raise ValueError("edge mark entries do not match the edge set")
+            vmarks, bad = _leading_ints(vmarks, 0, "vmarks[{}]".format)
+            if bad is not None:
+                raise bad
+            emarks = _edge_marks(emarks, lo, hi, flip, n)[order]
+        for name, value in (("_ends", np.column_stack((lo, hi))[order]), ("_vm", vmarks),
+                            ("_em", emarks)):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-        object.__setattr__(self, "vmarks", vmarks)
-        object.__setattr__(self, "emarks", emarks)
-        object.__setattr__(self, "_views", None)
+        for name in ("_edges", "_vmarks", "_emarks", "_views"):
+            object.__setattr__(self, name, None)
 
     def __reduce__(self):
         # copies and pickles rebuild the graph and leave its views behind
-        return type(self), (self.n, self.edges, self.vmarks, self.emarks)
+        return type(self), (self.n, self._ends, self._vm, self._em)
+
+    @property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        if self._edges is None:
+            object.__setattr__(self, "_edges", tuple(map(tuple, self._ends.tolist())))
+        return self._edges
+
+    @property
+    def vmarks(self) -> Optional[Tuple[int, ...]]:
+        if self._vmarks is None and self.is_marked:
+            object.__setattr__(self, "_vmarks", tuple(self._vm.tolist()))
+        return self._vmarks
+
+    @property
+    def emarks(self) -> Optional[Dict[Tuple[int, int], int]]:
+        if self._emarks is None and self.is_marked:
+            # (u, v) then (v, u) for each edge in order, sharing the ints of ``edges``
+            keys = chain.from_iterable(zip(self.edges, map(tuple, map(reversed, self.edges))))
+            object.__setattr__(self, "_emarks", dict(zip(keys, self._em.ravel().tolist())))
+        return self._emarks
 
     @property
     def is_marked(self) -> bool:
-        return self.vmarks is not None
+        return self._vm is not None
 
     def adjacency(self) -> List[List[int]]:
-        adj: List[List[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+        import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
+        tail, head = self._ends.ravel(), self._ends[:, ::-1].ravel()
+        head = head[np.lexsort((head, tail))].tolist()
+        ptr = np.cumsum(np.bincount(tail, minlength=self.n)).tolist()
+        return [head[a:b] for a, b in zip([0] + ptr, ptr)]
 
     def degree_histogram(self) -> Dict[int, int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        hist: Dict[int, int] = {}
-        for d in deg:
-            hist[d] = hist.get(d, 0) + 1
-        return hist
+        """Vertex count per degree, the degrees in order of first appearance."""
+        import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
+        deg = np.bincount(self._ends.ravel(), minlength=self.n)
+        degrees, first, counts = np.unique(deg, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return dict(zip(degrees[order].tolist(), counts[order].tolist()))
 
     def to_obj(self) -> dict:
-        obj = {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
+        obj = {"n": self.n, "edges": self._ends.tolist()}
         if self.is_marked:
-            obj["vmarks"] = list(self.vmarks)
-            obj["emarks"] = [
-                {"u": u, "v": v, "yu": self.emarks[(u, v)], "yv": self.emarks[(v, u)]}
-                for u, v in self.edges
-            ]
+            obj["vmarks"] = self._vm.tolist()
+            obj["emarks"] = [{"u": u, "v": v, "yu": yu, "yv": yv} for u, v, yu, yv
+                             in zip(*self._ends.T.tolist(), *self._em.T.tolist())]
         return obj
 
     @classmethod
@@ -139,6 +175,86 @@ class MarkedGraph(_Frozen):
                 emarks[(rec["u"], rec["v"])] = rec["yu"]
                 emarks[(rec["v"], rec["u"])] = rec["yv"]
         return cls(obj["n"], [tuple(e) for e in obj["edges"]], vmarks, emarks)
+
+
+def _leading_ints(rows, width: int, name):
+    """The rows of ``rows`` before its first malformed one, as an int64 array
+    (object dtype if an entry exceeds int64) of shape (k, width), or (k,)
+    for width 0, and the ValueError of row k, or None if every row is well
+    formed.  A row is malformed if it does not have ``width`` entries or an
+    entry is a bool or not an integer; ``name(i)`` names row i."""
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" \
+            and np.can_cast(rows.dtype, np.int64) and rows.shape[1:] == ((width,) if width else ()):
+        return rows.astype(np.int64), None
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    k, error = len(rows), None
+    if width:
+        try:
+            flat = list(chain.from_iterable(rows))
+        except TypeError:
+            flat = []
+        if len(flat) != width * k:
+            k = next(i for i, row in enumerate(rows)
+                     if not (hasattr(row, "__len__") and len(row) == width))
+            error = ValueError(f"{name(k)} must be a pair, not {rows[k]!r}")
+            flat = list(chain.from_iterable(rows[:k]))
+    else:
+        flat = list(rows)
+    kinds = list(map(type, flat))
+    bad = min((kinds.index(t) for t in set(kinds) if t is bool or not hasattr(t, "__index__")),
+              default=None)
+    if bad is not None:
+        k = bad // max(width, 1)
+        error = ValueError(f"{name(k)} must be an integer, not {flat[bad]!r}")
+    flat = flat[:k * max(width, 1)]
+    try:
+        table = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        table = np.array(list(map(operator.index, flat)), dtype=object)
+    return (table.reshape(k, width) if width else table), error
+
+
+def _edge_marks(emarks, lo, hi, flip, n: int):
+    """The marks (y(lo, hi), y(hi, lo)) of each edge as an m×2 array, from a
+    dict keyed by directed pairs or an m×2 array aligned with the input edges,
+    whose rows ``flip`` list their ends as (hi, lo)."""
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
+    m = len(lo)
+    if not isinstance(emarks, dict):
+        marks, bad = _leading_ints(emarks, 2, "emarks[{}]".format)
+        if bad is not None:
+            raise bad
+        if len(marks) != m:
+            raise ValueError("edge mark entries do not match the edge set")
+        return np.where(flip[:, None], marks[:, ::-1], marks)
+    keys = list(emarks)
+    name = lambda i: f"emarks[{keys[i]}]"
+    pairs, bad = _leading_ints(keys, 2, name)
+    marks, bad_mark = _leading_ints(list(emarks.values()), 0, name)
+    # entries in order, each mark checked before its key
+    if bad_mark is not None and (bad is None or len(marks) <= len(pairs)):
+        bad = bad_mark
+    if bad is not None:
+        raise bad
+    a, b = pairs[:, 0], pairs[:, 1]
+    code = np.where((0 <= a) & (a < n) & (0 <= b) & (b < n), a * n + b, -1).astype(np.int64)
+    # each side (lo, hi) and (hi, lo) of each edge looked up among the keys;
+    # a side with no key lands on a code that differs from it, -1 past the end
+    order = np.argsort(code)
+    found = np.append(code[order], -1)
+    want = np.stack((lo * n + hi, hi * n + lo))
+    at = np.searchsorted(found[:-1], want)
+    missing = np.flatnonzero((found[at] != want).any(axis=0))
+    if len(missing):
+        i = missing[0]
+        raise ValueError(f"missing directed mark on edge ({lo[i]}, {hi[i]})")
+    if len(keys) != 2 * m:
+        raise ValueError("edge mark entries do not match the edge set")
+    return marks[order[at]].T
 
 
 @dataclass(frozen=True)
@@ -270,14 +386,20 @@ def _pair_count(n: int) -> int:
 def _pair_start(u: int, n: int) -> int:
     return u * (n - 1) - u * (u - 1) // 2
 
-def _unrank_pair(t: int, n: int) -> Tuple[int, int]:
-    """The t-th pair (u, v), u < v, in lexicographic order."""
-    u = min(int(n - 1 - (1 + math.isqrt(1 + 8 * (_pair_count(n) - 1 - t))) // 2), n - 2)
-    while _pair_start(u + 1, n) <= t:
-        u += 1
-    while _pair_start(u, n) > t:
-        u -= 1
-    return u, u + 1 + (t - _pair_start(u, n))
+def _unrank_pair(t, n: int):
+    """The pairs (u, v), u < v, of ranks ``t`` (an array) in lexicographic
+    order, as an m×2 int64 array."""
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
+    t = np.asarray(t, dtype=np.int64)
+    # u from the square root, then moved onto its exact row of ranks
+    back = (_pair_count(n) - 1 - t).astype(float)
+    u = np.minimum(n - 1 - (1 + np.sqrt(1 + 8 * back).astype(np.int64)) // 2, n - 2)
+    while (up := _pair_start(u + 1, n) <= t).any():
+        u += up
+    while (down := _pair_start(u, n) > t).any():
+        u -= down
+    return np.column_stack((u, u + 1 + (t - _pair_start(u, n))))
 
 
 # ---------------------------------------------------------------- ensembles
@@ -288,7 +410,8 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator) -> MarkedGraph
 
     Configuration-model stub pairing with whole-pairing rejection: any pairing
     containing a self-loop or multi-edge restarts from scratch, which leaves
-    the uniform law on simple realizations.
+    the uniform law on simple realizations.  After ``CM_RESTARTS`` rejected
+    pairings it raises ``SamplerGaveUp``.
     """
     import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
@@ -304,11 +427,12 @@ def sample_cm(n: int, cfg: ModelConfig, rng: np.random.Generator) -> MarkedGraph
         v = np.maximum(perm[0::2], perm[1::2])
         if np.any(u == v):
             continue
-        codes = u.astype(np.int64) * n + v
-        if np.unique(codes).size != codes.size:
+        codes = np.sort(u.astype(np.int64) * n + v)
+        if (codes[1:] == codes[:-1]).any():
             continue
-        return MarkedGraph(n, list(zip(u.tolist(), v.tolist())))
-    raise RuntimeError(f"no simple pairing found in {CM_RESTARTS} restarts")
+        return MarkedGraph(n, np.column_stack((u, v)))
+    raise SamplerGaveUp(f"sampler gave up: no simple pairing of this graphical degree "
+                        f"sequence in CM_RESTARTS = {CM_RESTARTS} restarts")
 
 
 def sample_fe(n: int, m_n: int, rng: np.random.Generator) -> MarkedGraph:
@@ -320,19 +444,32 @@ def sample_fe(n: int, m_n: int, rng: np.random.Generator) -> MarkedGraph:
         raise ValueError(f"negative m_n = {m_n}")
     if m_n > total:
         raise ValueError(f"m_n = {m_n} exceeds {total} available pairs")
-    swap: Dict[int, int] = {}
-    picks = []
-    # step i swaps in a uniform pick of the last total - i pairs; one call
-    # draws all steps, the same integers as one scalar draw per step
-    for i, r in enumerate(rng.integers(total - np.arange(m_n)).tolist()):
-        j = i + r
-        picks.append(swap.get(j, j))
-        swap[j] = swap.get(i, i)
-    return MarkedGraph(n, [_unrank_pair(t, n) for t in picks])
+    # step i swaps position i with j = i + r, a uniform pick of the last
+    # total - i positions; one call draws all steps, the same integers as one
+    # scalar draw per step
+    step = np.arange(m_n)
+    j = step + rng.integers(total - step)
+    # step i picks the value at position j at time i: j itself, unless an
+    # earlier step l swapped it in, the last such being ``last[i]``; then the
+    # value step l found at position l, which ``held`` resolves the same way
+    order = np.argsort(j, kind="stable")
+    js = j[order]
+    same = js[1:] == js[:-1]
+    last = np.full(m_n, -1)
+    last[order[1:][same]] = order[:-1][same]
+    # per step l, the last step that swapped into position l; this is read
+    # only for steps with j > l, where every such step comes before l
+    lo, hi = np.searchsorted(js, step), np.searchsorted(js, step, side="right") - 1
+    held = np.where(hi >= lo, order[hi.clip(min=0)], step)
+    while (held[held] != held).any():
+        held = held[held]
+    return MarkedGraph(n, _unrank_pair(np.where(last >= 0, held[last], j), n))
 
 
 def sample_er(n: int, kappa: float, rng: np.random.Generator) -> MarkedGraph:
     """Each pair independently present with probability kappa / n."""
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
     if kappa > n:
         raise ValueError("kappa exceeds n")
     if kappa < 0:
@@ -342,17 +479,21 @@ def sample_er(n: int, kappa: float, rng: np.random.Generator) -> MarkedGraph:
     if p <= 0 or total == 0:
         return MarkedGraph(n, [])
     if p >= 1:
-        return MarkedGraph(n, [_unrank_pair(t, n) for t in range(total)])
+        return MarkedGraph(n, _unrank_pair(np.arange(total), n))
+    # the picks are the running sums of geometric gaps from -1, drawn in
+    # batches until one passes the last pair; a gap capped at total + 1
+    # still passes it, and no sum up to the first that passes overflows
     picks = []
     cur = -1
     batch = max(64, int(total * p * 1.2))
     while True:
-        gaps = rng.geometric(p, size=batch)
-        for g in gaps:
-            cur += int(g)
-            if cur >= total:
-                return MarkedGraph(n, [_unrank_pair(t, n) for t in picks])
-            picks.append(cur)
+        ranks = cur + np.cumsum(np.minimum(rng.geometric(p, size=batch), total + 1))
+        past = ranks >= total
+        if past.any():
+            picks.append(ranks[:past.argmax()])
+            return MarkedGraph(n, _unrank_pair(np.concatenate(picks), n))
+        picks.append(ranks)
+        cur = ranks[-1]
 
 
 def assign_marks(g: MarkedGraph, nu: Sequence[float], xi, rng: np.random.Generator) -> MarkedGraph:
@@ -366,17 +507,15 @@ def assign_marks(g: MarkedGraph, nu: Sequence[float], xi, rng: np.random.Generat
     nu, xi = _check_mark_laws(nu, xi)
     xi = np.asarray(xi, dtype=float)
     vmarks = rng.choice(len(nu), size=g.n, p=np.asarray(nu, dtype=float))
-    m = len(g.edges)
-    emarks: Dict[Tuple[int, int], int] = {}
+    m = len(g._ends)
+    emarks = np.zeros((m, 2), dtype=np.int64)
     if m:
         flat = rng.choice(xi.size, size=m, p=xi.ravel())
-        ys, yps = np.unravel_index(flat, xi.shape)
+        pair = np.column_stack(np.unravel_index(flat, xi.shape))
         coins = rng.integers(2, size=m)
-        for (u, v), y, yp, c in zip(g.edges, ys.tolist(), yps.tolist(), coins.tolist()):
-            yu, yv = (y, yp) if c else (yp, y)
-            emarks[(u, v)] = yu
-            emarks[(v, u)] = yv
-    return MarkedGraph(g.n, g.edges, vmarks.tolist(), emarks)
+        # coin 1 gives the first end y and the second y'; coin 0 the reverse
+        emarks = np.where(coins[:, None] == 1, pair, pair[:, ::-1])
+    return MarkedGraph(g.n, g._ends, vmarks, emarks)
 
 
 # ---------------------------------------------------------------- tree samplers

@@ -2,15 +2,17 @@
 the per-vertex ball trees and message-passing views that graph views are
 checked against, the per-vertex BFS and per-slot refinement that the array
 ball flags and refinement are checked against, the scalar-draw FE sampler,
-the per-call depth-1 leaf ratios that the rate tables are checked against,
-the uncached derived laws that the memoized ones are checked against, the
-ordered-product extension that the multiset one is checked against and the
-weight-by-weight check of two laws, the sort-and-cut branch views and the
-Counter log-factorial sum that the run-based ones are checked against, the
-rejection sampler that conditional Monte Carlo is checked against, the scipy
-log-gamma weights that its exact tables are checked against, the per-leaf
-product that the Gibbs optimizer is checked against, and a runner for code
-that must start in a fresh interpreter."""
+the scalar ER walk, mark loop and pair unranking and the dict-based graph
+that the array samplers and graph are checked against, the per-call depth-1
+leaf ratios that the rate tables are checked against, the uncached derived
+laws that the memoized ones are checked against, the ordered-product
+extension that the multiset one is checked against and the weight-by-weight
+check of two laws, the sort-and-cut branch views and the Counter
+log-factorial sum that the run-based ones are checked against, the rejection
+sampler that conditional Monte Carlo is checked against, the scipy log-gamma
+weights that its exact tables are checked against, the per-leaf product that
+the Gibbs optimizer is checked against, and a runner for code that must
+start in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -33,9 +35,9 @@ from graphld.gibbs import (
 )
 from graphld.measures import PairMeasure, TreeMeasure, is_admissible
 from graphld.rates import extension_kernel
-from graphld.samplers import MarkedGraph, _pair_count, _unrank_pair, integer_degree_counts
-from graphld.trees import (CanonicalTree, HalfEdgeTree, _entry_key, _interned, branch_views,
-                           split_at_child, truncate)
+from graphld.samplers import MarkedGraph, _pair_count, _pair_start, integer_degree_counts
+from graphld.trees import (CanonicalTree, HalfEdgeTree, _entry_key, _Frozen, _as_index, _interned,
+                           _of_type, branch_views, split_at_child, truncate)
 
 
 def run_python(code, cwd=None, timeout=120, **env):
@@ -302,8 +304,8 @@ def oracle_refined_views(views, k, roots):
 
 
 def scalar_sample_fe(n, m_n, rng):
-    """``sample_fe`` with one scalar draw per Fisher-Yates step: the loop that
-    its single array draw replaced."""
+    """``sample_fe`` with one scalar draw per Fisher-Yates step and a swap
+    dict: the loop that its array draw and chain resolution replaced."""
     total = _pair_count(n)
     swap = {}
     picks = []
@@ -311,7 +313,152 @@ def scalar_sample_fe(n, m_n, rng):
         j = i + int(rng.integers(total - i))
         picks.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
-    return MarkedGraph(n, [_unrank_pair(t, n) for t in picks])
+    return MarkedGraph(n, [scalar_unrank_pair(t, n) for t in picks])
+
+
+def scalar_sample_er(n, kappa, rng):
+    """``sample_er`` walking each batch of geometric gaps one gap at a time:
+    the loop that the cumulative sum of a batch replaced."""
+    p = kappa / n
+    total = _pair_count(n)
+    if p <= 0 or total == 0:
+        return MarkedGraph(n, [])
+    if p >= 1:
+        return MarkedGraph(n, [scalar_unrank_pair(t, n) for t in range(total)])
+    picks = []
+    cur = -1
+    batch = max(64, int(total * p * 1.2))
+    while True:
+        for g in rng.geometric(p, size=batch):
+            cur += int(g)
+            if cur >= total:
+                return MarkedGraph(n, [scalar_unrank_pair(t, n) for t in picks])
+            picks.append(cur)
+
+
+def scalar_assign_marks(g, nu, xi, rng):
+    """``assign_marks`` filling the edge-mark dict one edge at a time, as a
+    ``DictMarkedGraph``: the loop that the array marks replaced."""
+    xi = np.asarray(xi, dtype=float)
+    vmarks = rng.choice(len(nu), size=g.n, p=np.asarray(nu, dtype=float))
+    m = len(g.edges)
+    emarks = {}
+    if m:
+        flat = rng.choice(xi.size, size=m, p=xi.ravel())
+        ys, yps = np.unravel_index(flat, xi.shape)
+        coins = rng.integers(2, size=m)
+        for (u, v), y, yp, c in zip(g.edges, ys.tolist(), yps.tolist(), coins.tolist()):
+            yu, yv = (y, yp) if c else (yp, y)
+            emarks[(u, v)] = yu
+            emarks[(v, u)] = yv
+    return DictMarkedGraph(g.n, g.edges, vmarks.tolist(), emarks)
+
+
+def scalar_unrank_pair(t, n):
+    """The t-th pair (u, v), u < v, in lexicographic order, one rank at a
+    time: the loop that the array ``samplers._unrank_pair`` replaced."""
+    u = min(int(n - 1 - (1 + math.isqrt(1 + 8 * (_pair_count(n) - 1 - t))) // 2), n - 2)
+    while _pair_start(u + 1, n) <= t:
+        u += 1
+    while _pair_start(u, n) > t:
+        u -= 1
+    return u, u + 1 + (t - _pair_start(u, n))
+
+
+class DictMarkedGraph(_Frozen):
+    """``MarkedGraph`` as it was before it stored arrays: edges as a sorted
+    tuple of pairs, vertex marks as a tuple and edge marks as a dict, each
+    entry checked by a Python loop.  The oracle of the array graph's
+    contents, methods and error messages."""
+
+    __slots__ = ("n", "edges", "vmarks", "emarks")
+
+    def __init__(self, n, edges, vmarks=None, emarks=None):
+        n = _as_index(n, "n")
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, not {n}")
+        norm = []
+        seen = set()
+        for i, (u, v) in enumerate(edges):
+            u, v = _as_index(u, "edges[{}]", i), _as_index(v, "edges[{}]", i)
+            if u == v:
+                raise ValueError(f"self-loop at {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range")
+            e = (u, v) if u < v else (v, u)
+            if e in seen:
+                raise ValueError(f"duplicate edge {e}")
+            seen.add(e)
+            norm.append(e)
+        if (vmarks is None) != (emarks is None):
+            raise ValueError("vertex and edge marks must be supplied together")
+        if vmarks is not None:
+            if len(vmarks) != n:
+                raise ValueError("vmarks length mismatch")
+            vmarks = tuple(_as_index(x, "vmarks[{}]", i) for i, x in enumerate(vmarks))
+            marks = {}
+            for key, y in emarks.items():
+                a, b = key
+                at = "emarks[{}]"
+                marks[_as_index(a, at, key), _as_index(b, at, key)] = _as_index(y, at, key)
+            emarks = marks
+            for u, v in norm:
+                if (u, v) not in emarks or (v, u) not in emarks:
+                    raise ValueError(f"missing directed mark on edge ({u}, {v})")
+            if len(emarks) != 2 * len(norm):
+                raise ValueError("edge mark entries do not match the edge set")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "vmarks", vmarks)
+        object.__setattr__(self, "emarks", emarks)
+
+    def __reduce__(self):
+        return type(self), (self.n, self.edges, self.vmarks, self.emarks)
+
+    @property
+    def is_marked(self):
+        return self.vmarks is not None
+
+    def adjacency(self):
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        for lst in adj:
+            lst.sort()
+        return adj
+
+    def degree_histogram(self):
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        hist = {}
+        for d in deg:
+            hist[d] = hist.get(d, 0) + 1
+        return hist
+
+    def to_obj(self):
+        obj = {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
+        if self.is_marked:
+            obj["vmarks"] = list(self.vmarks)
+            obj["emarks"] = [
+                {"u": u, "v": v, "yu": self.emarks[(u, v)], "yv": self.emarks[(v, u)]}
+                for u, v in self.edges
+            ]
+        return obj
+
+    @classmethod
+    def from_obj(cls, obj):
+        vmarks = _of_type(obj, dict, "graph").get("vmarks")
+        emarks = None
+        if vmarks is not None:
+            emarks = {}
+            for i, rec in enumerate(_of_type(obj["emarks"], list, "emarks")):
+                _of_type(rec, dict, f"emarks[{i}]")
+                emarks[(rec["u"], rec["v"])] = rec["yu"]
+                emarks[(rec["v"], rec["u"])] = rec["yv"]
+        return cls(obj["n"], [tuple(e) for e in obj["edges"]], vmarks, emarks)
 
 
 # ----------------------------------------------- per-call depth-1 leaf ratios

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from graphld import __version__
 from graphld.cli import main
-from graphld.measures import TreeMeasure
+from graphld import samplers
+from graphld.measures import DegreeLaw, TreeMeasure
 from graphld.rates import ReferenceLaw, extension_chain
 from graphld.samplers import MarkedGraph
 
@@ -657,6 +658,23 @@ def test_extend_deterministic(tmp_path):
 # ---------------------------------------------------------------- error boundary
 
 
+def test_cm_sampler_that_gives_up_is_not_bad_input(tmp_path, monkeypatch, capsys):
+    # a graphical degree sequence whose pairings all got rejected is a valid
+    # input: it used to be reported as bad_input, as a RuntimeError
+    monkeypatch.setattr(samplers, "CM_RESTARTS", 0)
+    with pytest.raises(samplers.SamplerGaveUp) as stop:
+        samplers.sample_cm(4, samplers.ModelConfig("CM", (1.0,), ((1.0,),),
+                                                   alpha=DegreeLaw({1: 1.0})), samplers.make_rng(1))
+    assert isinstance(stop.value, RuntimeError)
+    out = tmp_path / "g.json"
+    assert run("sample", "--ensemble", "cm", "--n", 4, "--alpha", '{"1": 1.0}', "--out", out) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "sampler_gave_up",
+        "message": "sampler gave up: no simple pairing of this graphical degree sequence"
+                   " in CM_RESTARTS = 0 restarts"}
+    assert not out.exists()
+
+
 def _bad_inputs(d):
     """Files for the malformed-input cases, written under ``d``."""
     law = ReferenceLaw.poisson(1.0, (1.0,), ((1.0,),))
@@ -739,6 +757,8 @@ def test_gibbs_n_zero_is_mc_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert err["error"]["type"] == "mc_error"
     assert "n must be at least 1" in err["error"]["message"]
+    # n is checked before the solution is written
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gibbs_draw_budget_beyond_numpy_is_mc_error(tmp_path, capsys):
@@ -748,7 +768,8 @@ def test_gibbs_draw_budget_beyond_numpy_is_mc_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
     assert err == {"type": "mc_error", "message": "samples must be in [1, 2305843009213693952],"
                    " not 100000000000000000000"}
-    assert not (tmp_path / "gb_mc.csv").exists()
+    # so are the samples: no solution file either
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gibbs_nan_slack_is_a_hypothesis_violation(tmp_path, capsys):

@@ -24,7 +24,7 @@ from graphld.measures import DegreeLaw, mtp_check, transport_violation, tv_dista
 from graphld.samplers import (
     MarkedGraph, ModelConfig, assign_marks, make_rng, sample_cm, sample_er, sample_fe,
 )
-from graphld.trees import CanonicalTree, HalfEdgeTree, branch_views
+from graphld.trees import CanonicalTree, HalfEdgeTree, _interned, branch_views
 
 from helpers import (
     bfs_ball_flags, canon_raw, component_law, mp_root_views, oracle_component_measure,
@@ -346,6 +346,31 @@ def test_array_refinement_matches_the_per_slot_oracle(g):
         assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
+# vertex marks whose leaf encodings (little-endian) order 256 before 1 before 2
+CANON_MARKS = (1, 256, 2)
+XI3 = ((0.05, 0.1, 0.15), (0.1, 0.05, 0.1), (0.15, 0.2, 0.1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=random_graphs(), seed=st.integers(0, 2**32))
+@example(g=HUB, seed=0)
+@example(g=cycle(5), seed=1)
+def test_refinement_rows_are_in_canonical_order(g, seed):
+    # each round numbers its trees in encoding order, so the rows of the next
+    # round list the children in canonical order and are interned unsorted:
+    # every tree of every round is the tree that sorting its children gives
+    g = assign_marks(MarkedGraph(g.n, g.edges), (0.3, 0.3, 0.4), XI3, make_rng(seed))
+    g = MarkedGraph(g.n, g.edges, [CANON_MARKS[x] for x in g.vmarks], g.emarks)
+    views = empirical._views(g)
+    for k in range(4):
+        ids, trees = views.edge_round(k)
+        assert [t.encoding for t in trees] == sorted(t.encoding for t in trees)
+        for t in (*trees, *views.root_views(k)):
+            assert CanonicalTree(t.mark, t.children) is t
+        want = oracle_refined_views(views, k, False)
+        assert all(trees[i] is t for i, t in zip(ids.tolist(), want))
+
+
 def _cyclic_er_graph():
     g = sample_er(40, 3.0, make_rng(31, 0))
     g = assign_marks(g, (0.5, 0.5), ((0.4, 0.1), (0.2, 0.3)), make_rng(31, 1))
@@ -412,12 +437,12 @@ def test_views_are_refined_once_per_graph():
         return out
 
     def counting_tree(*args):
-        t = CanonicalTree(*args)
+        t = _interned(*args)
         built.append(t)
         return t
 
     with mock.patch.object(empirical, "_refine", counting_refine), \
-            mock.patch.object(empirical, "CanonicalTree", counting_tree):
+            mock.patch.object(empirical, "_interned", counting_tree):
         for _ in range(2):
             L = neighborhood_measure(g)
             u1 = component_measure(g, 1)
@@ -425,8 +450,9 @@ def test_views_are_refined_once_per_graph():
             assert mtp_check_graph(g, 2) == 0.0
     assert rounds == [True, False, True]
     assert len(g._views.rounds) == 2
-    leaves = len(set(g.vmarks))
-    assert len(built) <= leaves + sum(ids_per_round)
+    # one tree per distinct row; the leaves came with the views, which
+    # ``_cyclic_er_graph`` built for its cycle check
+    assert len(built) == sum(ids_per_round)
     assert L.to_obj() == oracle_neighborhood_measure(g).to_obj()
     assert u1.to_obj() == oracle_component_measure(g, 1).to_obj()
     assert u2.to_obj() == oracle_component_measure(g, 2).to_obj()

@@ -6,8 +6,11 @@ binomial/multinomial moment bands for the statistical checks.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import json
 import math
+import pickle
 import re
 import warnings
 from collections import Counter
@@ -34,7 +37,8 @@ from graphld.samplers import (
 )
 from graphld.trees import canonicalize, truncate
 
-from helpers import canon_raw, eta1_exact, scalar_sample_fe, star
+from helpers import (DictMarkedGraph, canon_raw, eta1_exact, scalar_assign_marks, scalar_sample_er,
+                     scalar_sample_fe, scalar_unrank_pair, star)
 
 UNIF2 = (0.5, 0.5)
 XI_SYM = ((0.25, 0.25), (0.25, 0.25))
@@ -135,6 +139,127 @@ def test_marked_graph_takes_numpy_integers():
     assert {type(x) for x in (g.n, *g.vmarks, *g.emarks.values(), *g.edges[0])} == {int}
 
 
+# an entry that the old per-entry checks reject (bool, non-integer) or keep
+# (numpy integers, Python ints beyond int64)
+ODD_ENTRIES = st.sampled_from([True, False, 1.5, 2.0, "1", None, np.int64(1), np.uint8(2),
+                               np.uint64(2**64 - 1), 2**70, -(2**70)])
+
+
+@st.composite
+def graph_inputs(draw):
+    """Constructor arguments of a small graph, a few of them corrupted:
+    endpoints out of range, self-loops, repeated edges, entries of the wrong
+    type, marks that miss or exceed the edges, an n that is not an index."""
+    n = draw(st.integers(0, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                          max_size=12))
+    if draw(st.integers(0, 3)):
+        # mostly valid: distinct pairs without loops
+        edges = list({tuple(sorted(e)): e for e in edges if e[0] != e[1]}.values())
+    edges = [list(e) for e in edges]
+    marked = draw(st.booleans())
+    vmarks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) if marked else None
+    emarks = None
+    if marked:
+        emarks = {}
+        for u, v in edges:
+            emarks[(u, v)] = draw(st.integers(0, 3))
+            emarks[(v, u)] = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["n", "edge", "range", "vmark", "vlen", "key", "mark",
+                                     "drop", "extra", "unmarked"]))
+        if kind == "n":
+            n = draw(st.sampled_from([-1, 3.0, True, np.int64(n), n + 1]))
+        elif kind == "edge" and edges:
+            edges[draw(st.integers(0, len(edges) - 1))][draw(st.integers(0, 1))] = draw(ODD_ENTRIES)
+        elif kind == "range" and edges:
+            edges[draw(st.integers(0, len(edges) - 1))][draw(st.integers(0, 1))] = draw(
+                st.sampled_from([-1, n, n + 5]))
+        elif kind == "vmark" and vmarks:
+            vmarks[draw(st.integers(0, len(vmarks) - 1))] = draw(ODD_ENTRIES)
+        elif kind == "vlen" and vmarks is not None:
+            vmarks = vmarks + [0]
+        elif kind in ("key", "mark", "drop") and emarks:
+            key = draw(st.sampled_from(sorted(emarks, key=repr)))
+            y = emarks.pop(key)
+            if kind == "key":
+                key = (key[0], draw(ODD_ENTRIES))
+            if kind != "drop":
+                emarks[key] = draw(ODD_ENTRIES) if kind == "mark" else y
+        elif kind == "extra" and emarks is not None:
+            emarks[(0, n + 1)] = 0
+        elif kind == "unmarked" and vmarks is not None:
+            emarks = None
+    if draw(st.booleans()) and all(type(x) is int and abs(x) < 2**62 for e in edges for x in e):
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    else:
+        edges = [tuple(e) for e in edges]
+    return n, edges, vmarks, emarks
+
+
+def _built(cls, args):
+    try:
+        return cls(*args)
+    except ValueError as e:
+        return e
+
+
+def _same_graph(got, want):
+    # the same contents, as the same Python types, the same bytes and order
+    assert got.n == want.n and got.is_marked == want.is_marked
+    assert got.edges == want.edges and got.vmarks == want.vmarks and got.emarks == want.emarks
+    assert {type(x) for x in (*itertools.chain(*got.edges), *(got.vmarks or ()),
+                              *(got.emarks or {}).values())} <= {int}
+    assert json.dumps(got.to_obj(), sort_keys=True) == json.dumps(want.to_obj(), sort_keys=True)
+    assert list(got.degree_histogram().items()) == list(want.degree_histogram().items())
+    assert got.adjacency() == want.adjacency()
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_inputs())
+@example((3, [(0, 1), (1, 2)], [1, 0, 1], {(0, 1): 1, (1, 0): 0, (1, 2): 0, (2, 1): 1}))
+@example((3, [(0, 1), (5, 5)], None, None))        # a self-loop out of range is a self-loop
+@example((3, [(0, 1), (1, 0.5), (2, 2)], None, None))  # the first faulty edge counts
+@example((3, [(2**70, 2**71)], None, None))
+@example((3, [(2, 1), (1, 2)], None, None))
+@example((2, [(0, 1)], [0, 2**70], {(0, 1): -(2**70), (1, 0): 1}))
+@example((2, np.array([[1, 0]], dtype=np.uint64), np.array([2**64 - 1, 0], dtype=np.uint64),
+          {(np.uint64(0), 1): np.uint8(3), (1, 0): 4}))
+@example((2, [(0, 1)], [0, 0], {(0, 1): 0, (1, 0): 0, (1, 1): 0}))
+@example((2, [(0, 1)], [0, 0], {(0, 1): 0, (True, 0): 0}))
+@example((2, [(0, 1)], [0, 0], {(0, 1): 0.5, (1, 0): True}))
+@example((2, [(0, 1)], [0, 0], {(0, 1): 0.5, (True, 0): 0}))  # a mark before a key
+@example((2, [(0, 1)], [0, 0], {(0, True): 0, (1, 0): 0.5}))  # a key before a mark
+@example((2, [(0, 1)], [0, 0], {(0, 1): 0, (True, 0): 0.5}))  # a mark, then its key
+def test_array_graph_is_the_dict_graph(args):
+    want = _built(DictMarkedGraph, args)
+    got = _built(MarkedGraph, args)
+    if isinstance(want, ValueError):
+        assert type(got) is ValueError and str(got) == str(want)
+        return
+    _same_graph(got, want)
+    for twin in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+        assert type(twin) is MarkedGraph and twin._views is None
+        _same_graph(twin, want)
+    # the same graph from its own edges and marks, from its file form and
+    # from arrays of its edges and per-edge marks
+    _same_graph(MarkedGraph(got.n, got.edges, got.vmarks, got.emarks), want)
+    _same_graph(MarkedGraph.from_obj(json.loads(json.dumps(got.to_obj()))), want)
+    if got.is_marked and got.edges and max(map(abs, (*got.vmarks, *got.emarks.values()))) < 2**62:
+        ends = np.array(got.edges)[::-1, ::-1]
+        marks = np.array([[got.emarks[(u, v)], got.emarks[(v, u)]] for u, v in ends.tolist()])
+        _same_graph(MarkedGraph(got.n, ends, np.array(got.vmarks), marks), want)
+
+
+def test_graph_views_of_the_arrays_are_kept_and_read_only():
+    g = MarkedGraph(3, [(2, 1), (0, 1)], [1, 0, 1], {(0, 1): 1, (1, 0): 0, (1, 2): 0, (2, 1): 1})
+    assert g.edges is g.edges and g.vmarks is g.vmarks and g.emarks is g.emarks
+    for array in (g._ends, g._vm, g._em):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    assert g.emarks == {(0, 1): 1, (1, 0): 0, (1, 2): 0, (2, 1): 1}
+
+
 def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig("XX", UNIF2, XI_SYM)
@@ -167,8 +292,29 @@ def test_model_config_from_obj_checks_the_degree_law(alpha, message):
 def test_unrank_pair_bijection():
     for n in range(2, 13):
         want = list(itertools.combinations(range(n), 2))
-        got = [_unrank_pair(t, n) for t in range(n * (n - 1) // 2)]
+        got = [scalar_unrank_pair(t, n) for t in range(n * (n - 1) // 2)]
         assert got == want
+        assert list(map(tuple, _unrank_pair(range(len(want)), n).tolist())) == want
+
+
+def test_unrank_pair_is_the_scalar_loop_on_every_rank():
+    for n in range(2, 31):
+        got = _unrank_pair(np.arange(n * (n - 1) // 2), n)
+        assert got.dtype == np.int64
+        assert list(map(tuple, got.tolist())) == [scalar_unrank_pair(t, n) for t in range(len(got))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 10**6) | st.integers(2, 3 * 10**9), data=st.data())
+@example(n=10**6, data=None)
+@example(n=3 * 10**9, data=None)
+def test_unrank_pair_is_the_scalar_loop_on_random_ranks(n, data):
+    # above n = 10**8 the float square root is off and the first row moves
+    total = n * (n - 1) // 2
+    ranks = [0, total - 1, n - 2, n - 1] if data is None else data.draw(
+        st.lists(st.integers(0, total - 1), min_size=1, max_size=50))
+    got = _unrank_pair(np.array(ranks), n).tolist()
+    assert got == [list(scalar_unrank_pair(t, n)) for t in ranks]
 
 
 # ---------------------------------------------------------------- CM
@@ -271,6 +417,20 @@ def test_fe_one_draw_is_the_scalar_loop(n, frac, seed):
     assert a.integers(2**63) == b.integers(2**63)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 80), kappa=st.floats(0.0, 5.0), seed=st.integers(0, 2**64 - 1))
+@example(n=5, kappa=5.0, seed=1)
+@example(n=40, kappa=1e-300, seed=2)  # gaps near 2**63 must not wrap around
+@example(n=4000, kappa=2.0, seed=3)
+def test_er_batch_sums_are_the_scalar_walk(n, kappa, seed):
+    # the same pairs from the same draws, and the generator left where the
+    # scalar walk leaves it
+    kappa = min(kappa, n)
+    a, b = make_rng(seed), make_rng(seed)
+    assert sample_er(n, kappa, a).edges == scalar_sample_er(n, kappa, b).edges
+    assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
 def test_fe_uniform_over_pairs():
     rng = make_rng(6)
     counts = {e: 0 for e in itertools.combinations(range(4), 2)}
@@ -305,6 +465,22 @@ def test_er_mean_edge_count():
 
 
 # ---------------------------------------------------------------- marks
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 60), frac=st.floats(0.0, 0.5), k=st.integers(1, 3),
+       seed=st.integers(0, 2**64 - 1))
+def test_array_marks_are_the_per_edge_loop(n, frac, k, seed):
+    # the same vertex and edge marks from the same draws
+    g = sample_fe(n, round(frac * (n * (n - 1) // 2)), make_rng(seed, 1))
+    nu = tuple([1 / k] * k)
+    # the pairs in proportion 1, 2, ..., k * k, so no two have the same weight
+    total = k * k * (k * k + 1) / 2
+    xi = tuple(tuple((i * k + j + 1) / total for j in range(k)) for i in range(k))
+    a, b = make_rng(seed), make_rng(seed)
+    got, want = assign_marks(g, nu, xi, a), scalar_assign_marks(g, nu, xi, b)
+    assert got.to_obj() == want.to_obj() and got.emarks == want.emarks
+    assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
 
 
 def test_assign_marks_point_masses():
