@@ -278,11 +278,12 @@ def _star_weight(base: float, d: int, groups) -> float:
 
 
 def _multisets(roots, limit: int, what: str):
-    """One (tree, mass) per multiset of root entries.  Each root is a triple
-    (mark, mass, groups); a group (options, m) stands for m equal root
-    entries, each drawn i.i.d. from the sorted (entry, q) list ``options``,
-    so a tree's mass is ``_star_weight`` chained over the groups from the
-    root mass (callers keep distinct multisets distinct trees).  ValueError
+    """Per root, the list of one (tree, mass) per multiset of its entries.
+    Each root is a triple (mark, mass, groups); a group (options, m) stands
+    for m equal root entries, each drawn i.i.d. from the sorted (entry, q)
+    list ``options``, so a tree's mass is ``_star_weight`` chained over the
+    groups from the root mass (callers keep distinct multisets distinct
+    trees).  ValueError
     "{what} would need N atoms (limit L)" is raised before any tree is built
     when the roots have more than ``limit`` multisets: prod C(k+m-1, m) over
     the groups of k options each, summed over the roots."""
@@ -292,6 +293,7 @@ def _multisets(roots, limit: int, what: str):
         raise ValueError(f"{what} would need {projected} atoms (limit {limit})")
     for mark, mass, groups in roots:
         if mass == 0.0:
+            yield []
             continue
         # the partial multisets over the groups so far; a root with no
         # groups is its one empty multiset
@@ -302,9 +304,7 @@ def _multisets(roots, limit: int, what: str):
                        for combo in itertools.combinations_with_replacement(range(len(options)), m)]
             partial = [(kids + more, _star_weight(w, m, counts))
                        for kids, w in partial for more, counts in choices]
-        for kids, w in partial:
-            if w > 0:
-                yield CanonicalTree(mark, kids), w
+        yield [(CanonicalTree(mark, kids), w) for kids, w in partial if w > 0]
 
 
 def _star_law(root_mass: Dict[Tuple[int, int], float],
@@ -316,7 +316,8 @@ def _star_law(root_mass: Dict[Tuple[int, int], float],
     per_root = {x_o: [((pair, CanonicalTree(x)), q) for (pair, x), q in sorted(ew.items()) if q > 0]
                 for x_o, ew in entries.items()}
     roots = [(x_o, base, [(per_root[x_o], d)] if d else []) for (x_o, d), base in root_mass.items()]
-    return TreeMeasure(dict(_multisets(roots, STAR_ATOM_LIMIT, "materialized support")), 0.0, 1)
+    built = _multisets(roots, STAR_ATOM_LIMIT, "materialized support")
+    return TreeMeasure(dict(itertools.chain.from_iterable(built)), 0.0, 1)
 
 
 def _reweighted(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float]) -> TreeMeasure:
@@ -537,7 +538,8 @@ def one_step_extension(rho: TreeMeasure, h: int) -> TreeMeasure:
 
     Each root branch is deepened independently from the extension kernel;
     degree-0 atoms pass through unchanged.  The depth-h marginal of the
-    result equals the input on atoms.  Computed once per (rho, h).
+    result equals the input on atoms.  Computed once per (rho, h), with its
+    depth-(h+1) pair weights and its truncation to depth h.
     """
     return rho._memoized("extension", h, lambda: _extend(rho, h))
 
@@ -555,9 +557,24 @@ def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
         return sorted((((deeper.pendant_mark, view[1].pendant_mark), deeper.tree), p)
                       for deeper, p in kernel.law(*view).items())
 
+    sources = rho.items()
     roots = [(s.mark, w, [(options(view), m) for view, m in Counter(branch_views(s, h - 1)).items()])
-             for s, w in rho.items()]
-    return TreeMeasure(dict(_multisets(roots, EXTENSION_ATOM_LIMIT, "one-step extension")), 0.0, h + 1)
+             for s, w in sources]
+    atoms, cut = {}, {}
+    for (s, _), built in zip(sources, _multisets(roots, EXTENSION_ATOM_LIMIT, "one-step extension")):
+        atoms.update(built)
+        cut[s] = math.fsum(w for _, w in built)
+    ext = TreeMeasure(atoms, 0.0, h + 1)
+    # every atom built from a source truncates to it, so the truncation gives
+    # each source the fsum of its built masses (the bits of the atom-wise
+    # cut); a root child deepened to b from its cut views (b|_{h-1}, r) keeps
+    # r, its depth-h remainder, so each pair weight is one pair weight of rho
+    # times one kernel probability
+    ext._memoized("truncated", h, lambda: TreeMeasure(cut, 0.0, h))
+    ext._memoized("pair_weights", h + 1, lambda: {
+        (deeper, rest): w * p for (branch, rest), w in _pair_weights(rho, h + 1).items()
+        for deeper, p in kernel.law(branch, rest.truncated(h - 1)).items()})
+    return ext
 
 
 def _cond_from_extension(rstar: TreeMeasure, pi, pistar, h: int) -> TreeMeasure:

@@ -474,7 +474,7 @@ def sample_er(n: int, kappa: float, rng: np.random.Generator) -> MarkedGraph:
         raise ValueError("kappa exceeds n")
     if kappa < 0:
         raise ValueError("negative kappa")
-    p = kappa / n
+    p = kappa / n if n else 0.0
     total = _pair_count(n)
     if p <= 0 or total == 0:
         return MarkedGraph(n, [])

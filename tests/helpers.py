@@ -33,7 +33,7 @@ import graphld
 from graphld.gibbs import (
     TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
 )
-from graphld.measures import PairMeasure, TreeMeasure, is_admissible
+from graphld.measures import PairMeasure, TreeMeasure, _fsum_by, is_admissible
 from graphld.rates import extension_kernel
 from graphld.samplers import MarkedGraph, _pair_count, _pair_start, integer_degree_counts
 from graphld.trees import (CanonicalTree, HalfEdgeTree, _entry_key, _Frozen, _as_index, _interned,
@@ -559,6 +559,9 @@ def counter_log_factorial_sum(t):
 
 
 def oracle_truncated(m, h):
+    """The depth-h truncation of ``m`` atom by atom, each tree cut anew: the
+    oracle of ``TreeMeasure.truncated`` and of the truncation that a one-step
+    extension carries from its build."""
     if h >= m.depth_bound:
         return m
     acc = {}
@@ -573,6 +576,13 @@ def oracle_pair_weights(u, h):
         for key in oracle_branch_views(t, h - 1):
             acc.setdefault(key, []).append(w)
     return {k: math.fsum(ws) for k, ws in acc.items()}
+
+
+def atomwise_pair_weights(u, h):
+    """``measures._pair_weights`` cut atom by atom through ``branch_views``:
+    the oracle of the pair weights that a one-step extension carries from its
+    build, one pair weight of the law it extends times one kernel probability."""
+    return _fsum_by((key, w) for t, w in u.atoms.items() for key in branch_views(t, h - 1))
 
 
 def oracle_pair_measure(rho, h=None):

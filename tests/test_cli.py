@@ -94,6 +94,13 @@ def test_sample_er_echoes_config(tmp_path):
     assert json.loads(out.read_text())["n"] == 10
 
 
+def test_sample_er_without_vertices_writes_the_empty_graph(tmp_path):
+    out = tmp_path / "er0.json"
+    assert run("sample", "--ensemble", "er", "--n", 0, "--kappa", 0, "--out", out) == 0
+    g = MarkedGraph.from_obj(json.loads(out.read_text())["graph"])
+    assert (g.n, g.edges) == (0, ())
+
+
 def test_sample_missing_required_flag(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run("sample", "--ensemble", "er", "--n", 5, "--out", out) == 2

@@ -7,8 +7,12 @@ shared routines (``graph_views``: before the graph views were computed by
 message passing; ``deviating_chain``, ``er``, ``leaf_and_extension_laws`` and
 ``truth_chain``: after one-step extensions weighed each multiset of deepened
 children by a multinomial instead of summing its orderings, which moved values
-at the ulp level).  Any change to a single output bit fails the case; a change
-that is meant to alter outputs must say so and record new digests.
+at the ulp level; ``leaf_and_extension_laws`` and ``truth_chain`` again after
+an extension's pair weights became one pair weight of the law it extends times
+one kernel probability, which moved the pair laws of extensions, and what is
+derived from them, at the ulp level).  Any change to a single output bit fails
+the case; a change that is meant to alter outputs must say so and record new
+digests.
 """
 
 from __future__ import annotations
@@ -57,10 +61,10 @@ GOLDEN = {
     "forest_chain": "57d82b94efa95fbefc2d746776b00ae5a4228be190f31d86bf7619fd622dcba6",
     "gated": "8b89cc4afd795485026a594ef1ed0e73fc458761af04e215386d5fb5ec0b4de9",
     "graph_views": "4dea390051335583092e2bf42658884badf354b8a68151fa18d79e57b84dfb71",
-    "leaf_and_extension_laws": "0656dfcc3c5f59f3e088aa26c144f38f6411ce5cbe455983ea5b958b394e7a2a",
+    "leaf_and_extension_laws": "a5e1c451f769c1a39e3366dfdc24e5588ad1e1d7c265d3797a47ce8e003defa5",
     "nbd_rates": "35bbf1bcb755c728db2c1f41f2e38dc093425da322cf069ee552d087b8cce9fb",
     "neighborhood_forms": "a2fefefc62d31edd561ec2ae89546131d8c41352f16bcea6c9c15e7324e71b9f",
-    "truth_chain": "d68dd1c7e3f26ec58a4208076de794c7d3c600cefd2ae7b487589c4aa45caae0",
+    "truth_chain": "455fcf6be5bebcc085c86f1bb17b2d8419ba8c5c41ced6ea77d3b17f6f18a909",
 }
 
 

@@ -18,17 +18,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import graphld
-from graphld import rates
+from graphld import measures, rates
 from graphld.empirical import component_measure, neighborhood_measure
 from graphld.measures import (
     DegreeLaw,
     DepthChain,
+    PairMeasure,
     TreeMeasure,
     entropy,
     is_admissible,
     pair_marginals,
     pair_measure,
     relative_entropy,
+    transport_violation,
 )
 from graphld.rates import (
     RateReport,
@@ -56,6 +58,7 @@ from graphld.trees import CanonicalTree, HalfEdgeTree, split_at_child, truncate
 
 from helpers import (
     assert_close_laws,
+    atomwise_pair_weights,
     canon_raw,
     counter_log_factorial_sum,
     eta1_exact,
@@ -64,6 +67,7 @@ from helpers import (
     oracle_depth1_bases,
     oracle_depth1_component_bases,
     oracle_leaf_ratios,
+    oracle_truncated,
     ordered_product_extension,
     random_forest,
     run_python,
@@ -716,19 +720,41 @@ def small_reference_laws(draw):
                                     tuple(xi[i * k:(i + 1) * k] for i in range(k)))
 
 
-@given(small_reference_laws(), st.integers(1, 2))
-@settings(max_examples=60, deadline=None)
-def test_extension_matches_the_ordered_product(law, depth):
-    # admissible depth-1 laws, and depth-2 laws as their extensions; the
-    # limit keeps the oracle's orderings few
+def _small_extension(law, depth):
+    """(rho, its one-step extension) for the depth-``depth`` level rho of the
+    law's extension chain: an admissible depth-1 law, or a depth-2 law as its
+    extension; the limit keeps the oracles' orderings few."""
     with mock.patch.object(rates, "EXTENSION_ATOM_LIMIT", 4000):
         try:
             rho = extension_chain(law.materialize(), depth).level(depth)
-            one_step_extension(rho, depth)
+            return rho, one_step_extension(rho, depth)
         except ValueError as e:
             assert str(e).startswith("one-step extension would need"), e
             assume(False)
-    assert_close_laws(one_step_extension(rho, depth), ordered_product_extension(rho, depth))
+
+
+@given(small_reference_laws(), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_extension_matches_the_ordered_product(law, depth):
+    rho, ext = _small_extension(law, depth)
+    assert_close_laws(ext, ordered_product_extension(rho, depth))
+
+
+@given(small_reference_laws(), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_extension_pair_weights_and_truncation_are_the_atomwise_ones(law, depth):
+    # the extension carries both laws from its build, so mtp_check and
+    # is_admissible read them; its atoms, cut one by one, must give them too
+    _, ext = _small_extension(law, depth)
+    derived, want = measures._pair_weights(ext, depth + 1), atomwise_pair_weights(ext, depth + 1)
+    assert set(derived) == set(want)
+    for key, w in want.items():
+        assert derived[key] == pytest.approx(w, rel=1e-13, abs=0)
+    assert ext.truncated(depth).to_obj() == oracle_truncated(ext, depth).to_obj()
+    beta = ext.mean_degree()
+    if beta > 0:
+        assert transport_violation(want) <= 1e-9
+        assert PairMeasure({k: w / beta for k, w in want.items()}).symmetry_defect() <= 1e-9
 
 
 def test_extension_over_the_atom_limit_raises_before_building():

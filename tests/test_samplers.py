@@ -453,6 +453,16 @@ def test_er_degenerate_cases():
         sample_er(5, 6.0, rng)
 
 
+def test_er_without_vertices_is_the_empty_graph():
+    # as sample_cm and sample_fe return it; kappa / n used to divide by zero
+    for sample in (lambda rng: sample_er(0, 0.0, rng),
+                   lambda rng: sample_cm(0, ModelConfig("CM", (1.0,), ((1.0,),),
+                                                        alpha=DegreeLaw({1: 1.0})), rng),
+                   lambda rng: sample_fe(0, 0, rng)):
+        g = sample(make_rng(7))
+        assert (g.n, g.edges) == (0, ())
+
+
 def test_er_mean_edge_count():
     rng = make_rng(8)
     n, kappa, draws = 50, 2.0, 3000
