@@ -175,7 +175,8 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
     """Solve the conditioned optimization in closed tilted form.
 
     Finds lambda with g(lambda) = c by bracketed bisection (the bracket grows
-    geometrically; g is verified nondecreasing on the sampled bracket), forms
+    geometrically; g is verified nondecreasing on the sampled bracket; the
+    bisection stops at its floating-point fixed point), forms
     gamma(n, x) = alpha(n) * tilted mark law, and assembles psi; mu_star is
     built when first read and obeys ``rates.STAR_ATOM_LIMIT``.  Raises
     ValueError when c is outside the open feasibility interval.
@@ -203,6 +204,11 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # g(hi) > c, and g(lo) <= c once lo has moved, so every later
+            # step keeps lo and hi; an unmoved lo = 0.0 meets mid only at
+            # hi = 5e-324, where either way lambda is 0.0
+            break
         if g_of_lambda(problem, mid) <= problem.c:
             lo = mid
         else:

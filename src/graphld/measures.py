@@ -127,10 +127,10 @@ class TreeMeasure(_Frozen):
         # through the constructor: the trees re-intern and the memo starts empty
         return (TreeMeasure, (self.atoms, self.non_tree_mass, self.depth_bound))
 
-    def _memoized(self, kind: str, h: int, build: Callable[[], object]):
-        """The law ``kind`` of this measure at depth ``h``: ``build()`` on the
-        first request, the stored result afterwards.  A raising ``build``
-        stores nothing."""
+    def _memoized(self, kind: str, h, build: Callable[[], object]):
+        """The law ``kind`` of this measure at depth ``h`` (or against the
+        reference law ``h``): ``build()`` on the first request, the stored
+        result afterwards.  A raising ``build`` stores nothing."""
         key = (kind, h)
         try:
             return self._memo[key]
@@ -203,7 +203,7 @@ class TreeMeasure(_Frozen):
 
     def mean_degree(self) -> float:
         self._require_tree_support("mean_degree")
-        return math.fsum(t.root_degree * w for t, w in self.atoms.items())
+        return math.fsum(len(t.children) * w for t, w in self.atoms.items())
 
     def root_mark_law(self) -> Dict[int, float]:
         self._require_tree_support("root_mark_law")
@@ -241,12 +241,14 @@ class TreeMeasure(_Frozen):
 
 
 class PairMeasure(_Frozen):
-    """A probability measure on ordered pairs of half-edge trees."""
+    """A probability measure on ordered pairs of half-edge trees; its
+    symmetry defect is computed once."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "_defect")
 
     def __init__(self, atoms: Mapping[Tuple[HalfEdgeTree, HalfEdgeTree], float]) -> None:
         object.__setattr__(self, "atoms", _clean_weights(atoms, "pair measure"))
+        object.__setattr__(self, "_defect", None)
 
     def get(self, a: HalfEdgeTree, b: HalfEdgeTree) -> float:
         return self.atoms.get((a, b), 0.0)
@@ -262,10 +264,12 @@ class PairMeasure(_Frozen):
 
     def symmetry_defect(self) -> float:
         """max over pairs of |p(a,b) - p(b,a)|."""
-        defect = 0.0
-        for (a, b), w in self.atoms.items():
-            defect = max(defect, abs(w - self.atoms.get((b, a), 0.0)))
-        return defect
+        if self._defect is None:
+            defect = 0.0
+            for (a, b), w in self.atoms.items():
+                defect = max(defect, abs(w - self.atoms.get((b, a), 0.0)))
+            object.__setattr__(self, "_defect", defect)
+        return self._defect
 
 
 class DegreeLaw(_Frozen):
@@ -318,10 +322,11 @@ class DepthChain(_Frozen):
     ``levels[h-1]`` is the depth-h law.  ``extension_exact`` records that
     depths beyond the materialized prefix are defined as iterated one-step
     unimodular extensions of the last level, so their per-depth rate terms
-    vanish by construction rather than by evaluation.
+    vanish by construction rather than by evaluation.  Its truncation defect
+    is computed once.
     """
 
-    __slots__ = ("levels", "extension_exact")
+    __slots__ = ("levels", "extension_exact", "_defect")
 
     def __init__(self, levels: Iterable[TreeMeasure], extension_exact: bool = False) -> None:
         levels = tuple(levels)
@@ -332,6 +337,7 @@ class DepthChain(_Frozen):
                 raise ValueError(f"level {h} has depth_bound {m.depth_bound}")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "extension_exact", bool(extension_exact))
+        object.__setattr__(self, "_defect", None)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -343,10 +349,12 @@ class DepthChain(_Frozen):
 
     def truncation_defect(self) -> float:
         """max TV between each level truncated one step and the previous level."""
-        worst = 0.0
-        for h in range(2, len(self.levels) + 1):
-            worst = max(worst, tv_distance(self.level(h).truncated(h - 1), self.level(h - 1)))
-        return worst
+        if self._defect is None:
+            worst = 0.0
+            for h in range(2, len(self.levels) + 1):
+                worst = max(worst, tv_distance(self.level(h).truncated(h - 1), self.level(h - 1)))
+            object.__setattr__(self, "_defect", worst)
+        return self._defect
 
 
 # ---------------------------------------------------------------- entropies

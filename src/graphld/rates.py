@@ -221,8 +221,9 @@ class ReferenceLaw(_Frozen):
         if dens == 0.0:
             return 0.0
         cells = Counter((pair, sub.mark) for pair, sub in t.children)
-        return _star_weight(dens, d, ((self.nu_pmf(x) * self.xibar_pmf(*pair), m)
-                                      for (pair, x), m in cells.items()))
+        powers, factor, _ = _star_factors(d, [(self.nu_pmf(x) * self.xibar_pmf(*pair), m)
+                                              for (pair, x), m in cells.items()])
+        return math.prod(powers, start=dens) * factor
 
     def pair_density(self, cell: Tuple[HalfEdgeTree, HalfEdgeTree]) -> float:
         """Reference probability of an ordered pair of depth-0 half-edge views."""
@@ -267,23 +268,33 @@ class ReferenceLaw(_Frozen):
 # ------------------------------------------------------- depth-1 reference pair
 
 
-def _star_weight(base: float, d: int, groups) -> float:
-    """``base`` * multinomial(d; m over groups) * prod q**m over the (q, m) in
-    ``groups``: the mass of d i.i.d. leaves, m of them of entry weight q."""
+def _star_factors(d: int, groups):
+    """For d i.i.d. leaves, m of them of entry weight q per (q, m) in
+    ``groups``: the powers q**m, the multinomial(d; m over groups) factor, and
+    the lgamma(m + 1) of each m >= 2.  A star's mass is
+    ``math.prod(powers, start=base) * factor``: base times each power in
+    turn, then the factor."""
+    powers, logfacts = [], []
     logmult = math.lgamma(d + 1)
     for q, m in groups:
-        base *= q**m
-        logmult -= math.lgamma(m + 1)
-    return base * math.exp(logmult)
+        powers.append(q**m)
+        lg = math.lgamma(m + 1)
+        logmult -= lg
+        if m > 1:
+            logfacts.append(lg)
+    return powers, math.exp(logmult), tuple(logfacts)
 
 
 def _multisets(roots, limit: int, what: str):
-    """Per root, the list of one (tree, mass) per multiset of its entries.
-    Each root is a triple (mark, mass, groups); a group (options, m) stands
-    for m equal root entries, each drawn i.i.d. from the sorted (entry, q)
-    list ``options``, so a tree's mass is ``_star_weight`` chained over the
-    groups from the root mass (callers keep distinct multisets distinct
-    trees).  ValueError
+    """Per root, the list of one (tree, mass, log-factorials) per multiset of
+    its entries.  Each root is a triple (mark, mass, groups); a group
+    (options, m) stands for m equal root entries, each drawn i.i.d. from the
+    sorted (entry, q) list ``options``, so a tree's mass chains the
+    ``_star_factors`` of its groups from the root mass, and its
+    log-factorials are the lgamma(c + 1) of each entry it has c >= 2 times
+    (callers keep distinct multisets distinct trees, and entries of distinct
+    groups distinct).  The choices of each (options, m) are built once per
+    call.  ValueError
     "{what} would need N atoms (limit L)" is raised before any tree is built
     when the roots have more than ``limit`` multisets: prod C(k+m-1, m) over
     the groups of k options each, summed over the roots."""
@@ -291,20 +302,24 @@ def _multisets(roots, limit: int, what: str):
                     for _, _, groups in roots)
     if projected > limit:
         raise ValueError(f"{what} would need {projected} atoms (limit {limit})")
+    made = {}  # (id(options), m) -> its choices; ``roots`` keeps each options alive
     for mark, mass, groups in roots:
         if mass == 0.0:
             yield []
             continue
         # the partial multisets over the groups so far; a root with no
         # groups is its one empty multiset
-        partial = [((), mass)]
+        partial = [((), mass, ())]
         for options, m in groups:
-            choices = [(tuple(options[i][0] for i in combo),
-                        [(options[i][1], c) for i, c in Counter(combo).items()])
-                       for combo in itertools.combinations_with_replacement(range(len(options)), m)]
-            partial = [(kids + more, _star_weight(w, m, counts))
-                       for kids, w in partial for more, counts in choices]
-        yield [(CanonicalTree(mark, kids), w) for kids, w in partial if w > 0]
+            choices = made.get((id(options), m))
+            if choices is None:
+                choices = made[id(options), m] = []
+                for combo in itertools.combinations_with_replacement(range(len(options)), m):
+                    counts = [(options[i][1], c) for i, c in Counter(combo).items()]
+                    choices.append((tuple(options[i][0] for i in combo), *_star_factors(m, counts)))
+            partial = [(kids + more, math.prod(powers, start=w) * factor, lf + more_lf)
+                       for kids, w, lf in partial for more, powers, factor, more_lf in choices]
+        yield [(CanonicalTree(mark, kids), w, lf) for kids, w, lf in partial if w > 0]
 
 
 def _star_law(root_mass: Dict[Tuple[int, int], float],
@@ -317,7 +332,7 @@ def _star_law(root_mass: Dict[Tuple[int, int], float],
                 for x_o, ew in entries.items()}
     roots = [(x_o, base, [(per_root[x_o], d)] if d else []) for (x_o, d), base in root_mass.items()]
     built = _multisets(roots, STAR_ATOM_LIMIT, "materialized support")
-    return TreeMeasure(dict(itertools.chain.from_iterable(built)), 0.0, 1)
+    return TreeMeasure({t: w for t, w, _ in itertools.chain.from_iterable(built)}, 0.0, 1)
 
 
 def _reweighted(law: ReferenceLaw, ratio: Callable[[int, int, int, int], float]) -> TreeMeasure:
@@ -539,7 +554,8 @@ def one_step_extension(rho: TreeMeasure, h: int) -> TreeMeasure:
     Each root branch is deepened independently from the extension kernel;
     degree-0 atoms pass through unchanged.  The depth-h marginal of the
     result equals the input on atoms.  Computed once per (rho, h), with its
-    depth-(h+1) pair weights and its truncation to depth h.
+    depth-(h+1) pair weights, its truncation to depth h and the
+    log-factorial term of ``combinatorial_rate``.
     """
     return rho._memoized("extension", h, lambda: _extend(rho, h))
 
@@ -560,17 +576,21 @@ def _extend(rho: TreeMeasure, h: int) -> TreeMeasure:
     sources = rho.items()
     roots = [(s.mark, w, [(options(view), m) for view, m in Counter(branch_views(s, h - 1)).items()])
              for s, w in sources]
-    atoms, cut = {}, {}
+    atoms, cut, logfacts = {}, {}, []
     for (s, _), built in zip(sources, _multisets(roots, EXTENSION_ATOM_LIMIT, "one-step extension")):
-        atoms.update(built)
-        cut[s] = math.fsum(w for _, w in built)
+        atoms.update((t, w) for t, w, _ in built)
+        cut[s] = math.fsum(w for _, w, _ in built)
+        logfacts += [w * math.fsum(lf) for _, w, lf in built if lf]
     ext = TreeMeasure(atoms, 0.0, h + 1)
     # every atom built from a source truncates to it, so the truncation gives
     # each source the fsum of its built masses (the bits of the atom-wise
     # cut); a root child deepened to b from its cut views (b|_{h-1}, r) keeps
     # r, its depth-h remainder, so each pair weight is one pair weight of rho
-    # times one kernel probability
+    # times one kernel probability; an atom's equal root entries are the
+    # repeats of its multiset, so the correctly rounded fsums give the bits of
+    # the atom-wise E[sum log m!]
     ext._memoized("truncated", h, lambda: TreeMeasure(cut, 0.0, h))
+    ext._memoized("log_factorials", h + 1, lambda: math.fsum(logfacts))
     ext._memoized("pair_weights", h + 1, lambda: {
         (deeper, rest): w * p for (branch, rest), w in _pair_weights(rho, h + 1).items()
         for deeper, p in kernel.law(branch, rest.truncated(h - 1)).items()})
@@ -691,9 +711,11 @@ class _ChainAnalysis:
     a gate fails, or the finite mean-degree-0 value.  ``beta`` is re-centred
     at the measured mean degree for ER once the gates pass.  ``bases`` and
     ``component_bases`` are the one place that picks each depth's reference
-    laws from ``law`` (depth 1) or from the chain (deeper).  The laws below
-    are read from the levels' memos, so every form and call on the same
-    chain shares them.
+    laws from ``law`` (depth 1) or from the chain (deeper).  The laws below,
+    the chain's truncation defect, each pair law's symmetry defect and the
+    level-1 star densities against ``law`` are kept on the objects they
+    describe, so every form and call on the same chain computes them once;
+    each call gets its own ``flags``.
     """
 
     chain: DepthChain
@@ -781,7 +803,9 @@ def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
     if worst > GATE_TOL:
         an.short = math.inf
         return an
-    an.stars = {t: law.star_density(t) for t in chain.level(1).atoms}
+    level1 = chain.level(1)
+    an.stars = level1._memoized("star_density", law,
+                                lambda: {t: law.star_density(t) for t in level1.atoms})
     dominated = all(dens > 0.0 for dens in an.stars.values())
     flags["absolutely_continuous"] = dominated
     if not dominated:
@@ -903,7 +927,8 @@ def _combinatorial_totals(an: _ChainAnalysis, report: RateReport, depth: int):
         base += -e_logfact + entropy(law.alpha) - 2.0 * matching_entropy(beta)
     for h in range(1, depth + 1):
         lv = an.chain.level(h)
-        efact = math.fsum(w * _log_factorial_sum(t) for t, w in lv.atoms.items())
+        efact = lv._memoized("log_factorials", h, lambda: math.fsum(
+            w * _log_factorial_sum(t) for t, w in lv.atoms.items()))
         j = (
             -matching_entropy(beta)
             + entropy(lv)

@@ -8,7 +8,9 @@ are isomorphic iff their canonical encodings are equal (marked AHU form).
 Trees are hash-consed: while a tree is alive, constructing an equal one
 returns that same object, so trees compare and hash by identity, and the
 truncations of a tree, and the remainders left by removing one of its root
-children, are computed once.
+children, are computed once.  The intern table is a plain dict from encoding
+to a weak reference, so lookup and insert run in C; a tree's death removes
+its own entry, and only that entry.
 """
 
 from __future__ import annotations
@@ -21,8 +23,22 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 _HDR = struct.Struct("<HH")
 
-# the live tree of each encoding; an entry lives as long as its tree
-_INTERN: "weakref.WeakValueDictionary[bytes, CanonicalTree]" = weakref.WeakValueDictionary()
+# a weak reference to the live tree of each encoding; an entry lives as long
+# as its tree
+_INTERN: "Dict[bytes, _Entry]" = {}
+
+
+class _Entry(weakref.ref):
+    """An intern table reference that keeps its tree's encoding, ``key``."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry, _remove=weakref._remove_dead_weakref, _table=_INTERN) -> None:
+    # a dead tree's callback: drop its entry unless a live tree has taken the
+    # key; the defaults outlive the module's globals at interpreter shutdown
+    _remove(_table, entry.key)
+
 
 __all__ = [
     "CanonicalTree",
@@ -74,7 +90,10 @@ class CanonicalTree(_Frozen):
     __slots__ = ("mark", "children", "depth", "encoding", "_trunc", "_rests", "__weakref__")
 
     def __new__(cls, mark: int, children: Tuple = ()) -> "CanonicalTree":
-        return _interned(mark, tuple(sorted(children, key=_entry_key)))
+        # natural tuple order compares the pairs, then, on a tie, the subtrees
+        # by ``__lt__``: equal trees are one object, so this is the order on
+        # (pair, subtree encoding)
+        return _interned(mark, tuple(sorted(children)))
 
     def __init__(self, mark: int, children: Tuple = ()) -> None:
         """Nothing to do: ``__new__`` returns a complete, possibly shared, tree."""
@@ -93,10 +112,6 @@ class CanonicalTree(_Frozen):
         return f"CanonicalTree(mark={self.mark}, deg={self.root_degree}, depth={self.depth})"
 
 
-def _entry_key(entry):
-    return (entry[0], entry[1].encoding)
-
-
 def _interned(mark: int, kids: Tuple) -> CanonicalTree:
     """The tree with root mark ``mark`` and the children ``kids``, already in
     canonical order; marks and the root degree must fit the 16-bit header."""
@@ -113,15 +128,18 @@ def _interned(mark: int, kids: Tuple) -> CanonicalTree:
     except struct.error:
         raise ValueError("mark index out of range") from None
     enc = b"".join(parts)
-    self = _INTERN.get(enc)
-    if self is not None:
-        return self
+    entry = _INTERN.get(enc)
+    if entry is not None:
+        self = entry()
+        if self is not None:
+            return self
     self = object.__new__(CanonicalTree)
     object.__setattr__(self, "mark", int(mark))
     object.__setattr__(self, "children", kids)
     object.__setattr__(self, "depth", depth)
     object.__setattr__(self, "encoding", enc)
-    _INTERN[enc] = self
+    entry = _INTERN[enc] = _Entry(self, _forget)
+    entry.key = enc
     return self
 
 
@@ -209,11 +227,10 @@ def truncate(t: CanonicalTree, h: int) -> CanonicalTree:
         object.__setattr__(t, "_trunc", memo)
     cut = memo.get(h)
     if cut is None:
-        if h == 0:
-            cut = CanonicalTree(t.mark)
-        else:
-            cut = CanonicalTree(t.mark, tuple((pair, truncate(sub, h - 1)) for pair, sub in t.children))
-        memo[h] = cut
+        kids = tuple((pair, truncate(sub, h - 1)) for pair, sub in t.children) if h else ()
+        # a leaf's encoding keeps the first two bytes, the mark, of its
+        # subtree's encoding, so depth-0 cuts keep the children's order
+        cut = memo[h] = _interned(t.mark, kids) if h <= 1 else CanonicalTree(t.mark, kids)
     return cut
 
 

@@ -11,7 +11,9 @@ check of two laws, the sort-and-cut branch views and the Counter
 log-factorial sum that the run-based ones are checked against, the rejection
 sampler that conditional Monte Carlo is checked against, the scipy log-gamma
 weights that its exact tables are checked against, the per-leaf product that
-the Gibbs optimizer is checked against, and a runner for code that must
+the Gibbs optimizer is checked against, the 200-step bisection that its
+lambda is checked against, the key-sorted constructor that the tree
+constructor's own sort is checked against, and a runner for code that must
 start in a fresh interpreter."""
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from scipy import special, stats
 
 import graphld
 from graphld.gibbs import (
-    TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, solve,
+    TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, g_of_lambda, solve,
 )
 from graphld.measures import PairMeasure, TreeMeasure, _fsum_by, is_admissible
 from graphld.rates import extension_kernel
 from graphld.samplers import MarkedGraph, _pair_count, _pair_start, integer_degree_counts
-from graphld.trees import (CanonicalTree, HalfEdgeTree, _entry_key, _Frozen, _as_index, _interned,
+from graphld.trees import (CanonicalTree, HalfEdgeTree, _Frozen, _as_index, _interned,
                            _of_type, branch_views, split_at_child, truncate)
 
 
@@ -515,6 +517,17 @@ def oracle_depth1_component_bases(an, h):
 # ------------------------------------------- uncached derived laws (oracles)
 
 
+def entry_key(entry):
+    """The canonical order of root entries: (edge mark pair, subtree encoding)."""
+    return (entry[0], entry[1].encoding)
+
+
+def key_sorted_tree(mark, entries):
+    """The tree of root mark ``mark`` and ``entries``, sorted by ``entry_key``
+    and interned as they are: the oracle of ``CanonicalTree``'s own sort."""
+    return _interned(mark, tuple(sorted(entries, key=entry_key)))
+
+
 def oracle_truncate(t, h):
     """Depth-h truncation rebuilt from scratch on every call."""
     if t.depth <= h:
@@ -541,7 +554,7 @@ def sort_and_cut_branch_views(t, h):
     reverse the order of two children), and each remainder is that sorted
     tuple less one entry, interned anew."""
     cut = [(pair, truncate(sub, h - 1)) for pair, sub in t.children] if h > 0 else []
-    order = sorted(range(len(cut)), key=lambda i: _entry_key(cut[i]))
+    order = sorted(range(len(cut)), key=lambda i: entry_key(cut[i]))
     ranked = tuple(cut[i] for i in order)
     rank = [0] * t.root_degree
     for r, i in enumerate(order):
@@ -721,6 +734,21 @@ def markov_product_measure(deg_law, pair_matrix):
                     t = star(x0, list(combo))
                     acc[t] = acc.get(t, 0.0) + w
     return TreeMeasure(acc, 0.0, 1)
+
+
+def bisection_lambda(problem):
+    """``solve``'s lambda by all 200 bisection steps, with no early exit."""
+    hi = 1.0
+    while g_of_lambda(problem, hi) <= problem.c:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g_of_lambda(problem, mid) <= problem.c:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _assemble_mu_star(gamma, psi):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -36,7 +36,8 @@ from graphld.rates import ReferenceLaw, nbd_rate
 from graphld.samplers import ModelConfig, integer_degree_counts, make_rng
 
 from helpers import (
-    _assemble_mu_star, gammaln_count_weights, rejection_conditional_mc, run_python, star,
+    _assemble_mu_star, bisection_lambda, gammaln_count_weights, rejection_conditional_mc,
+    run_python, star,
 )
 
 LAM_STAR = math.log(3.0) / 2.0
@@ -167,6 +168,26 @@ def test_solve_infeasible_thresholds():
         solve(canonical_problem(c=2.0))
     with pytest.raises(ValueError, match="essential supremum"):
         solve(canonical_problem(c=2.5))
+
+
+@given(degrees=st.dictionaries(st.integers(1, 4), st.integers(1, 5), min_size=1, max_size=3),
+       marks=st.lists(st.tuples(st.integers(1, 5), st.integers(-30, 30).map(lambda k: k / 10)),
+                      min_size=2, max_size=3),
+       t=st.just(0.0) | st.floats(1e-9, 1.0 - 1e-6))
+@settings(max_examples=60, deadline=None)
+def test_solve_lambda_is_the_200_step_bisection_bit_for_bit(degrees, marks, t):
+    # the bisection stops at its fixed point, where the 200-step loop only
+    # repeats; t = 0 puts c one float above the unconditioned mean
+    total = sum(degrees.values())
+    alpha = DegreeLaw({d: k / total for d, k in degrees.items()})
+    weight = sum(w for w, _ in marks)
+    nu, hfun = tuple(w / weight for w, _ in marks), tuple(v for _, v in marks)
+    free = GibbsProblem(alpha, nu, hfun, 0.0)
+    g0, sup = free.unconditioned_mean(), free.supremum()
+    c = g0 + t * (sup - g0) if t else math.nextafter(g0, math.inf)
+    assume(g0 < c < sup)
+    p = GibbsProblem(alpha, nu, hfun, c)
+    assert solve(p).lam.hex() == bisection_lambda(p).hex()
 
 
 def test_lambda_strictly_increasing_in_threshold():

@@ -9,6 +9,7 @@ sharing tests count how often each derived law is built.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import graphld
 from graphld import cli, measures, rates, trees
@@ -285,6 +286,55 @@ def test_three_forms_build_each_pair_law_once(monkeypatch):
     assert len(builds) == len(set(builds))
     for h in (1, 2, 3):
         assert builds.count((id(chain.level(h)), "pair_measure", h)) == 1
+
+
+FORMS = (component_rate, intermediate_rate, combinatorial_rate)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_forms_on_one_chain_equal_forms_on_fresh_chains(order):
+    # the gates and laws each form reads are kept on the chain, its levels and
+    # their pair laws; each report still gets its own flags, so no form's
+    # report depends on which forms ran before it
+    law, _ = small_truth()
+    deviating = ReferenceLaw.fixed_alpha(DegreeLaw({1: 0.5, 2: 0.5}), (0.3, 0.7), ((1.0,),))
+    cases = ((law, "CM", None), (deviating, "CM", None), (deviating, None, 5))
+    for truth, ensemble, depth in cases:
+        def run(form, chain):
+            return repr(form(chain, 1.5, law, ensemble=ensemble, depth=depth).to_obj())
+
+        want = {form: run(form, extension_chain(truth.materialize(), 3)) for form in FORMS}
+        chain = extension_chain(truth.materialize(), 3)
+        for i in order + order:
+            assert run(FORMS[i], chain) == want[FORMS[i]]
+        for form in FORMS:
+            flags = form(chain, 1.5, law, ensemble=ensemble).flags
+            assert ("j_direction" in flags) == (form is combinatorial_rate)
+
+
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3), st.integers(0, 3)),
+       st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       st.one_of(st.just((1,)), st.tuples(*[st.integers(1, 9)] * 4)))
+@example((1, 2, 1, 0), (1, 2), (1,))
+@settings(max_examples=20, deadline=None)
+def test_carried_log_factorials_are_the_atomwise_sum(alpha_w, nu_w, xi_w):
+    # an extension carries E[sum log m!] from the repeats of its multisets;
+    # the correctly rounded sums give the bits of the atom-wise oracle
+    norm = lambda ws: tuple(w / sum(ws) for w in ws)
+    xi = (norm(xi_w),) if len(xi_w) == 1 else (norm(xi_w)[:2], norm(xi_w)[2:])
+    # degree 3 only with one edge mark, and 2 -> 3 only with degrees up to 2
+    # as well, so that every level stays small
+    if len(xi) > 1:
+        alpha_w = alpha_w[:3]
+    steps = (1, 2) if len(xi) == 1 and alpha_w[3] == 0 else (1,)
+    law = ReferenceLaw.fixed_alpha(DegreeLaw(dict(enumerate(norm(alpha_w)))), norm(nu_w), xi)
+    rho = law.materialize()
+    for h in steps:
+        ext = one_step_extension(rho, h)
+        want = math.fsum(w * rates._log_factorial_sum(t) for t, w in ext.atoms.items())
+        assert any(len(set(t.children)) < len(t.children) for t in ext.atoms)
+        assert ext._memoized("log_factorials", h + 1, None).hex() == want.hex()
+        rho = ext
 
 
 def test_pair_from_size_bias_does_not_read_the_pair_memo(monkeypatch):

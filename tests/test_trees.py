@@ -11,12 +11,14 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
+import random
 import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from graphld import trees
 from graphld.trees import (
     CanonicalTree,
     HalfEdgeTree,
@@ -32,7 +34,9 @@ from graphld.trees import (
     truncate,
 )
 
-from helpers import oracle_branch_views, sort_and_cut_branch_views
+from helpers import (
+    entry_key, key_sorted_tree, oracle_branch_views, run_python, sort_and_cut_branch_views,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -499,3 +503,70 @@ def test_labeling_round_trip_property(raw):
     t = canon(raw)
     rng = np.random.default_rng(13)
     assert canonicalize(random_labeling(t, rng)) == t
+
+
+# ---------------------------------------------------------------- intern table and entry order
+
+
+# marks on both sides of 256, where the little-endian header's first byte
+# stops being the whole mark
+WIDE = st.sampled_from((0, 1, 2, 255, 256, 257, 513, 65535))
+wide_raw_trees = st.recursive(
+    st.tuples(WIDE, st.just([])),
+    lambda sub: st.tuples(WIDE, st.lists(st.tuples(st.tuples(WIDE, WIDE), sub), max_size=4)),
+    max_leaves=10,
+)
+
+
+def key_sorted_raw(raw):
+    """``canon`` through the key-sorted oracle constructor at every vertex."""
+    mark, kids = raw
+    return key_sorted_tree(mark, [(pair, key_sorted_raw(sub)) for pair, sub in kids])
+
+
+@given(wide_raw_trees, st.integers(0, 2**32))
+@example((256, [((0, 0), (1, [((0, 0), (0, []))])), ((0, 0), (256, [])), ((0, 0), (1, []))]), 0)
+@settings(max_examples=120, deadline=None)
+def test_constructor_sort_is_the_entry_key_sort(raw, seed):
+    # natural tuple order, subtrees compared by encoding only when the pairs
+    # tie, is the (pair, encoding) order; depth-0 cuts keep it without a sort
+    t = key_sorted_raw(raw)
+    assert canon(raw) is t
+    entries = list(t.children)
+    random.Random(seed).shuffle(entries)
+    assert CanonicalTree(t.mark, tuple(entries)) is t
+    assert list(t.children) == sorted(t.children, key=entry_key)
+    cut = key_sorted_tree(t.mark, [(pair, CanonicalTree(sub.mark)) for pair, sub in t.children])
+    assert truncate(t, 1) is (cut if t.depth > 1 else t)
+    assert list(truncate(t, 1).children) == sorted(truncate(t, 1).children, key=entry_key)
+
+
+def test_dead_entry_cannot_remove_a_live_tree():
+    # a dead tree's callback removes its key only while the key still holds
+    # a dead reference
+    class Gone:
+        __slots__ = ("__weakref__",)
+
+    t = CanonicalTree(4323, (((0, 0), CanonicalTree(4324)),))
+    obj = Gone()
+    stale = trees._Entry(obj, None)
+    stale.key = t.encoding
+    del obj
+    assert stale() is None
+    trees._forget(stale)
+    assert trees._INTERN[t.encoding]() is t
+    assert CanonicalTree(4323, (((0, 0), CanonicalTree(4324)),)) is t
+
+
+@pytest.mark.parametrize("ending", ["", "trees.__dict__.clear()\ndel keep\n"])
+def test_exit_holding_trees_prints_nothing(ending):
+    # the intern table's callbacks run while interpreters shut down and after
+    # the module's globals are gone; a callback that read a global printed
+    # "Exception ignored ... NameError: _INTERN" there
+    code = ("from graphld import trees\n"
+            "from graphld.trees import CanonicalTree as C, truncate\n"
+            "keep = [C(i, (((0, 0), C(i + 1, (((1, 0), C(i)),))),)) for i in range(300)]\n"
+            "cuts = [truncate(t, 1) for t in keep]\n" + ending)
+    out = run_python(code)
+    assert out.returncode == 0
+    assert out.stderr == ""
