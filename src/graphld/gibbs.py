@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -82,6 +83,19 @@ class GibbsProblem:
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, not {self.delta!r}")
 
+    @functools.cached_property
+    def _tilt(self) -> Tuple[List[int], List[float], List[float], List[Tuple[int, float]]]:
+        """What every tilt reads, read once: the marks x with nu(x) > 0, their
+        log nu(x) and h(x), and each degree n > 0 with n * alpha(n)."""
+        marks = [x for x, w in enumerate(self.nu) if w > 0]
+        return (marks, [math.log(self.nu[x]) for x in marks], [self.hfun[x] for x in marks],
+                [(n, n * an) for n, an in self.alpha.items() if n != 0])
+
+    @functools.cached_property
+    def _h_lattice(self) -> Tuple[Fraction, Fraction, List[int]]:
+        """``_lattice`` of the h values of the marks with nu > 0."""
+        return _lattice(self._tilt[2])
+
     def kappa(self) -> float:
         return self.alpha.mean()
 
@@ -140,31 +154,29 @@ def g_of_lambda(problem: GibbsProblem, lam: float) -> float:
     lambda, equal to the unconditioned mean at 0, and approaching the
     essential supremum as lambda grows.
     """
+    _, logs, hs, degrees = problem._tilt
     total = []
-    for n, an in problem.alpha.items():
-        if n == 0:
-            continue
-        raw, z = _tilted(problem, lam, n)
-        num = math.fsum(v * r for w, v, r in zip(problem.nu, problem.hfun, raw) if w > 0)
-        total.append(n * an * num / z)
+    for n, n_an in degrees:
+        raw, z = _tilted(logs, hs, lam * n)
+        total.append(n_an * math.fsum(map(operator.mul, hs, raw)) / z)
     return math.fsum(total)
 
 
-def _tilted(problem: GibbsProblem, lam: float, n: int) -> Tuple[List[float], float]:
-    """The mark weights nu(x) * exp(lambda * n * h(x)) at degree n, scaled so
-    that the largest is 1.0 (0.0 where nu(x) = 0), and their fsum."""
-    logs = [
-        math.log(w) + lam * n * v if w > 0 else -math.inf
-        for w, v in zip(problem.nu, problem.hfun)
-    ]
+def _tilted(logs: List[float], hs: List[float], ln: float) -> Tuple[List[float], float]:
+    """The weights nu(x) * exp(lambda * n * h(x)) of the marks with nu(x) > 0,
+    from their log nu and h and ``ln`` = lambda * n, scaled so that the
+    largest is 1.0, and their fsum."""
+    logs = [lw + ln * v for lw, v in zip(logs, hs)]
     m = max(logs)
     raw = [math.exp(lw - m) for lw in logs]
     return raw, math.fsum(raw)
 
 
 def _tilted_row(problem: GibbsProblem, lam: float, n: int) -> List[float]:
-    """Conditional mark law at degree n under the lambda tilt, mass exactly 1."""
-    raw, z = _tilted(problem, lam, n)
+    """Conditional law of the marks with nu > 0 at degree n under the lambda
+    tilt, mass exactly 1."""
+    _, logs, hs, _ = problem._tilt
+    raw, z = _tilted(logs, hs, lam * n)
     p = [r / z for r in raw]
     top = max(range(len(p)), key=p.__getitem__)
     p[top] = 1.0 - math.fsum(v for i, v in enumerate(p) if i != top)
@@ -219,8 +231,7 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
     for n, an in problem.alpha.items():
         if an == 0:
             continue
-        row = _tilted_row(problem, lam, n)
-        for x, p in enumerate(row):
+        for x, p in zip(problem._tilt[0], _tilted_row(problem, lam, n)):
             if p > 0:
                 gamma[(n, x)] = an * p
     raw_psi = sorted(_fsum_by((x, n * w) for (n, x), w in gamma.items()).items())
@@ -451,19 +462,16 @@ def _lattice(hvals: Sequence[float]) -> Tuple[Fraction, Fraction, List[int]]:
 
 
 def _compositions(c: int, k: int) -> np.ndarray:
-    """All k-part compositions of c as rows of an (M, k) integer array."""
+    """All k-part compositions of c as rows of an (M, k) integer array, in
+    lexicographic order."""
     import numpy as np  # here: importing samplers or gibbs must not pay for numpy
 
-    cuts = np.zeros((1, 0), dtype=np.int64)
-    last = np.zeros(1, dtype=np.int64)
+    parts, left = np.zeros((1, 0), dtype=np.int64), np.full(1, c)
     for _ in range(k - 1):
-        reps = c - last + 1
-        idx = np.repeat(np.arange(len(last)), reps)
-        last = last[idx] + np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-        cuts = np.column_stack([cuts[idx], last])
-    rows = len(cuts)
-    edges = np.column_stack([np.zeros(rows, np.int64), cuts, np.full(rows, c, np.int64)])
-    return np.diff(edges, axis=1)
+        # each row, extended by every next part up to what it leaves
+        rows, nxt = np.nonzero(np.arange(c + 1) <= left[:, None])
+        parts, left = np.concatenate((parts[rows], nxt[:, None]), axis=1), left[rows] - nxt
+    return np.concatenate((parts, left[:, None]), axis=1)
 
 
 def _dilate(law: np.ndarray, d: int) -> np.ndarray:
@@ -503,8 +511,8 @@ class _CountLaw:
 
 def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
     """Tables of the exact path, or None when they would exceed the budget."""
-    marks = [x for x, w in enumerate(problem.nu) if w > 0]
-    h0, step, j = _lattice([problem.hfun[x] for x in marks])
+    marks = problem._tilt[0]
+    h0, step, j = problem._h_lattice
     span = max(j)
     total_deg = sum(d * c for d, c in classes)
     k = len(marks)
@@ -518,13 +526,14 @@ def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
     import numpy as np  # here: importing samplers or gibbs must not pay for numpy
     logp = np.log(np.array([problem.nu[x] for x in marks]))
     jv = np.array(j, dtype=np.int64)
+    # lf[i] = log i!
+    lf = np.array(list(map(math.lgamma, range(1, max(c for _, c in classes) + 2))))
     comps, weights, sums, laws = [], [], [], []
     for _, c in classes:
         kc = _compositions(c, k)
         sv = kc @ jv
         order = np.argsort(sv, kind="stable")
         kc, sv = kc[order], sv[order]
-        lf = np.array([math.lgamma(i + 1) for i in range(c + 1)])  # log i!
         w = np.exp(lf[c] - lf[kc].sum(axis=1) + kc @ logp)
         comps.append(kc)
         weights.append(w)
@@ -533,11 +542,14 @@ def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
     dilated = [_dilate(law, d) for (d, _), law in zip(classes, laws)]
     prefix = list(itertools.accumulate(dilated, np.convolve))
 
-    # accept iff (h0 * total_deg + step * T) / n > threshold + TIE_TOL, exactly
+    # accept iff (h0 * total_deg + step * T) / n > threshold + TIE_TOL, that
+    # is T > (theta * n - h0 * total_deg) / step, in exact integer arithmetic
     t_law = prefix[-1]
     theta = threshold + TIE_TOL
     if math.isfinite(theta):
-        t_min = math.floor((Fraction(theta) * n - h0 * total_deg) / step) + 1
+        a, b = theta.as_integer_ratio()
+        t_min = ((a * n * h0.denominator - h0.numerator * total_deg * b) * step.denominator
+                 // (b * h0.denominator * step.numerator)) + 1
     else:  # -inf accepts every draw, +inf and nan none
         t_min = 0 if theta < 0 else len(t_law)
     t_min = min(max(t_min, 0), len(t_law))
@@ -549,7 +561,7 @@ def _count_law(problem, classes, n, threshold) -> Optional[_CountLaw]:
             np.convolve, (dl for jj, dl in enumerate(dilated) if jj != i), np.ones(1)
         )
         tail = np.append(np.cumsum(rest[::-1])[::-1], 0.0)
-        pw = weights[i] * tail[np.clip(t_min - d * sums[i], 0, len(rest))]
+        pw = weights[i] * tail[np.minimum(np.maximum(t_min - d * sums[i], 0), len(rest))]
         total = pw.sum()
         means = pw @ comps[i] / total if total > 0 else np.zeros(k)
         for x in range(len(problem.nu)):
@@ -567,6 +579,25 @@ def _binomial_below(rng, samples: int, p: float, limit: int) -> int:
         x = x[x < limit]
         if x.size:
             return int(x[0])
+
+
+def _draw_rows(rng, counts, lo, hi, weigh):
+    """Per row r, counts[r] drawn over the cells lo[r] .. hi[r] - 1 (never
+    empty) in proportion to ``weigh(cells)``, in one multinomial call; returns
+    the cells and their counts, flat, row by row.  Rows are right-aligned: a
+    leading cell of probability 0 draws nothing from the generator (a
+    trailing one would), so the stream is that of one call per row.  Each
+    row's normaliser sums its own cells, so it has the bits of that call's."""
+    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
+    width = int((hi - lo).max(initial=0))
+    if width <= 1:  # a one-cell row draws nothing either
+        return lo, counts
+    cells = hi[:, None] + np.arange(-width, 0)
+    real = cells >= lo[:, None]
+    w = np.where(real, weigh(np.maximum(cells, lo[:, None])), 0.0)
+    z = np.array([row[width - k:].sum() for row, k in zip(w, hi - lo)])
+    return cells[real], rng.multinomial(counts, w / z[:, None])[real]
 
 
 def _sample_exact(law: _CountLaw, rng, samples, min_accepted, n_x):
@@ -595,38 +626,33 @@ def _sample_exact(law: _CountLaw, rng, samples, min_accepted, n_x):
         tail = t_law[law.t_min:]
         counts[law.t_min:] = rng.multinomial(accepted, tail / tail.sum())
 
-    # split each accepted T into class sums, last class first
+    # split each accepted T into class sums, last class first, then each
+    # class sum into mark-count vectors: one multinomial call per step
     s_counts: List[np.ndarray] = [None] * len(law.classes)
     for i in range(len(law.classes) - 1, -1, -1):
-        d = law.classes[i][0]
+        d, n_s = law.classes[i][0], len(law.laws[i])
         below = law.prefix[i - 1] if i else np.ones(1)
-        s = np.arange(len(law.laws[i]))
-        got_s = np.zeros(len(s), dtype=np.int64)
-        nxt = np.zeros(len(below), dtype=np.int64)
-        for t in np.flatnonzero(counts):
-            u = t - d * s
-            ok = (u >= 0) & (u < len(below))
-            w = law.laws[i][ok] * below[u[ok]]
-            got = rng.multinomial(counts[t], w / w.sum())
-            got_s[ok] += got
-            np.add.at(nxt, u[ok], got)
-        s_counts[i] = got_s
-        counts = nxt
+        ts = np.flatnonzero(counts)
+        # the window of s with 0 <= t - d * s < len(below)
+        lo = np.maximum((ts - len(below)) // d + 1, 0) if d else np.zeros_like(ts)
+        hi = np.minimum(ts // d + 1, n_s) if d else np.full_like(ts, n_s)
+        s, got = _draw_rows(rng, counts[ts], lo, hi,
+                            lambda cells: law.laws[i][cells] * below[ts[:, None] - d * cells])
+        s_counts[i] = np.zeros(n_s, dtype=np.int64)
+        np.add.at(s_counts[i], s, got)
+        counts = np.zeros(len(below), dtype=np.int64)
+        np.add.at(counts, np.repeat(ts, hi - lo) - d * s, got)
 
     cell_sums: Dict[Tuple[int, int], float] = {}
     cell_sqsums: Dict[Tuple[int, int], float] = {}
     for i, (d, _) in enumerate(law.classes):
         comps, w, sv = law.comps[i], law.weights[i], law.sums[i]
-        if (np.diff(sv) > 0).all():
-            # every lattice sum has a single composition
-            comp_counts = s_counts[i][sv]
-        else:
-            starts = np.searchsorted(sv, np.arange(len(law.laws[i]) + 1))
-            comp_counts = np.zeros(len(comps), dtype=np.int64)
-            for sval in np.flatnonzero(s_counts[i]):
-                a, b = starts[sval], starts[sval + 1]
-                ws = w[a:b]
-                comp_counts[a:b] = rng.multinomial(s_counts[i][sval], ws / ws.sum())
+        starts = np.searchsorted(sv, np.arange(len(law.laws[i]) + 1))
+        many = np.flatnonzero((np.diff(starts) > 1) & (s_counts[i] > 0))
+        # a sum with a single composition needs no draw
+        comp_counts = s_counts[i][sv]
+        idx, got = _draw_rows(rng, s_counts[i][many], starts[many], starts[many + 1], w.__getitem__)
+        comp_counts[idx] = got
         tot = comp_counts @ comps
         sq = comp_counts @ (comps * comps)
         for x in range(n_x):

@@ -929,10 +929,11 @@ def _combinatorial_totals(an: _ChainAnalysis, report: RateReport, depth: int):
         lv = an.chain.level(h)
         efact = lv._memoized("log_factorials", h, lambda: math.fsum(
             w * _log_factorial_sum(t) for t, w in lv.atoms.items()))
+        # both entropies are functions of level h alone: computed once per level
         j = (
             -matching_entropy(beta)
-            + entropy(lv)
-            - 0.5 * beta * entropy(an.pi(h))
+            + lv._memoized("entropy", h, lambda: entropy(lv))
+            - 0.5 * beta * lv._memoized("pair_entropy", h, lambda: entropy(an.pi(h)))
             - efact
         )
         report.j_values.append(j)

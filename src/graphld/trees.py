@@ -7,10 +7,10 @@ whose children are kept sorted under a fixed total order, so two labeled trees
 are isomorphic iff their canonical encodings are equal (marked AHU form).
 Trees are hash-consed: while a tree is alive, constructing an equal one
 returns that same object, so trees compare and hash by identity, and the
-truncations of a tree, and the remainders left by removing one of its root
-children, are computed once.  The intern table is a plain dict from encoding
-to a weak reference, so lookup and insert run in C; a tree's death removes
-its own entry, and only that entry.
+cuts of a tree, one level at a time, and the remainders left by removing one
+of its root children, are computed once.  The intern table is a plain dict
+from encoding to a weak reference, so lookup and insert run in C; a tree's
+death removes its own entry, and only that entry.
 """
 
 from __future__ import annotations
@@ -80,14 +80,14 @@ class CanonicalTree(_Frozen):
     Instances are immutable and interned: constructing a tree whose encoding
     equals that of a live tree returns the live tree, so equal trees are the
     same object, and equality and hashing are those of the object.  The
-    compact byte encoding orders trees and keys the intern table;
-    ``truncate`` results are memoized in ``_trunc``, and ``branch_views``
-    keeps the tree less each of its root entries, as a remainder view, in
-    ``_rests``.  Copying or unpickling re-interns, so it returns the live
-    tree and carries no memo.
+    compact byte encoding orders trees and keys the intern table; the tree
+    cut one level shallower is kept in ``_up``, so every truncation is a
+    walk along ``_up``, and ``branch_views`` keeps the tree less each of its
+    root entries, as a remainder view, in ``_rests``.  Copying or unpickling
+    re-interns, so it returns the live tree and carries no memo.
     """
 
-    __slots__ = ("mark", "children", "depth", "encoding", "_trunc", "_rests", "__weakref__")
+    __slots__ = ("mark", "children", "depth", "encoding", "_up", "_rests", "__weakref__")
 
     def __new__(cls, mark: int, children: Tuple = ()) -> "CanonicalTree":
         # natural tuple order compares the pairs, then, on a tie, the subtrees
@@ -214,24 +214,25 @@ def canonicalize(t: LabeledTree) -> CanonicalTree:
 
 
 def truncate(t: CanonicalTree, h: int) -> CanonicalTree:
-    """Subtree of vertices within distance `h` of the root; computed once per
-    (tree, h) and kept as long as `t` lives."""
+    """Subtree of vertices within distance `h` of the root: `t` cut one level
+    at a time, each cut computed once and kept as long as the deeper tree
+    lives."""
     if h < 0:
         raise ValueError("truncation depth must be nonnegative")
-    if t.depth <= h:
-        return t
-    try:
-        memo = t._trunc
-    except AttributeError:
-        memo = {}
-        object.__setattr__(t, "_trunc", memo)
-    cut = memo.get(h)
-    if cut is None:
-        kids = tuple((pair, truncate(sub, h - 1)) for pair, sub in t.children) if h else ()
-        # a leaf's encoding keeps the first two bytes, the mark, of its
-        # subtree's encoding, so depth-0 cuts keep the children's order
-        cut = memo[h] = _interned(t.mark, kids) if h <= 1 else CanonicalTree(t.mark, kids)
-    return cut
+    while t.depth > h:
+        cut = getattr(t, "_up", None)
+        if cut is None:
+            # a depth-1 tree's cut drops its children; deeper children lose
+            # their deepest level.  A leaf's encoding keeps the first two
+            # bytes, the mark, of its subtree's encoding, so cuts to depth
+            # <= 1 keep the children's order
+            top = t.depth - 1
+            kids = tuple((pair, truncate(sub, top - 1) if sub.depth == top else sub)
+                         for pair, sub in t.children) if top else ()
+            cut = _interned(t.mark, kids) if top <= 1 else CanonicalTree(t.mark, kids)
+            object.__setattr__(t, "_up", cut)
+        t = cut
+    return t
 
 
 def split_at_child(t: CanonicalTree, child_index: int) -> Tuple[HalfEdgeTree, HalfEdgeTree]:
@@ -288,9 +289,8 @@ def _remainders(s: CanonicalTree) -> Dict[tuple, HalfEdgeTree]:
     """Each entry ((yc, yr), sub) of ``s.children`` mapped to the remainder
     view: ``s`` less one copy of the entry, with pendant mark yr.  Built on
     first use and kept as long as ``s`` lives."""
-    try:
-        return s._rests
-    except AttributeError:
+    rests = getattr(s, "_rests", None)
+    if rests is None:
         kids = s.children
         rests = {}
         for i, entry in enumerate(kids):
@@ -298,7 +298,7 @@ def _remainders(s: CanonicalTree) -> Dict[tuple, HalfEdgeTree]:
                 # removing one entry keeps the others in canonical order
                 rests[entry] = HalfEdgeTree(_interned(s.mark, kids[:i] + kids[i + 1:]), entry[0][1])
         object.__setattr__(s, "_rests", rests)
-        return rests
+    return rests
 
 
 def count_branch_pairs(

@@ -10,9 +10,11 @@ extension that the multiset one is checked against and the weight-by-weight
 check of two laws, the sort-and-cut branch views and the Counter
 log-factorial sum that the run-based ones are checked against, the rejection
 sampler that conditional Monte Carlo is checked against, the scipy log-gamma
-weights that its exact tables are checked against, the per-leaf product that
+weights that its exact tables are checked against, the per-value draws that
+its batched class-sum and composition draws are checked against, the per-leaf product that
 the Gibbs optimizer is checked against, the 200-step bisection that its
-lambda is checked against, the key-sorted constructor that the tree
+lambda is checked against, the per-call tilt that its tilt table is checked
+against, the key-sorted constructor that the tree
 constructor's own sort is checked against, and a runner for code that must
 start in a fresh interpreter."""
 
@@ -33,7 +35,8 @@ from scipy import special, stats
 
 import graphld
 from graphld.gibbs import (
-    TIE_TOL, _binomial_tail, _finish_report, _rejection_counts, g_of_lambda, solve,
+    TIE_TOL, _binomial_below, _binomial_tail, _finish_report, _rejection_counts, g_of_lambda,
+    solve,
 )
 from graphld.measures import PairMeasure, TreeMeasure, _fsum_by, is_admissible
 from graphld.rates import extension_kernel
@@ -736,6 +739,30 @@ def markov_product_measure(deg_law, pair_matrix):
     return TreeMeasure(acc, 0.0, 1)
 
 
+def per_call_g_of_lambda(problem, lam):
+    """``g_of_lambda`` reading nu, h and alpha on every call, every mark
+    included (a weight of 0.0 where nu(x) = 0): the bits its tilt table must
+    keep."""
+    total = []
+    for n, an in problem.alpha.items():
+        if n == 0:
+            continue
+        raw, z = per_call_tilted(problem, lam, n)
+        num = math.fsum(v * r for w, v, r in zip(problem.nu, problem.hfun, raw) if w > 0)
+        total.append(n * an * num / z)
+    return math.fsum(total)
+
+
+def per_call_tilted(problem, lam, n):
+    """The mark weights nu(x) * exp(lambda * n * h(x)) at degree n over all
+    marks, scaled so that the largest is 1.0, and their fsum."""
+    logs = [math.log(w) + lam * n * v if w > 0 else -math.inf
+            for w, v in zip(problem.nu, problem.hfun)]
+    m = max(logs)
+    raw = [math.exp(lw - m) for lw in logs]
+    return raw, math.fsum(raw)
+
+
 def bisection_lambda(problem):
     """``solve``'s lambda by all 200 bisection steps, with no early exit."""
     hi = 1.0
@@ -786,6 +813,65 @@ def gammaln_count_weights(law, nu):
     logp = np.log(np.array([nu[x] for x in law.marks]))
     return [np.exp(special.gammaln(c + 1) - special.gammaln(kc + 1).sum(axis=1) + kc @ logp)
             for (_, c), kc in zip(law.classes, law.comps)]
+
+
+def per_value_sample_exact(law, rng, samples, min_accepted, n_x):
+    """``gibbs._sample_exact`` with one multinomial call per accepted value of
+    T, then one per lattice sum with several compositions: the draws that
+    the batched ones must equal, with the same generator state after."""
+    mass = law.mass
+    if min_accepted is None:
+        draws, accepted = samples, int(rng.binomial(samples, mass))
+    else:
+        y = rng.gamma(min_accepted, (1.0 - mass) / mass)
+        draws = min_accepted + (int(rng.poisson(y)) if y < 2.0 * samples + 1e6 else samples)
+        accepted = min_accepted
+        if draws > samples:
+            draws = samples
+            accepted = _binomial_below(rng, samples, mass, min_accepted)
+    t_law = law.prefix[-1]
+    counts = np.zeros(len(t_law), dtype=np.int64)
+    if accepted:
+        tail = t_law[law.t_min:]
+        counts[law.t_min:] = rng.multinomial(accepted, tail / tail.sum())
+    s_counts = [None] * len(law.classes)
+    for i in range(len(law.classes) - 1, -1, -1):
+        d = law.classes[i][0]
+        below = law.prefix[i - 1] if i else np.ones(1)
+        s = np.arange(len(law.laws[i]))
+        got_s = np.zeros(len(s), dtype=np.int64)
+        nxt = np.zeros(len(below), dtype=np.int64)
+        for t in np.flatnonzero(counts):
+            u = t - d * s
+            ok = (u >= 0) & (u < len(below))
+            w = law.laws[i][ok] * below[u[ok]]
+            got = rng.multinomial(counts[t], w / w.sum())
+            got_s[ok] += got
+            np.add.at(nxt, u[ok], got)
+        s_counts[i] = got_s
+        counts = nxt
+    cell_sums, cell_sqsums = {}, {}
+    for i, (d, _) in enumerate(law.classes):
+        comps, w, sv = law.comps[i], law.weights[i], law.sums[i]
+        starts = np.searchsorted(sv, np.arange(len(law.laws[i]) + 1))
+        comp_counts = np.zeros(len(comps), dtype=np.int64)
+        for sval in np.flatnonzero(s_counts[i]):
+            a, b = starts[sval], starts[sval + 1]
+            ws = w[a:b]
+            comp_counts[a:b] = rng.multinomial(s_counts[i][sval], ws / ws.sum())
+        tot = comp_counts @ comps
+        sq = comp_counts @ (comps * comps)
+        for x in range(n_x):
+            cell_sums[(d, x)] = cell_sqsums[(d, x)] = 0.0
+        for x, a, b in zip(law.marks, tot, sq):
+            cell_sums[(d, x)] = float(a)
+            cell_sqsums[(d, x)] = float(b)
+    return draws, accepted, cell_sums, cell_sqsums
+
+
+def lex_compositions(c, k):
+    """The k-part compositions of c in lexicographic order, one tuple each."""
+    return [p for p in itertools.product(range(c + 1), repeat=k) if sum(p) == c]
 
 
 def rejection_conditional_mc(problem, n, samples, rng, delta=None,

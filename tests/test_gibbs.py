@@ -36,7 +36,8 @@ from graphld.rates import ReferenceLaw, nbd_rate
 from graphld.samplers import ModelConfig, integer_degree_counts, make_rng
 
 from helpers import (
-    _assemble_mu_star, bisection_lambda, gammaln_count_weights, rejection_conditional_mc,
+    _assemble_mu_star, bisection_lambda, gammaln_count_weights, lex_compositions,
+    per_call_g_of_lambda, per_call_tilted, per_value_sample_exact, rejection_conditional_mc,
     run_python, star,
 )
 
@@ -188,6 +189,28 @@ def test_solve_lambda_is_the_200_step_bisection_bit_for_bit(degrees, marks, t):
     assume(g0 < c < sup)
     p = GibbsProblem(alpha, nu, hfun, c)
     assert solve(p).lam.hex() == bisection_lambda(p).hex()
+
+
+@given(degrees=st.dictionaries(st.integers(0, 6), st.integers(1, 5), min_size=1, max_size=3),
+       marks=st.lists(st.tuples(st.integers(0, 5), st.integers(-30, 30).map(lambda k: k / 10)),
+                      min_size=2, max_size=4).filter(lambda ms: any(w for w, _ in ms)),
+       lam=st.floats(0.0, 60.0))
+@settings(max_examples=100, deadline=None)
+def test_tilt_table_keeps_the_bits_of_the_per_call_tilt(degrees, marks, lam):
+    # marks with nu = 0 leave the table, and lambda * n is formed once per
+    # degree: the same floats in the same order as reading nu and h per call
+    total = sum(degrees.values())
+    alpha = DegreeLaw({d: k / total for d, k in degrees.items()})
+    weight = sum(w for w, _ in marks)
+    p = GibbsProblem(alpha, tuple(w / weight for w, _ in marks), tuple(v for _, v in marks), 0.0)
+    assert g_of_lambda(p, lam).hex() == per_call_g_of_lambda(p, lam).hex()
+    for n in degrees:
+        raw, z = per_call_tilted(p, lam, n)
+        p_row = [r / z for r in raw]
+        top = max(range(len(p_row)), key=p_row.__getitem__)
+        p_row[top] = 1.0 - math.fsum(v for i, v in enumerate(p_row) if i != top)
+        row = gibbs._tilted_row(p, lam, n)
+        assert [v.hex() for v in row] == [p_row[x].hex() for x, w in enumerate(p.nu) if w > 0]
 
 
 def test_lambda_strictly_increasing_in_threshold():
@@ -610,6 +633,92 @@ def test_compositions_enumerate_once():
     assert (comps.sum(axis=1) == 5).all() and (comps >= 0).all()
     assert len({tuple(r) for r in comps}) == 21
     assert gibbs._compositions(4, 1).tolist() == [[4]]
+
+
+def test_compositions_are_in_lexicographic_order():
+    for c in range(7):
+        for k in range(1, 5):
+            assert [tuple(r) for r in gibbs._compositions(c, k).tolist()] == lex_compositions(c, k)
+
+
+def check_batched_draws(law, n_x, seed, samples, min_accepted):
+    """The batched draws of ``_sample_exact`` against the per-value oracle:
+    the same results, and the generator left in the same state."""
+    a, b = make_rng(seed), make_rng(seed)
+    got = gibbs._sample_exact(law, a, samples, min_accepted, n_x)
+    assert got == per_value_sample_exact(law, b, samples, min_accepted, n_x)
+    assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+    return got
+
+
+@st.composite
+def count_laws(draw):
+    """A small ``_CountLaw`` with positive acceptance mass: up to three
+    degree classes (degree 0 included), up to four marks (some with nu = 0,
+    some with equal h, so that lattice sums repeat) and any threshold."""
+    degs = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    deg_w = [draw(st.integers(1, 5)) for _ in degs]
+    nu_w = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4).filter(any))
+    nu = tuple(w / sum(nu_w) for w in nu_w)
+    hfun = tuple(draw(st.lists(st.integers(0, 3), min_size=len(nu), max_size=len(nu))))
+    p = GibbsProblem(DegreeLaw({d: w / sum(deg_w) for d, w in zip(degs, deg_w)}), nu, hfun, 0.0)
+    n = draw(st.integers(1, 14))
+    top = max(degs) * max(hfun)
+    law = gibbs._count_law(p, degree_classes(p, n), n, draw(st.floats(-0.5, top + 0.5)))
+    assume(law is not None and law.mass > 0)
+    return law, len(nu)
+
+
+@given(count_laws(), st.integers(0, 2**32 - 1),
+       st.sampled_from((1, 40, 10**4, 10**12)), st.none() | st.integers(1, 3000))
+@settings(max_examples=150, deadline=None)
+def test_batched_draws_equal_per_value_draws(law_and_marks, seed, samples, min_accepted):
+    law, n_x = law_and_marks
+    check_batched_draws(law, n_x, seed, samples, min_accepted)
+
+
+@pytest.mark.parametrize("p, n", [
+    # a degree-0 class: every lattice sum lies in its window, one wide row
+    (GibbsProblem(DegreeLaw({0: 0.25, 2: 0.75}), (0.3, 0.3, 0.4), (0.0, 1.0, 2.0), 1.6), 8),
+    # two marks: every sum has one composition, and the first class's rows
+    # are one cell wide, so neither draws from the generator
+    (canonical_problem(), 40),
+    (two_class_problem(), 16),
+    # three marks on two classes: wide rows and repeated lattice sums
+    (GibbsProblem(DegreeLaw({1: 0.5, 3: 0.5}), (1 / 3, 1 / 3, 1 / 3), (0.0, 1.0, 2.0), 2.6), 40),
+], ids=["degree-0", "one-class", "two-class", "generic"])
+def test_batched_draws_on_named_cases(p, n):
+    law = gibbs._count_law(p, degree_classes(p, n), n, p.c - p.delta)
+    for seed in range(5):
+        check_batched_draws(law, len(p.nu), seed, 10**12, 30_000)
+        check_batched_draws(law, len(p.nu), seed, 10**6, None)
+
+
+def test_batched_draws_with_zero_accepted_under_the_cap():
+    # acceptance mass 2^-30 and 100 draws: no draw is accepted, so there is
+    # no value of T to split and every cell sum is 0
+    p = canonical_problem(c=1.99, delta=0.001)
+    law = gibbs._count_law(p, degree_classes(p, 30), 30, p.c - p.delta)
+    for seed in range(3):
+        draws, accepted, sums, sqsums = check_batched_draws(law, 2, seed, 100, 10)
+        assert (draws, accepted) == (100, 0)
+        assert set(sums.values()) == set(sqsums.values()) == {0.0}
+
+
+def test_tilt_table_and_lattice_are_read_once_per_problem(monkeypatch):
+    # neither is built with the problem; solve builds the tilt table, the
+    # first exact conditional MC the lattice, and later calls read both
+    p = GENERIC_3MARK
+    p = GibbsProblem(p.alpha, p.nu, p.hfun, p.c, p.delta)
+    assert "_tilt" not in vars(p) and "_h_lattice" not in vars(p)
+    lattices = []
+    original = gibbs._lattice
+    monkeypatch.setattr(gibbs, "_lattice", lambda h: lattices.append(h) or original(h))
+    s = solve(p)
+    assert "_tilt" in vars(p) and lattices == []
+    for n in (20, 40):
+        conditional_mc(p, n, 10**6, make_rng(7, n), solution=s)
+    assert lattices == [[0.0, 1.0, 2.0]]
 
 
 GENERIC_3MARK = GibbsProblem(DegreeLaw({1: 0.5, 3: 0.5}), (1 / 3, 1 / 3, 1 / 3),

@@ -141,7 +141,7 @@ def test_trees_and_measures_stay_immutable():
     truncate(t, 0)
     m = TreeMeasure({t: 1.0})
     pair_measure(m, 1)
-    for obj, name in ((t, "mark"), (t, "children"), (t, "_trunc"), (t, "other"),
+    for obj, name in ((t, "mark"), (t, "children"), (t, "_up"), (t, "other"),
                       (m, "atoms"), (m, "_memo"), (m, "depth_bound")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
@@ -286,6 +286,33 @@ def test_three_forms_build_each_pair_law_once(monkeypatch):
     assert len(builds) == len(set(builds))
     for h in (1, 2, 3):
         assert builds.count((id(chain.level(h)), "pair_measure", h)) == 1
+
+
+def test_combinatorial_rate_reads_each_level_entropy_once(monkeypatch):
+    # H(level h) and H(pi_h) are functions of level h alone: a second call
+    # on the same chain computes neither again and gives the same bits
+    law, eta1 = small_truth()
+    chain = extension_chain(eta1, 3)
+    calls = count_calls(monkeypatch, rates, "entropy")
+    first = combinatorial_rate(chain, 1.5, law, ensemble="CM").to_obj()
+    on_levels = lambda: [m for m, in calls if isinstance(m, (TreeMeasure, PairMeasure))]
+    assert len(on_levels()) == 6
+    calls.clear()
+    assert repr(combinatorial_rate(chain, 1.5, law, ensemble="CM").to_obj()) == repr(first)
+    assert on_levels() == []
+
+
+def test_truncation_keeps_one_cut_per_tree():
+    # each tree keeps only its cut one level shallower; deeper cuts are
+    # walks along those, and a depth-1 tree's cut drops its children
+    t = canon_raw((0, [((0, 1), (1, [((1, 0), (0, [((0, 0), (1, []))]))])), ((1, 1), (0, []))]))
+    assert t.depth == 3
+    assert truncate(t, 1) is truncate(truncate(t, 2), 1)
+    assert t._up is truncate(t, 2) and t._up._up is truncate(t, 1)
+    assert truncate(t, 0) is CanonicalTree(0) and truncate(t, 1)._up is truncate(t, 0)
+    for h in range(4):
+        assert truncate(t, h) is oracle_truncate(t, h)
+    assert not hasattr(truncate(t, 0), "_up")
 
 
 FORMS = (component_rate, intermediate_rate, combinatorial_rate)
