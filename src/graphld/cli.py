@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -31,7 +30,7 @@ from .measures import (
     size_bias,
     tv_distance,
 )
-from .trees import _number_list, _of_type, branch_views, canonicalize
+from .trees import _number_list, _of_type, branch_views
 
 DEFAULT_TOL = 1e-9
 
@@ -263,8 +262,8 @@ def cmd_verify(args) -> int:
         mass = math.fsum(level.atoms.values()) + level.non_tree_mass
         add("normalization", f"level {h}", abs(mass - 1.0), tol)
         add("tree_support", f"level {h}", level.non_tree_mass, tol)
+    chain = DepthChain(levels)
     if len(levels) >= 2:
-        chain = DepthChain(levels)
         add("chain_consistency", f"levels 1..{len(levels)}",
             chain.truncation_defect(), tol)
     for h, level in enumerate(levels, start=1):
@@ -282,10 +281,10 @@ def cmd_verify(args) -> int:
         add("mass_transport", str(e), math.inf, tol)
     if args.law:
         law = ReferenceLaw.from_obj(_load_value(args.law))
-        beta = levels[0].mean_degree()
         ensemble = args.ensemble.upper() if args.ensemble else None
         try:
-            vals = [form(levels, beta, law, ensemble=ensemble, kappa=args.kappa,
+            beta = levels[0].mean_degree()  # a ValueError where level 1 has non-tree mass
+            vals = [form(chain, beta, law, ensemble=ensemble, kappa=args.kappa,
                          depth=depth).value for form in _forms().values()]
             add("three_form_agreement", f"depth {depth}", _spread(vals),
                 max(tol, 1e-8))
@@ -374,17 +373,17 @@ def cmd_extend(args) -> int:
     levels = _load_levels(args.input)
     rho = levels[-1]
     h = rho.depth_bound
-    if args.samples < 0:
-        raise ValueError(f"--samples {args.samples} is negative")
+    if not 0 <= args.samples < 2**63:
+        raise ValueError(f"--samples {args.samples} is not in [0, 2**63 - 1]")
     if args.depth < max(h, 1):
         raise ValueError(f"--depth {args.depth} is below 1 or the input's depth {h}")
     if args.samples > 0:
-        from .samplers import make_rng, sample_ugwt
+        from .samplers import _extension_table, make_rng
 
-        rng = make_rng(args.seed)
-        out = TreeMeasure.from_counts(Counter(
-            canonicalize(sample_ugwt(rho, h, args.depth, rng)) for _ in range(args.samples)
-        ), depth_bound=args.depth)
+        atoms, p = _extension_table(rho, h, args.depth)
+        counts = make_rng(args.seed).multinomial(args.samples, p)
+        out = TreeMeasure.from_counts({atoms[i]: int(counts[i]) for i in counts.nonzero()[0]},
+                                      depth_bound=args.depth)
         payload = {"measure": out.to_obj(), "mode": "sampled"}
     else:
         chain = extension_chain(levels, args.depth)

@@ -720,7 +720,6 @@ class _ChainAnalysis:
 
     chain: DepthChain
     law: ReferenceLaw
-    ensemble: Optional[str]
     beta: float
     flags: Dict[str, object]
     boundary: float = 0.0
@@ -756,7 +755,7 @@ def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
     """The gates shared by every rate form; see ``_ChainAnalysis``."""
     chain = levels if isinstance(levels, DepthChain) else DepthChain(levels)
     ens = ensemble.upper() if ensemble else None
-    an = _ChainAnalysis(chain, law, ens, beta, {
+    an = _ChainAnalysis(chain, law, beta, {
         "extension_exact": chain.extension_exact,
         "neglected_tail": law.neglected_tail,
     })
@@ -922,9 +921,10 @@ def _combinatorial_totals(an: _ChainAnalysis, report: RateReport, depth: int):
     h_intensity = relative_entropy(normalized, law.xibar_dict())
     s_vec = matching_entropy_sum(intensity)
     base = h_root + h_root_nu + 0.5 * beta * h_intensity + s_vec
-    if an.ensemble == "CM":
-        e_logfact = math.fsum(w * math.lgamma(d + 1) for d, w in law.alpha.items())
-        base += -e_logfact + entropy(law.alpha) - 2.0 * matching_entropy(beta)
+    if law.alpha is not None:  # the dominance gate put every degree of level 1 in alpha
+        base -= 2.0 * matching_entropy(beta) + math.fsum(
+            w * (math.lgamma(d + 1) + math.log(law.alpha.pmf(d)))
+            for d, w in level1.degree_law().items())
     for h in range(1, depth + 1):
         lv = an.chain.level(h)
         efact = lv._memoized("log_factorials", h, lambda: math.fsum(

@@ -581,29 +581,13 @@ def sample_sized_biased_gw(offspring, nu, xi, depth: int, rng: np.random.Generat
     return LabeledTree(vmarks, emarks)
 
 
-def _draw_table(law):
-    """(atoms, probabilities) of a tree measure, in encoding order."""
-    import numpy as np  # here: importing samplers or gibbs must not pay for numpy
-
-    atoms, weights = zip(*law.items())
-    p = np.asarray(weights) / math.fsum(weights)
-    p.flags.writeable = False
-    return atoms, p
-
-
-def sample_ugwt(rho_h, h: int, depth: int, rng: np.random.Generator) -> LabeledTree:
-    """Draw from the unimodular extension of an admissible depth-h law.
-
-    The extension is materialized exactly by iterating the one-step extension
-    up to ``depth`` and drawing from the resulting finite law; intended for
-    enumerable supports (the support grows quickly with depth).  The
-    extensions are memoized on ``rho_h`` and its extensions, and the draw
-    table (atoms and probabilities) on the depth-``depth`` law, so repeated
-    draws from the same law build them once and draw from the same array.
-    """
+def _extension_table(rho_h, h: int, depth: int):
+    """(atoms, probabilities), in encoding order, of the unimodular extension
+    of an admissible depth-h law to ``depth``: iterated one-step extensions
+    (enumerable supports only), memoized on ``rho_h`` and its extensions, and
+    the table memoized on the depth-``depth`` law, so each is built once."""
     from .measures import is_admissible, pair_measure
     from .rates import one_step_extension
-    from .trees import random_labeling
 
     if depth < h:
         raise ValueError("depth must be at least h")
@@ -614,6 +598,21 @@ def sample_ugwt(rho_h, h: int, depth: int, rng: np.random.Generator) -> LabeledT
             raise ValueError(f"input law is inadmissible (asymmetry {defect:.3g})")
         for d in range(h, depth):
             law = one_step_extension(law, d)
-    atoms, p = law._memoized("draw_table", depth, lambda: _draw_table(law))
-    i = rng.choice(len(atoms), p=p)
-    return random_labeling(atoms[int(i)], rng)
+
+    def table():
+        import numpy as np  # here: importing samplers or gibbs must not pay for numpy
+
+        atoms, weights = zip(*law.items())
+        p = np.asarray(weights) / math.fsum(weights)
+        p.flags.writeable = False
+        return atoms, p
+    return law._memoized("draw_table", depth, table)
+
+
+def sample_ugwt(rho_h, h: int, depth: int, rng: np.random.Generator) -> LabeledTree:
+    """Draw from the unimodular extension of an admissible depth-h law: one
+    atom of its ``_extension_table`` to ``depth``, labeled at random."""
+    from .trees import random_labeling
+
+    atoms, p = _extension_table(rho_h, h, depth)
+    return random_labeling(atoms[int(rng.choice(len(atoms), p=p))], rng)

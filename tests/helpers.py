@@ -1,22 +1,23 @@
-"""Shared builders for tests: raw trees, exact reference laws, small forests,
-the per-vertex ball trees and message-passing views that graph views are
-checked against, the per-vertex BFS and per-slot refinement that the array
-ball flags and refinement are checked against, the scalar-draw FE sampler,
-the scalar ER walk, mark loop and pair unranking and the dict-based graph
-that the array samplers and graph are checked against, the per-call depth-1
-leaf ratios that the rate tables are checked against, the uncached derived
-laws that the memoized ones are checked against, the ordered-product
-extension that the multiset one is checked against and the weight-by-weight
-check of two laws, the sort-and-cut branch views and the Counter
+"""Shared builders for tests: raw trees, exact reference laws, small forests, the
+per-vertex ball trees and message-passing views that graph views are checked
+against, the per-vertex BFS and per-slot refinement that the array ball flags
+and refinement are checked against, the scalar-draw FE sampler, the scalar ER
+walk, mark loop and pair unranking and the dict-based graph that the array
+samplers and graph are checked against, the per-call depth-1 leaf ratios that
+the rate tables are checked against, the uncached derived laws that the
+memoized ones are checked against, the ordered-product extension that the
+multiset one is checked against and the weight-by-weight check of two laws,
+the per-draw sampled extension that the one multinomial draw of the sampled
+``extend`` is checked against, the sort-and-cut branch views and the Counter
 log-factorial sum that the run-based ones are checked against, the rejection
 sampler that conditional Monte Carlo is checked against, the scipy log-gamma
 weights that its exact tables are checked against, the per-value draws that
-its batched class-sum and composition draws are checked against, the per-leaf product that
-the Gibbs optimizer is checked against, the 200-step bisection that its
-lambda is checked against, the per-call tilt that its tilt table is checked
-against, the key-sorted constructor that the tree
-constructor's own sort is checked against, and a runner for code that must
-start in a fresh interpreter."""
+its batched class-sum and composition draws are checked against, the per-leaf
+product that the Gibbs optimizer is checked against, the 200-step bisection
+that its lambda is checked against, the per-call tilt that its tilt table is
+checked against, the key-sorted constructor that the tree constructor's own
+sort is checked against, and a runner for code that must start in a fresh
+interpreter."""
 
 from __future__ import annotations
 
@@ -40,9 +41,10 @@ from graphld.gibbs import (
 )
 from graphld.measures import PairMeasure, TreeMeasure, _fsum_by, is_admissible
 from graphld.rates import extension_kernel
-from graphld.samplers import MarkedGraph, _pair_count, _pair_start, integer_degree_counts
+from graphld.samplers import (MarkedGraph, _pair_count, _pair_start, integer_degree_counts,
+                              make_rng, sample_ugwt)
 from graphld.trees import (CanonicalTree, HalfEdgeTree, _Frozen, _as_index, _interned,
-                           _of_type, branch_views, split_at_child, truncate)
+                           _of_type, branch_views, canonicalize, split_at_child, truncate)
 
 
 def run_python(code, cwd=None, timeout=120, **env):
@@ -737,6 +739,16 @@ def markov_product_measure(deg_law, pair_matrix):
                     t = star(x0, list(combo))
                     acc[t] = acc.get(t, 0.0) + w
     return TreeMeasure(acc, 0.0, 1)
+
+
+def per_draw_sampled_extension(rho, h, depth, samples, seed):
+    """The sampled ``extend`` of earlier versions: ``samples`` draws of
+    ``sample_ugwt`` from one generator, each labeled at random and
+    canonicalized back to the atom it was drawn as."""
+    rng = make_rng(seed)
+    return TreeMeasure.from_counts(
+        Counter(canonicalize(sample_ugwt(rho, h, depth, rng)) for _ in range(samples)),
+        depth_bound=depth)
 
 
 def per_call_g_of_lambda(problem, lam):

@@ -15,6 +15,7 @@ import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from graphld import __version__
 from graphld.cli import main
@@ -23,7 +24,7 @@ from graphld.measures import DegreeLaw, TreeMeasure
 from graphld.rates import ReferenceLaw, extension_chain
 from graphld.samplers import MarkedGraph
 
-from helpers import run_python, star
+from helpers import per_draw_sampled_extension, run_python, star
 
 
 def run(*argv):
@@ -231,6 +232,25 @@ def test_rate_truth_chain_all_forms_zero(truth_fixture, tmp_path):
         assert abs(rep["value"]) < 1e-10
     assert obj["agreement"]["max_spread"] < 1e-10
     assert obj["config_hash"] == json.loads(report.read_text())["config_hash"]
+
+
+def test_rate_and_verify_of_a_fixed_degree_law_need_no_ensemble(tmp_path):
+    # with a fixed-degree --law and no --ensemble, the three forms agree on an
+    # exact chain that deviates from the law; the combinatorial form used to
+    # drop its degree-law term, and verify failed three_form_agreement
+    law = ReferenceLaw.fixed_alpha({1: 0.5, 3: 0.5}, (0.5, 0.5), ((1.0,),))
+    (tmp_path / "law.json").write_text(json.dumps(law.to_obj()))
+    data = ReferenceLaw.fixed_alpha({1: 0.25, 3: 0.75}, (0.3, 0.7), ((1.0,),)).materialize()
+    (tmp_path / "d1.json").write_text(json.dumps({"measure": data.to_obj()}))
+    assert run("extend", "--input", tmp_path / "d1.json", "--depth", 2,
+               "--out", tmp_path / "chain.json") == 0
+    report = tmp_path / "rate.json"
+    assert run("rate", "--input", tmp_path / "chain.json", "--law", tmp_path / "law.json",
+               "--form", "all", "--report", report) == 0
+    agreement = json.loads(report.read_text())["agreement"]
+    assert agreement["max_spread"] <= 1e-9
+    assert agreement["values"]["component"] > 0.1
+    assert run("verify", "--input", tmp_path / "chain.json", "--law", tmp_path / "law.json") == 0
 
 
 def test_rate_single_form(truth_fixture, tmp_path):
@@ -613,9 +633,9 @@ def test_empirical_of_a_graph_with_negative_n_is_bad_input(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["g.json"]
 
 
-def test_rate_of_a_cyclic_depth2_measure_is_bad_input(tmp_path, capsys):
-    # a U_2 with non-tree mass has no mean degree: `rate` without --beta
-    # exits 2 with a bad_input error, as a non-tree depth-1 measure does
+@pytest.fixture
+def cyclic_u2(tmp_path):
+    """The U_2 of a small ER graph, which has non-tree mass, and a Poisson law."""
     g = tmp_path / "g.json"
     assert run("sample", "--ensemble", "er", "--n", 20, "--kappa", 3, "--nu", "[0.5,0.5]",
                "--seed", 1, "--out", g) == 0
@@ -624,13 +644,36 @@ def test_rate_of_a_cyclic_depth2_measure_is_bad_input(tmp_path, capsys):
     assert u2["non_tree_mass"] > 0
     law = ReferenceLaw.poisson(3.0, (0.5, 0.5), ((1.0,),))
     (tmp_path / "law.json").write_text(json.dumps(law.to_obj()))
+    return tmp_path / "emp_U2.json", tmp_path / "law.json"
+
+
+def test_rate_of_a_cyclic_depth2_measure_is_bad_input(cyclic_u2, tmp_path, capsys):
+    # a U_2 with non-tree mass has no mean degree: `rate` without --beta
+    # exits 2 with a bad_input error, as a non-tree depth-1 measure does
+    u2, law = cyclic_u2
     capsys.readouterr()
-    assert run("rate", "--input", tmp_path / "emp_U2.json", "--law", tmp_path / "law.json",
+    assert run("rate", "--input", u2, "--law", law,
                "--ensemble", "er", "--kappa", 3, "--report", tmp_path / "rate.json") == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "bad_input"
     assert "non_tree_mass > 0" in err["message"]
     assert not (tmp_path / "rate.json").exists()
+
+
+@pytest.mark.parametrize("ensemble", [[], ["--ensemble", "er", "--kappa", 3]])
+def test_verify_law_of_a_cyclic_depth2_measure_fails_its_form_row(ensemble, cyclic_u2, tmp_path):
+    # verify reads beta inside the form check: a U_2 with non-tree mass is a
+    # valid input that fails checks (exit 1), with --law as without; it used
+    # to exit 2 as bad_input with --law
+    u2, law = cyclic_u2
+    report = tmp_path / "verify.json"
+    assert run("verify", "--input", u2, "--law", law, *ensemble, "--report", report) == 1
+    rows = {r["check"]: r for r in json.loads(report.read_text())["rows"]}
+    assert rows["three_form_agreement"] == {
+        "check": "three_form_agreement",
+        "detail": "mean_degree needs full tree support, non_tree_mass > 0",
+        "residual": math.inf, "tol": 1e-8, "status": "FAIL"}
+    assert rows["tree_support"]["status"] == "FAIL"
 
 
 def test_extend_sampling_matches_exact_marginally(tmp_path):
@@ -660,6 +703,76 @@ def test_extend_deterministic(tmp_path):
         assert run("extend", "--input", ip, "--depth", 3, "--samples", 500,
                    "--seed", 9, "--out", out) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _write_measure(path, law):
+    path.write_text(json.dumps({"measure": law.to_obj()}))
+    return path
+
+
+SAMPLED_LAW = ReferenceLaw.fixed_alpha({1: 0.6, 2: 0.4}, (0.5, 0.5), ((1.0,),))
+
+
+def test_extend_samples_are_one_multinomial_over_the_extension_table(tmp_path):
+    # the sampled file is, bit for bit, from_counts of one multinomial draw of
+    # the seed's generator over the table that sample_ugwt draws from
+    ip = _write_measure(tmp_path / "d1.json", SAMPLED_LAW.materialize())
+    out = tmp_path / "samp.json"
+    assert run("extend", "--input", ip, "--depth", 3, "--samples", 1000, "--seed", 5,
+               "--out", out) == 0
+    rho = TreeMeasure.from_obj(json.loads(ip.read_text())["measure"])
+    atoms, p = samplers._extension_table(rho, 1, 3)
+    counts = samplers.make_rng(5).multinomial(1000, p)
+    want = TreeMeasure.from_counts({t: int(c) for t, c in zip(atoms, counts) if c},
+                                   depth_bound=3)
+    assert json.loads(out.read_text())["measure"] == want.to_obj()
+    assert atoms == tuple(t for t, _ in extension_chain(rho, 3).level(3).items())
+
+
+def test_extend_samples_pass_a_chi_square_test_against_the_exact_extension(tmp_path):
+    # the one multinomial draw and the per-draw oracle both follow the exact
+    # depth-2 extension (54 atoms; the smallest expected counts are 82 and 20)
+    exact = extension_chain(SAMPLED_LAW.materialize(), 2).level(2)
+    ip = _write_measure(tmp_path / "d1.json", SAMPLED_LAW.materialize())
+    out = tmp_path / "samp.json"
+    assert run("extend", "--input", ip, "--depth", 2, "--samples", 20000, "--seed", 3,
+               "--out", out) == 0
+    sampled = TreeMeasure.from_obj(json.loads(out.read_text())["measure"])
+    oracle = per_draw_sampled_extension(exact.truncated(1), 1, 2, 5000, 3)
+    for got, k in ((sampled, 20000), (oracle, 5000)):
+        assert set(got.atoms) <= set(exact.atoms)
+        observed = [round(got.get(t) * k) for t, _ in exact.items()]
+        assert sum(observed) == k
+        expected = [w * k for _, w in exact.items()]
+        assert stats.chisquare(observed, expected).pvalue > 1e-4
+
+
+def test_extend_samples_above_the_multinomial_bound_is_bad_input(tmp_path, capsys):
+    ip = _write_measure(tmp_path / "d1.json", SAMPLED_LAW.materialize())
+    capsys.readouterr()
+    assert run("extend", "--input", ip, "--depth", 2, "--samples", 2**63,
+               "--out", tmp_path / "x.json") == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "bad_input",
+        "message": "ValueError: --samples 9223372036854775808 is not in [0, 2**63 - 1]"}
+    assert run("extend", "--input", ip, "--depth", 2, "--samples", 2**63 - 1,
+               "--out", tmp_path / "x.json") == 0
+    sampled = json.loads((tmp_path / "x.json").read_text())["measure"]
+    assert math.fsum(a["weight"] for a in sampled["atoms"]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_extend_samples_of_an_inadmissible_law_is_bad_input(depth, tmp_path, capsys):
+    # the only atom's edge has mark 0 toward the root and 1 away from it, so
+    # its pair law is asymmetric: refused at the input's own depth too
+    law = TreeMeasure({star(0, [0], pair=(0, 1)): 1.0})
+    ip = _write_measure(tmp_path / "bad.json", law)
+    capsys.readouterr()
+    assert run("extend", "--input", ip, "--depth", depth, "--samples", 5,
+               "--out", tmp_path / "x.json") == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "bad_input", "message": "ValueError: input law is inadmissible (asymmetry 1)"}
+    assert not (tmp_path / "x.json").exists()
 
 
 # ---------------------------------------------------------------- error boundary
@@ -694,6 +807,8 @@ def _bad_inputs(d):
     (d / "edge.json").write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
     edge_law = TreeMeasure({star(0, (0,)): 1.0}, 0.0, 1)
     (d / "edge_L.json").write_text(json.dumps({"measure": edge_law.to_obj()}))
+    deep = TreeMeasure({star(0, (0,)): 1.0}, 0.0, 2)
+    (d / "deep_chain.json").write_text(json.dumps({"levels": [deep.to_obj()]}))
 
 
 # a valid measure, so that only the tolerance is malformed
@@ -709,6 +824,8 @@ BAD_INPUTS = {
                               "--report", "r.json"],
     "empirical_self_loop": ["empirical", "--graph", "loop.json", "--out-prefix", "e"],
     "verify_half_mass": ["verify", "--input", "half.json"],
+    # a level list whose level 1 declares depth 2, as with two levels or more
+    "verify_level_deeper_than_its_index": ["verify", "--input", "deep_chain.json"],
     "fe_non_square_xi": ["sample", "--ensemble", "fe", "--n", 10, "--m", 5,
                          "--nu", "[1.0]", "--xi", "[[0.5,0.5]]", "--out", "g.json"],
     "fe_negative_m": ["sample", "--ensemble", "fe", "--n", 10, "--m", -5, "--out", "g.json"],

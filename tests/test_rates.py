@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -1096,15 +1097,51 @@ def test_depth1_rates_equal_their_closed_form(degs, data):
     nu = [w / sum(nu_w) for w in nu_w]
     law = ReferenceLaw.fixed_alpha(alpha, nu, ((1.0,),))
     mu = markov_product_measure(alpha, a_mat)
-    total = sum(map(sum, a_mat))
-    p = {(x, y): a_mat[x][y] / total for x in range(k) for y in range(k)}
-    q = [math.fsum(p[x, y] for x in range(k)) for y in range(k)]
     beta = math.fsum(d * w for d, w in alpha.items())
-    want = (math.fsum(q[x] * math.log(q[x] / nu[x]) for x in range(k))
-            + 0.5 * beta * math.fsum(w * math.log(w / (q[x] * q[y])) for (x, y), w in p.items()))
+    want = _markov_closed_form(a_mat, nu, beta)
     for form in (component_rate, intermediate_rate, combinatorial_rate):
         assert form([mu], beta, law, ensemble="CM").value == pytest.approx(want, abs=1e-12)
     assert vertex_only_rate(beta, law, mu) == pytest.approx(want, abs=1e-12)
+
+
+def _markov_closed_form(a_mat, nu, beta):
+    """H(q | nu) + (beta/2) H(p | q x q) for p = A / sum A and q its marginal,
+    summed by hand."""
+    k = len(a_mat)
+    total = sum(map(sum, a_mat))
+    p = {(x, y): a_mat[x][y] / total for x in range(k) for y in range(k)}
+    q = [math.fsum(p[x, y] for x in range(k)) for y in range(k)]
+    return (math.fsum(q[x] * math.log(q[x] / nu[x]) for x in range(k))
+            + 0.5 * beta * math.fsum(w * math.log(w / (q[x] * q[y])) for (x, y), w in p.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ref=st.dictionaries(st.integers(0, 4), st.integers(1, 5), min_size=1, max_size=5).filter(
+        lambda ref: any(ref.keys())),
+    data=st.data(),
+)
+def test_fixed_degree_law_without_ensemble_forms_equal_their_closed_form(ref, data):
+    # without the CM gate, the degree law of level 1 may differ from the
+    # reference's alpha: each form is then the depth-1 closed form plus
+    # H(degree law | alpha), the combinatorial one included, whose
+    # degree-law term used to be added only for ensemble "CM"
+    degs = data.draw(st.dictionaries(st.sampled_from(sorted(ref)), st.integers(1, 5),
+                                     min_size=1).filter(lambda degs: any(degs.keys())))
+    k = data.draw(st.integers(1, 3))
+    upper = data.draw(st.lists(st.integers(1, 9), min_size=k * k, max_size=k * k))
+    a_mat = [[upper[min(x, y) * k + max(x, y)] for y in range(k)] for x in range(k)]
+    nu_w = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    nu = [w / sum(nu_w) for w in nu_w]
+    alpha = DegreeLaw({d: c / sum(ref.values()) for d, c in ref.items()})
+    deg = {d: c / sum(degs.values()) for d, c in degs.items()}
+    law = ReferenceLaw.fixed_alpha(alpha, nu, ((1.0,),))
+    mu = markov_product_measure(deg, a_mat)
+    beta = mu.mean_degree()
+    want = (math.fsum(w * math.log(w / alpha.pmf(d)) for d, w in deg.items())
+            + _markov_closed_form(a_mat, nu, beta))
+    for form in (component_rate, intermediate_rate, combinatorial_rate):
+        assert form([mu], beta, law).value == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1121,3 +1158,47 @@ def test_reference_materialization_is_probability(degs, n0):
     assert abs(math.fsum(w for _, w in mat.items()) - 1.0) <= 1e-12
     for t, w in mat.items():
         assert law.star_density(t) == pytest.approx(w, rel=1e-11)
+
+
+# ------------------------------------- annealed Ising with ±J edge couplings
+
+
+def pm_j_ising_measure(d, beta):
+    """mu_beta on d-regular stars: the root spin s uniform, and each leaf's
+    coupling J and spin s' i.i.d. with weight e^{beta J s s'} / (4 cosh beta).
+    Spins are vertex marks and J an edge mark that both sides see alike
+    (mark 0 is +1, mark 1 is -1)."""
+    sign = (1, -1)
+    leaf = [(((j, j), (x, [])), math.exp(beta * sign[j] * sign[x0] * sign[x]) / (4 * math.cosh(beta)))
+            for x0 in (0, 1) for j in (0, 1) for x in (0, 1)]
+    acc = {}
+    for x0 in (0, 1):
+        for combo in itertools.product(leaf[4 * x0:4 * x0 + 4], repeat=d):
+            t = canon_raw((x0, [kid for kid, _ in combo]))
+            acc[t] = acc.get(t, 0.0) + 0.5 * math.prod(w for _, w in combo)
+    return TreeMeasure(acc, 0.0, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 4), beta=st.floats(0.06, 3.0))
+def test_pm_j_ising_rate_gives_the_annealed_pressure(d, beta):
+    """Ising spins on the d-regular CM with ±J couplings carried as edge marks
+    (nu uniform, xi = diag(1/2, 1/2), so both ends see the same J): summing
+    over J first, E Z_n = 2^n cosh(beta)^{dn/2} exactly, and by Varadhan's
+    lemma (PAPER.md's annealed-pressure application) the supremum of
+    (d/2) beta E[J s s'] - I(mu) is attained at mu_beta with
+    I(mu_beta) = (d/2)(beta tanh beta - log cosh beta), so that E - I is the
+    annealed value (d/2) log cosh beta (Dembo-Montanari, "Ising models on
+    locally tree-like graphs", Ann. Appl. Probab. 2010).  Every form gives
+    that I with and without the CM ensemble, and moving to beta' = beta +- eps
+    does not raise (d/2) beta tanh beta' - I(mu_beta')."""
+    law = ReferenceLaw.fixed_alpha({d: 1.0}, (0.5, 0.5), ((0.5, 0.0), (0.0, 0.5)))
+    want = 0.5 * d * (beta * math.tanh(beta) - math.log(math.cosh(beta)))
+    mu = pm_j_ising_measure(d, beta)
+    for ensemble in ("CM", None):
+        for form in (component_rate, intermediate_rate, combinatorial_rate):
+            assert form([mu], float(d), law, ensemble=ensemble).value == pytest.approx(want, abs=1e-12)
+    annealed = 0.5 * d * math.log(math.cosh(beta))
+    for moved in (beta - 0.05, beta + 0.05):
+        rate = component_rate([pm_j_ising_measure(d, moved)], float(d), law, ensemble="CM").value
+        assert 0.5 * d * beta * math.tanh(moved) - rate <= annealed + 1e-12
