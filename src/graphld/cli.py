@@ -380,7 +380,7 @@ def cmd_extend(args) -> int:
     if args.samples > 0:
         from .samplers import _extension_table, make_rng
 
-        atoms, p = _extension_table(rho, h, args.depth)
+        atoms, p, _ = _extension_table(rho, h, args.depth)
         counts = make_rng(args.seed).multinomial(args.samples, p)
         out = TreeMeasure.from_counts({atoms[i]: int(counts[i]) for i in counts.nonzero()[0]},
                                       depth_bound=args.depth)

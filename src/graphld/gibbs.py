@@ -63,10 +63,10 @@ _MAX_DENOMINATOR = 10**6
 class GibbsProblem:
     """Conditioning instance: degree law, mark law, h values, threshold.
 
-    ``hfun[x]`` is the value of h at mark x (aligned with ``nu``).  ``c`` must
-    lie strictly between the unconditioned mean of the local h-sum and its
-    essential supremum; this is checked when solving, so infeasible thresholds
-    can still be constructed and handed to the brute-force oracle.
+    ``hfun[x]`` is the value of h at mark x (aligned with ``nu``).  ``solve``
+    needs ``c`` strictly between the unconditioned mean of the local h-sum and
+    its essential supremum; ``brute_force_opt`` also takes c at or below the
+    mean, or at the supremum.  Above the supremum both raise ValueError.
     """
 
     alpha: DegreeLaw
@@ -272,13 +272,17 @@ def solve(problem: GibbsProblem) -> GibbsSolution:
 def brute_force_opt(problem: GibbsProblem) -> Tuple[Dict[Tuple[int, int], float], float]:
     """Directly minimize H(gamma || alpha x nu) on the constraint polytope.
 
-    Independent of the tilted closed form: sequential quadratic programming
-    over the flattened gamma with per-degree row-sum equalities and the
-    threshold as an inequality.  Small instances only; used as a test oracle.
+    Independent of the tilted closed form: Newton's method on gamma, over the
+    cells with alpha(n) * nu(x) > 0.  The product law is the optimum (value
+    0.0) when it meets the threshold.  Else the start mixes it with the top-h
+    corner (each class on its cells of largest h, in proportion to nu),
+    halfway from the threshold to the corner; each step solves the KKT system
+    [diag(1/gamma) A^T; A 0] of the row sums and the threshold, halved until
+    gamma stays positive and the KKT residual falls, up to the floating-point
+    fixed point.  At the supremum the corner is the optimum; above it,
+    ValueError.  Small instances only; used as a test oracle.
     """
-    # here, so that importing graphld loads neither numpy nor scipy
-    import numpy as np
-    from scipy import optimize
+    import numpy as np  # here, so that importing graphld does not load numpy
 
     support = [(n, an) for n, an in problem.alpha.items() if an > 0]
     max_deg = max(n for n, _ in support)
@@ -287,63 +291,54 @@ def brute_force_opt(problem: GibbsProblem) -> Tuple[Dict[Tuple[int, int], float]
         raise ValueError(
             f"brute force cap exceeded: ({max_deg} + 1) * {n_x} > 12"
         )
-    cells = [(n, x) for n, _ in support for x in range(n_x)]
-    base = np.array(
-        [problem.alpha.pmf(n) * problem.nu[x] for n, x in cells]
-    )
-    nh = np.array([n * problem.hfun[x] for n, x in cells])
-
-    def objective(g):
-        g = np.clip(g, 1e-300, None)
-        return float(np.sum(g * np.log(g / base)))
-
-    def grad(g):
-        g = np.clip(g, 1e-300, None)
-        return np.log(g / base) + 1.0
-
-    constraints = [
-        {
-            "type": "eq",
-            "fun": (lambda g, rows=np.array([1.0 if n == nn else 0.0 for n, _ in cells]), a=an:
-                    float(rows @ g - a)),
-            "jac": (lambda g, rows=np.array([1.0 if n == nn else 0.0 for n, _ in cells]):
-                    rows),
-        }
-        for nn, an in support
-    ]
-    constraints.append(
-        {
-            "type": "ineq",
-            "fun": lambda g: float(nh @ g - problem.c),
-            "jac": lambda g: nh,
-        }
-    )
-    # start from a feasible mix of the unconditioned law and the top-h corner
-    corner = np.zeros(len(cells))
-    for nn, an in support:
-        idx = [i for i, (n, _) in enumerate(cells) if n == nn]
-        j = max(idx, key=lambda i: nh[i])
-        corner[j] = an
-    t_need = float(nh @ base)
-    t_corner = float(nh @ corner)
-    if t_corner > t_need:
-        t = min(0.9, max(0.0, (problem.c - t_need) / (t_corner - t_need) + 0.05))
+    marks = [x for x, w in enumerate(problem.nu) if w > 0]
+    cells = [(n, x) for n, _ in support for x in marks]
+    mass = np.array([[an] for _, an in support])
+    base = mass * [problem.nu[x] for x in marks]
+    nh = np.outer([n for n, _ in support], [problem.hfun[x] for x in marks])
+    corner = np.where(nh == nh.max(axis=1, keepdims=True), base, 0.0)
+    corner *= mass / corner.sum(axis=1, keepdims=True)
+    base, corner, nh = base.ravel(), corner.ravel(), nh.ravel()
+    low, high = nh @ base, nh @ corner
+    product = dict(zip(cells, base.tolist()))
+    if problem.c <= low:
+        return product, 0.0
+    if problem.c > problem.supremum():
+        raise ValueError(
+            f"threshold c={problem.c} exceeds the essential supremum {problem.supremum()}"
+        )
+    if problem.c >= high:  # the threshold row is a sum of the row sums on the top cells
+        gamma = {cell: w for cell, w in zip(cells, corner.tolist()) if w > 0}
     else:
-        t = 0.0
-    start = (1 - t) * base + t * corner
-    res = optimize.minimize(
-        objective,
-        start,
-        jac=grad,
-        method="SLSQP",
-        bounds=[(0.0, None)] * len(cells),
-        constraints=constraints,
-        options={"maxiter": 500, "ftol": 1e-12},
-    )
-    if not res.success:
-        raise RuntimeError(f"brute force optimizer failed: {res.message}")
-    gamma_bf = {cell: float(w) for cell, w in zip(cells, res.x) if w > 1e-15}
-    return gamma_bf, float(res.fun)
+        m, k = len(cells), len(support) + 1
+        a = np.vstack([np.repeat(np.eye(k - 1), len(marks), axis=1), nh])
+        want = np.append(mass, problem.c)
+        kkt = np.zeros((m + k, m + k))
+        kkt[m:, :m] = a
+        kkt[:m, m:] = a.T
+
+        def residual(v):  # at gamma v[:m] and multipliers v[m:]
+            return np.concatenate([np.log(v[:m] / base) + 1.0 + v[m:] @ a, a @ v[:m] - want])
+
+        r = (problem.c - low) / (high - low)
+        v = np.concatenate([(1 - r) / 2 * base + (1 + r) / 2 * corner, np.zeros(k)])
+        res = residual(v)
+        for _ in range(1000):
+            np.fill_diagonal(kkt[:m, :m], 1.0 / v[:m])
+            step, s = np.linalg.solve(kkt, -res), 1.0
+            if not np.isfinite(step).all():  # else the halving below never ends
+                raise RuntimeError("brute force Newton step overflowed")
+            while not np.array_equal(new := v + s * step, v):
+                if (new[:m] > 0).all() and (new_res := residual(new)) @ new_res < res @ res:
+                    break
+                s /= 2
+            else:
+                break  # no step moves v: its floating-point fixed point
+            v, res = new, new_res
+        else:
+            raise RuntimeError("brute force Newton iteration reached no fixed point")
+        gamma = dict(zip(cells, v[:m].tolist()))
+    return gamma, relative_entropy(gamma, product)
 
 
 @dataclass

@@ -582,10 +582,11 @@ def sample_sized_biased_gw(offspring, nu, xi, depth: int, rng: np.random.Generat
 
 
 def _extension_table(rho_h, h: int, depth: int):
-    """(atoms, probabilities), in encoding order, of the unimodular extension
-    of an admissible depth-h law to ``depth``: iterated one-step extensions
-    (enumerable supports only), memoized on ``rho_h`` and its extensions, and
-    the table memoized on the depth-``depth`` law, so each is built once."""
+    """(atoms, probabilities, CDF), in encoding order, of the unimodular
+    extension of an admissible depth-h law to ``depth``: iterated one-step
+    extensions (enumerable supports only), memoized on ``rho_h`` and its
+    extensions, and the table memoized on the depth-``depth`` law, so each is
+    built once.  The CDF is the one ``Generator.choice`` builds from p."""
     from .measures import is_admissible, pair_measure
     from .rates import one_step_extension
 
@@ -604,15 +605,18 @@ def _extension_table(rho_h, h: int, depth: int):
 
         atoms, weights = zip(*law.items())
         p = np.asarray(weights) / math.fsum(weights)
-        p.flags.writeable = False
-        return atoms, p
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        p.flags.writeable = cdf.flags.writeable = False
+        return atoms, p, cdf
     return law._memoized("draw_table", depth, table)
 
 
 def sample_ugwt(rho_h, h: int, depth: int, rng: np.random.Generator) -> LabeledTree:
     """Draw from the unimodular extension of an admissible depth-h law: one
-    atom of its ``_extension_table`` to ``depth``, labeled at random."""
+    atom of its ``_extension_table`` to ``depth``, labeled at random; the atom
+    is ``rng.choice``'s over the table, found by a binary search of its CDF."""
     from .trees import random_labeling
 
-    atoms, p = _extension_table(rho_h, h, depth)
-    return random_labeling(atoms[int(rng.choice(len(atoms), p=p))], rng)
+    atoms, _, cdf = _extension_table(rho_h, h, depth)
+    return random_labeling(atoms[int(cdf.searchsorted(rng.random(), side="right"))], rng)

@@ -14,7 +14,8 @@ sampler that conditional Monte Carlo is checked against, the scipy log-gamma
 weights that its exact tables are checked against, the per-value draws that
 its batched class-sum and composition draws are checked against, the per-leaf
 product that the Gibbs optimizer is checked against, the 200-step bisection
-that its lambda is checked against, the per-call tilt that its tilt table is
+that its lambda is checked against, the SLSQP minimizer that the Newton
+brute-force oracle is checked against, the per-call tilt that its tilt table is
 checked against, the key-sorted constructor that the tree constructor's own
 sort is checked against, and a runner for code that must start in a fresh
 interpreter."""
@@ -32,7 +33,7 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 import graphld
 from graphld.gibbs import (
@@ -788,6 +789,63 @@ def bisection_lambda(problem):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def slsqp_brute_force(problem):
+    """The brute-force minimum of H(gamma || alpha x nu) by scipy's SLSQP: the
+    flattened gamma with per-degree row-sum equalities and the threshold as an
+    inequality, from a feasible mix of the product law and the top-h corner.
+    The oracle that ``brute_force_opt``'s Newton iteration is checked against;
+    it needs nu > 0 and a threshold strictly below the supremum."""
+    support = [(n, an) for n, an in problem.alpha.items() if an > 0]
+    n_x = len(problem.nu)
+    cells = [(n, x) for n, _ in support for x in range(n_x)]
+    base = np.array([problem.alpha.pmf(n) * problem.nu[x] for n, x in cells])
+    nh = np.array([n * problem.hfun[x] for n, x in cells])
+
+    def objective(g):
+        g = np.clip(g, 1e-300, None)
+        return float(np.sum(g * np.log(g / base)))
+
+    def grad(g):
+        g = np.clip(g, 1e-300, None)
+        return np.log(g / base) + 1.0
+
+    constraints = [
+        {
+            "type": "eq",
+            "fun": (lambda g, rows=np.array([1.0 if n == nn else 0.0 for n, _ in cells]), a=an:
+                    float(rows @ g - a)),
+            "jac": (lambda g, rows=np.array([1.0 if n == nn else 0.0 for n, _ in cells]):
+                    rows),
+        }
+        for nn, an in support
+    ]
+    constraints.append(
+        {"type": "ineq", "fun": lambda g: float(nh @ g - problem.c), "jac": lambda g: nh}
+    )
+    corner = np.zeros(len(cells))
+    for nn, an in support:
+        idx = [i for i, (n, _) in enumerate(cells) if n == nn]
+        corner[max(idx, key=lambda i: nh[i])] = an
+    t_need = float(nh @ base)
+    t_corner = float(nh @ corner)
+    if t_corner > t_need:
+        t = min(0.9, max(0.0, (problem.c - t_need) / (t_corner - t_need) + 0.05))
+    else:
+        t = 0.0
+    res = optimize.minimize(
+        objective,
+        (1 - t) * base + t * corner,
+        jac=grad,
+        method="SLSQP",
+        bounds=[(0.0, None)] * len(cells),
+        constraints=constraints,
+        options={"maxiter": 500, "ftol": 1e-12},
+    )
+    if not res.success:
+        raise RuntimeError(f"brute force optimizer failed: {res.message}")
+    return {cell: float(w) for cell, w in zip(cells, res.x) if w > 1e-15}, float(res.fun)
 
 
 def _assemble_mu_star(gamma, psi):

@@ -721,7 +721,7 @@ def test_extend_samples_are_one_multinomial_over_the_extension_table(tmp_path):
     assert run("extend", "--input", ip, "--depth", 3, "--samples", 1000, "--seed", 5,
                "--out", out) == 0
     rho = TreeMeasure.from_obj(json.loads(ip.read_text())["measure"])
-    atoms, p = samplers._extension_table(rho, 1, 3)
+    atoms, p, _ = samplers._extension_table(rho, 1, 3)
     counts = samplers.make_rng(5).multinomial(1000, p)
     want = TreeMeasure.from_counts({t: int(c) for t, c in zip(atoms, counts) if c},
                                    depth_bound=3)

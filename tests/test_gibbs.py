@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,7 @@ from graphld.samplers import ModelConfig, integer_degree_counts, make_rng
 from helpers import (
     _assemble_mu_star, bisection_lambda, gammaln_count_weights, lex_compositions,
     per_call_g_of_lambda, per_call_tilted, per_value_sample_exact, rejection_conditional_mc,
-    run_python, star,
+    run_python, slsqp_brute_force, star,
 )
 
 LAM_STAR = math.log(3.0) / 2.0
@@ -237,26 +238,57 @@ def test_solution_serializes():
 
 def test_brute_force_matches_closed_form_canonical():
     gamma_bf, v_bf = brute_force_opt(canonical_problem())
-    assert v_bf == pytest.approx(V_STAR, abs=1e-8)
-    assert gamma_bf[(2, 1)] == pytest.approx(0.75, abs=1e-6)
-    assert gamma_bf[(2, 0)] == pytest.approx(0.25, abs=1e-6)
+    assert v_bf == pytest.approx(V_STAR, abs=1e-15)
+    assert gamma_bf[(2, 1)] == pytest.approx(0.75, abs=1e-15)
+    assert gamma_bf[(2, 0)] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_brute_force_matches_solver_two_class():
     p = two_class_problem()
     s = solve(p)
     gamma_bf, v_bf = brute_force_opt(p)
-    assert v_bf == pytest.approx(s.value, abs=1e-6)
+    assert v_bf == pytest.approx(s.value, abs=1e-12)
     for cell, w in s.gamma.items():
-        assert gamma_bf.get(cell, 0.0) == pytest.approx(w, abs=1e-5)
+        assert gamma_bf.get(cell, 0.0) == pytest.approx(w, abs=1e-12)
 
 
 def test_brute_force_inactive_constraint_gives_product():
-    p = canonical_problem(c=0.8)
+    # below and at the unconditioned mean 1.0
+    for c in (0.8, 1.0):
+        assert brute_force_opt(canonical_problem(c=c)) == ({(2, 0): 0.5, (2, 1): 0.5}, 0.0)
+
+
+def test_brute_force_at_the_supremum_gives_the_face_optimum():
+    # only the top-h cells remain, where the threshold row is a sum of the row sums
+    assert brute_force_opt(canonical_problem(c=2.0)) == ({(2, 1): 1.0}, math.log(2.0))
+    gamma_sq, v_sq = slsqp_brute_force(canonical_problem(c=2.0))
+    assert gamma_sq == {(2, 1): pytest.approx(1.0, abs=1e-12)}
+    assert v_sq == pytest.approx(math.log(2.0), abs=1e-12)
+    # a degree-0 class keeps its product law; a tie splits in proportion to nu
+    p = GibbsProblem(DegreeLaw({0: 0.25, 2: 0.75}), (0.2, 0.3, 0.5), (1.0, 0.0, 1.0), 1.5)
     gamma_bf, v_bf = brute_force_opt(p)
-    assert v_bf == pytest.approx(0.0, abs=1e-10)
-    assert gamma_bf[(2, 0)] == pytest.approx(0.5, abs=1e-6)
-    assert gamma_bf[(2, 1)] == pytest.approx(0.5, abs=1e-6)
+    want = {(0, 0): 0.05, (0, 1): 0.075, (0, 2): 0.125, (2, 0): 0.75 * 0.2 / 0.7,
+            (2, 2): 0.75 * 0.5 / 0.7}
+    assert gamma_bf == pytest.approx(want, abs=1e-15)
+    assert v_bf == pytest.approx(-0.75 * math.log(0.7), abs=1e-15)
+
+
+def test_brute_force_above_the_supremum_raises():
+    with pytest.raises(ValueError, match=r"c=2.5 exceeds the essential supremum 2.0"):
+        brute_force_opt(canonical_problem(c=2.5))
+
+
+def test_brute_force_skips_marks_with_zero_nu():
+    # log(g / 0) on the cells of a mark with nu = 0 once broke the optimizer
+    p = GibbsProblem(DegreeLaw({2: 1.0}), (0.5, 0.5, 0.0), (0, 1, 2), 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma_bf, v_bf = brute_force_opt(p)
+    s = solve(p)
+    assert s.gamma == pytest.approx({(2, 0): 0.25, (2, 1): 0.75}, abs=1e-15)
+    assert set(gamma_bf) == set(s.gamma)
+    assert gamma_bf == pytest.approx(s.gamma, abs=1e-15)
+    assert v_bf == pytest.approx(s.value, abs=1e-15)
 
 
 def test_brute_force_concentrates_near_supremum():
@@ -269,6 +301,22 @@ def test_brute_force_dimension_cap():
     p = GibbsProblem(DegreeLaw({6: 1.0}), (0.5, 0.5), (0.0, 1.0), 4.0)
     with pytest.raises(ValueError, match="cap"):
         brute_force_opt(p)
+
+
+def test_brute_force_runs_and_loads_no_scipy_with_scipy_blocked(tmp_path):
+    # C06's problem, in an interpreter where importing scipy fails
+    res = run_python(
+        "import sys\nsys.modules['scipy'] = None\n"
+        "from graphld.gibbs import GibbsProblem, brute_force_opt\n"
+        "from graphld.measures import DegreeLaw\n"
+        "p = GibbsProblem(DegreeLaw({2: 1.0}), (0.5, 0.5), (0.0, 1.0), 1.5, 0.05)\n"
+        "gamma, value = brute_force_opt(p)\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy'"
+        " and mod is not None), repr(gamma[(2, 1)]))",
+        tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["[]", "0.75"]
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +599,40 @@ def test_gibbs_cli_over_the_star_atom_limit_exits_2(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def assert_brute_force_agrees(p):
+    """The Newton oracle against ``solve`` to 1e-9 and against SLSQP to 1e-6,
+    on every cell and on the value."""
+    s = solve(p)
+    gamma_bf, v_bf = brute_force_opt(p)
+    gamma_sq, v_sq = slsqp_brute_force(p)
+    assert v_bf == pytest.approx(s.value, abs=1e-9)
+    assert v_bf == pytest.approx(v_sq, abs=1e-6)
+    for cell in set(s.gamma) | set(gamma_bf) | set(gamma_sq):
+        assert gamma_bf.get(cell, 0.0) == pytest.approx(s.gamma.get(cell, 0.0), abs=1e-9)
+        assert gamma_bf.get(cell, 0.0) == pytest.approx(gamma_sq.get(cell, 0.0), abs=1e-6)
+
+
 @settings(max_examples=12, deadline=None)
 @given(small_problems())
 def test_brute_force_agrees_with_tilted_solution(p):
-    s = solve(p)
-    gamma_bf, v_bf = brute_force_opt(p)
-    assert v_bf == pytest.approx(s.value, abs=1e-5)
+    assert_brute_force_agrees(p)
+
+
+def at_fraction(alpha, nu, hfun, frac):
+    """The problem whose threshold is ``frac`` of the way from the
+    unconditioned mean to the supremum."""
+    p = GibbsProblem(DegreeLaw(alpha), nu, hfun, 1.0)
+    lo, hi = p.unconditioned_mean(), p.supremum()
+    return GibbsProblem(p.alpha, nu, hfun, lo + frac * (hi - lo))
+
+
+@pytest.mark.parametrize("p", [
+    at_fraction({0: 0.25, 2: 0.75}, (0.5, 0.5), (0.0, 1.0), 0.5),
+    at_fraction({1: 0.5, 2: 0.5}, (0.2, 0.3, 0.5), (1.0, 0.0, 1.0), 0.5),
+    at_fraction({1: 0.5, 3: 0.5}, (1 / 3, 1 / 3, 1 / 3), (0.0, 1.0, 2.0), 0.9999),
+], ids=["degree_0_class", "tie_in_top_h", "near_supremum"])
+def test_brute_force_agrees_on_named_cases(p):
+    assert_brute_force_agrees(p)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from graphld import samplers
 from graphld.measures import DegreeLaw, TreeMeasure, tv_distance
 from graphld.samplers import (
     MarkedGraph,
@@ -612,6 +613,22 @@ def test_ugwt_fixed_point_depth1_marginal():
     for t, w in eta.items():
         sigma = math.sqrt(w * (1 - w) / n)
         assert abs(emp.get(t) - w) < 4 * sigma
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from((1.0, 3.0, 1e-20, 1e-300)), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_ugwt_draws_the_atom_and_state_of_rng_choice(weights, seed):
+    # single-vertex atoms, so the labeling draws nothing; weights 1e-20 next to
+    # 1.0 leave CDF steps of zero width, as a zero cell would
+    total = math.fsum(weights)
+    law = TreeMeasure({star(mark, []): w / total for mark, w in enumerate(weights)})
+    atoms, p, _ = samplers._extension_table(law, 0, 0)
+    searched, chosen = make_rng(seed), make_rng(seed)
+    for _ in range(20):
+        want = atoms[int(chosen.choice(len(atoms), p=p))].mark
+        assert sample_ugwt(law, 0, 0, searched).vmarks == {(): want}
+    assert repr(searched.bit_generator.state) == repr(chosen.bit_generator.state)
 
 
 def test_ugwt_degree_zero_root_stops():
