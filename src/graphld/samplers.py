@@ -155,26 +155,41 @@ class MarkedGraph(_Frozen):
         return dict(zip(degrees[order].tolist(), counts[order].tolist()))
 
     def to_obj(self) -> dict:
+        """The graph file form: ``edges`` and ``emarks`` are aligned m×2 rows,
+        ``emarks[i]`` the marks at the first and the second end of ``edges[i]``."""
         obj = {"n": self.n, "edges": self._ends.tolist()}
         if self.is_marked:
             obj["vmarks"] = self._vm.tolist()
-            obj["emarks"] = [{"u": u, "v": v, "yu": yu, "yv": yv} for u, v, yu, yv
-                             in zip(*self._ends.T.tolist(), *self._em.T.tolist())]
+            obj["emarks"] = self._em.tolist()
         return obj
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MarkedGraph":
-        """Inverse of ``to_obj``; a graph or an ``emarks`` record that is not
-        a dict raises ValueError naming it, such as ``emarks[3]``."""
+        """Inverse of ``to_obj``.  It also reads the record form of earlier
+        versions, ``emarks`` a list of {"u", "v", "yu", "yv"} dicts, told apart
+        by its first entry being a dict.  A graph that is not a dict, a record
+        that is not a dict or that repeats the edge of an earlier record, and
+        a malformed row raise ValueError naming it, such as ``emarks[3]``."""
         vmarks = _of_type(obj, dict, "graph").get("vmarks")
         emarks = None
         if vmarks is not None:
-            emarks = {}
-            for i, rec in enumerate(_of_type(obj["emarks"], list, "emarks")):
-                _of_type(rec, dict, f"emarks[{i}]")
-                emarks[(rec["u"], rec["v"])] = rec["yu"]
-                emarks[(rec["v"], rec["u"])] = rec["yv"]
-        return cls(obj["n"], [tuple(e) for e in obj["edges"]], vmarks, emarks)
+            emarks = _of_type(obj["emarks"], list, "emarks")
+            if emarks and isinstance(emarks[0], dict):
+                emarks = _record_marks(emarks)
+        return cls(obj["n"], obj["edges"], vmarks, emarks)
+
+
+def _record_marks(records: list) -> dict:
+    """The directed-pair mark dict of a record-form ``emarks`` list."""
+    emarks, owner = {}, {}
+    for i, rec in enumerate(records):
+        _of_type(rec, dict, f"emarks[{i}]")
+        u, v = rec["u"], rec["v"]
+        if (u, v) in owner:
+            raise ValueError(f"emarks[{i}] repeats the edge of emarks[{owner[(u, v)]}]")
+        owner[(u, v)] = owner[(v, u)] = i
+        emarks[(u, v)], emarks[(v, u)] = rec["yu"], rec["yv"]
+    return emarks
 
 
 def _leading_ints(rows, width: int, name):

@@ -3,7 +3,8 @@ per-vertex ball trees and message-passing views that graph views are checked
 against, the per-vertex BFS and per-slot refinement that the array ball flags
 and refinement are checked against, the scalar-draw FE sampler, the scalar ER
 walk, mark loop and pair unranking and the dict-based graph that the array
-samplers and graph are checked against, the per-call depth-1 leaf ratios that
+samplers and graph are checked against, the record form of graph files that
+the row form is checked against, the per-call depth-1 leaf ratios that
 the rate tables are checked against, the uncached derived laws that the
 memoized ones are checked against, the ordered-product extension that the
 multiset one is checked against and the weight-by-weight check of two laws,
@@ -467,6 +468,33 @@ class DictMarkedGraph(_Frozen):
                 emarks[(rec["u"], rec["v"])] = rec["yu"]
                 emarks[(rec["v"], rec["u"])] = rec["yv"]
         return cls(obj["n"], [tuple(e) for e in obj["edges"]], vmarks, emarks)
+
+
+def record_form(g):
+    """The graph file object of ``g`` in the record form that earlier versions
+    wrote: ``emarks`` one {"u", "v", "yu", "yv"} dict per edge, by the
+    dict-based oracle."""
+    return DictMarkedGraph(g.n, g.edges, g.vmarks, g.emarks).to_obj()
+
+
+def row_form(g):
+    """The graph file object of a ``DictMarkedGraph`` in the row form:
+    ``emarks[i]`` the marks at the first and the second end of ``edges[i]``,
+    read from its dict."""
+    obj = g.to_obj()
+    if g.is_marked:
+        obj["emarks"] = [[g.emarks[(u, v)], g.emarks[(v, u)]] for u, v in g.edges]
+    return obj
+
+
+def assert_same_graph_arrays(got, want):
+    """Two ``MarkedGraph``s store the same arrays: the same dtypes, shapes and
+    entries of their edges, vertex marks and per-edge marks."""
+    assert got.n == want.n
+    for a, b in ((got._ends, want._ends), (got._vm, want._vm), (got._em, want._em)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist())
 
 
 # ----------------------------------------------- per-call depth-1 leaf ratios

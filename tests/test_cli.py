@@ -24,7 +24,8 @@ from graphld.measures import DegreeLaw, TreeMeasure
 from graphld.rates import ReferenceLaw, extension_chain
 from graphld.samplers import MarkedGraph
 
-from helpers import per_draw_sampled_extension, run_python, star
+from helpers import (assert_same_graph_arrays, per_draw_sampled_extension, record_form,
+                     run_python, star)
 
 
 def run(*argv):
@@ -115,9 +116,17 @@ def test_sample_fe_edge_count_from_kappa(tmp_path):
     out = tmp_path / "fe.json"
     assert run("sample", "--ensemble", "fe", "--n", 50, "--kappa", 3.1, "--nu", "[0.5,0.5]",
                "--xi", "[[0.25,0.25],[0.25,0.25]]", "--seed", 4, "--out", out) == 0
-    assert len(json.loads(out.read_text())["graph"]["edges"]) == 78
+    obj = json.loads(out.read_text())
+    assert len(obj["graph"]["edges"]) == 78
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7c65fe3b255df2743b95663bcdf1527b35db32d05d057232e965c5567693556a")
+    # the same file with its graph in the record form of earlier versions has
+    # the bytes those versions wrote
+    g = MarkedGraph.from_obj(obj["graph"])
+    old = json.dumps({**obj, "graph": record_form(g)}, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256((old + "\n").encode()).hexdigest() == (
         "13d877d7525cb4e629c0218ee527be389970b28a4278ddc0f2b777e080f14d74")
+    assert_same_graph_arrays(MarkedGraph.from_obj(json.loads(old)["graph"]), g)
 
 
 @pytest.mark.parametrize("ensemble, flags", [
@@ -585,12 +594,21 @@ def test_rate_of_a_mistyped_measure_is_bad_input(measure, message, tmp_path, cap
     assert not (tmp_path / "rate.json").exists()
 
 
+def _as_records(g):
+    """A graph file object, rewritten in place in the record form of earlier versions."""
+    g["emarks"] = [{"u": u, "v": v, "yu": yu, "yv": yv}
+                   for (u, v), (yu, yv) in zip(g["edges"], g["emarks"])]
+    return g
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda g: g.update(vmarks=[1.5, True, 0]), "vmarks[0]"),
-    (lambda g: g["emarks"][0].update(yu=0.9), "emarks[(0, 1)]"),
-], ids=["vmarks", "yu"])
+    (lambda g: _as_records(g)["emarks"][0].update(yu=0.9), "emarks[(0, 1)]"),
+    (lambda g: g["emarks"][0].__setitem__(0, 0.9), "emarks[0]"),
+], ids=["vmarks", "yu", "row"])
 def test_empirical_of_a_mark_that_is_not_an_integer_is_bad_input(path3, edit, field, capsys):
-    # these used to be truncated: vmarks [1.5, true] became (1, 1), yu 0.9 became 0
+    # these used to be truncated: vmarks [1.5, true] became (1, 1), yu 0.9 became 0;
+    # "yu" edits the record form of earlier versions, "row" the rows of to_obj
     obj = json.loads(path3.read_text())
     edit(obj["graph"])
     path3.write_text(json.dumps(obj))
@@ -608,11 +626,25 @@ def test_empirical_of_a_mark_that_is_not_an_integer_is_bad_input(path3, edit, fi
     ([[0, 1]], "graph must be a dict, not [[0, 1]]"),
     ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0], "emarks": 3},
      "emarks must be a list, not 3"),
-    ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0], "emarks": [[0, 1, 0, 0]]},
-     "emarks[0] must be a dict, not [0, 1, 0, 0]"),
-], ids=["number", "null", "list", "emarks-number", "emarks-record-list"])
+    ({"n": 3, "edges": [[0, 1], [1, 2]], "vmarks": [0, 0, 0],
+      "emarks": [{"u": 0, "v": 1, "yu": 0, "yv": 0}, [1, 2, 0, 0]]},
+     "emarks[1] must be a dict, not [1, 2, 0, 0]"),
+    ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0], "emarks": [[0, 1, 0]]},
+     "emarks[0] must be a pair, not [0, 1, 0]"),
+    ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0], "emarks": [[0, True]]},
+     "emarks[0] must be an integer, not True"),
+    ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0], "emarks": [[1.5, 0]]},
+     "emarks[0] must be an integer, not 1.5"),
+    ({"n": 3, "edges": [[0, 1], [1, 2]], "vmarks": [0, 0, 0], "emarks": [[0, 0]]},
+     "edge mark entries do not match the edge set"),
+    ({"n": 3, "edges": [[0, 1], [1, 2]], "vmarks": [0, 0, 0],
+      "emarks": [[0, 0], {"u": 1, "v": 2, "yu": 0, "yv": 0}]},
+     "emarks[1] must be a pair, not {'u': 1, 'v': 2, 'yu': 0, 'yv': 0}"),
+], ids=["number", "null", "list", "emarks-number", "emarks-record-list", "row-of-3", "row-true",
+        "row-1.5", "rows-too-few", "row-then-record"])
 def test_empirical_of_a_graph_of_the_wrong_type_is_bad_input(graph, message, tmp_path, capsys):
-    # these used to end in an AttributeError traceback and exit 1, the code of a verify FAIL
+    # these used to end in an AttributeError traceback and exit 1, the code of a verify FAIL;
+    # the first entry of emarks tells records (a dict) from rows (anything else)
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"graph": graph}))
     assert run("empirical", "--graph", path, "--out-prefix", tmp_path / "e") == 2
@@ -621,6 +653,35 @@ def test_empirical_of_a_graph_of_the_wrong_type_is_bad_input(graph, message, tmp
                                             "message": f"ValueError: {message}"}
     assert out.err == ""
     assert os.listdir(tmp_path) == ["g.json"]
+
+
+@pytest.mark.parametrize("second", [{"u": 0, "v": 1, "yu": 1, "yv": 0},
+                                    {"u": 1, "v": 0, "yu": 0, "yv": 1}], ids=["same", "reversed"])
+def test_empirical_of_records_that_repeat_an_edge_is_bad_input(second, tmp_path, capsys):
+    # the second record used to overwrite the first, and the run exited 0
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"graph": {"n": 2, "edges": [[0, 1]], "vmarks": [0, 0], "emarks": [
+        {"u": 0, "v": 1, "yu": 0, "yv": 0}, second]}}))
+    assert run("empirical", "--graph", path, "--out-prefix", tmp_path / "e") == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "bad_input", "message": "ValueError: emarks[1] repeats the edge of emarks[0]"}
+    assert os.listdir(tmp_path) == ["g.json"]
+
+
+def test_empirical_reads_the_record_form_of_earlier_versions(tmp_path):
+    # a graph file as earlier versions wrote it gives the measures of its row form
+    assert run("sample", "--ensemble", "er", "--n", 40, "--kappa", 2, "--nu", "[0.5,0.5]",
+               "--xi", "[[0.1,0.2],[0.3,0.4]]", "--seed", 3, "--out", tmp_path / "g.json") == 0
+    obj = json.loads((tmp_path / "g.json").read_text())
+    _as_records(obj["graph"])
+    (tmp_path / "old.json").write_text(json.dumps(obj))
+    measures = []
+    for name in ("g", "old"):
+        assert run("empirical", "--graph", tmp_path / f"{name}.json", "--depth", 2,
+                   "--out-prefix", tmp_path / name) == 0
+        measures.append([json.loads((tmp_path / f"{name}_{h}.json").read_text())["measure"]
+                         for h in ("L", "U1", "U2")])
+    assert measures[0] == measures[1]
 
 
 def test_empirical_of_a_graph_with_negative_n_is_bad_input(tmp_path, capsys):

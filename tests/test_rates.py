@@ -1202,3 +1202,67 @@ def test_pm_j_ising_rate_gives_the_annealed_pressure(d, beta):
     for moved in (beta - 0.05, beta + 0.05):
         rate = component_rate([pm_j_ising_measure(d, moved)], float(d), law, ensemble="CM").value
         assert 0.5 * d * beta * math.tanh(moved) - rate <= annealed + 1e-12
+
+
+# ------------------------------- Ising in a field at the Bethe cavity point
+
+
+def _cavity_field(d, beta, b):
+    """The largest fixed point h* of h = B + (d-1) atanh(tanh(beta) tanh h),
+    iterated down from above to its floating-point fixed point."""
+    h, t = b + d, math.tanh(beta)
+    for _ in range(100_000):
+        h, last = b + (d - 1) * math.atanh(t * math.tanh(h)), h
+        if h == last:
+            return h
+    raise AssertionError(f"no fixed point at d = {d}, beta = {beta}, B = {b}")
+
+
+def _ising_value(d, beta, b, pp, q, rate):
+    """log 2 + E - I at mu_{q,p}: spins are vertex marks (mark 0 is +1), q is
+    the root law's P(+), and p the symmetric size-biased pair law with
+    p(+,+) = pp and marginal q."""
+    pm = q - pp
+    mu = markov_product_measure({d: 1.0}, [[pp, pm], [pm, 1 - q - pm]])
+    energy = b * (2 * q - 1) + 0.5 * d * beta * (1 - 4 * pm)
+    return math.log(2) + energy - rate(mu)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ising_in_a_field_at_the_cavity_point_gives_the_bethe_pressure(d):
+    """Ising spins on the d-regular CM in a field B, nu uniform on {+1, -1}
+    and no edge marks.  By Varadhan's lemma (PAPER.md's annealed-pressure
+    application), phi(beta, B) = log 2 + sup_{q,p} [B(2q - 1)
+    + (d/2) beta E_p[s s'] - I(mu_{q,p})], where mu_{q,p} draws the root spin
+    from q and its d leaves i.i.d. from p(.|root), and
+    I(mu_{q,p}) = H(q | nu) + (d/2) H(p | q x q).  The supremum is attained
+    at the cavity point, p proportional to exp(beta s s' + h*(s + s')) with
+    q its marginal and h* the largest fixed point of
+    h = B + (d-1) atanh(t tanh h), t = tanh beta, where it equals the Bethe
+    free energy (Dembo-Montanari, "Ising models on locally tree-like graphs",
+    Ann. Appl. Probab. 2010)
+    phi = (d/2) log cosh beta - (d/2) log(1 + t u^2)
+          + log(e^B (1 + t u)^d + e^{-B} (1 - t u)^d),  u = tanh h*.
+    Each rate form and ``vertex_only_rate`` give that value to 1e-10 on both
+    sides of beta_c = atanh(1/(d-1)), with and without a field, and moving q
+    or p(+,+) by +-eps with the other held does not raise it."""
+    law = ReferenceLaw.fixed_alpha({d: 1.0}, (0.5, 0.5), ((1.0,),))
+    rates_of = [lambda mu, form=form: form([mu], float(d), law, ensemble="CM").value
+                for form in (component_rate, intermediate_rate, combinatorial_rate)]
+    rates_of.append(lambda mu: vertex_only_rate(float(d), law, mu))
+    beta_c = math.atanh(1 / (d - 1))
+    for beta in (0.5 * beta_c, 0.8 * beta_c, 1.25 * beta_c, 2 * beta_c):
+        for b in (0.0, 0.1):
+            h = _cavity_field(d, beta, b)
+            t, u = math.tanh(beta), math.tanh(h)
+            phi = (0.5 * d * math.log(math.cosh(beta)) - 0.5 * d * math.log1p(t * u * u)
+                   + math.log(math.exp(b) * (1 + t * u) ** d + math.exp(-b) * (1 - t * u) ** d))
+            cell = {(x, y): math.exp(beta * x * y + h * (x + y)) for x in (1, -1) for y in (1, -1)}
+            pp, pm = cell[1, 1] / sum(cell.values()), cell[1, -1] / sum(cell.values())
+            q = pp + pm
+            for rate in rates_of:
+                assert _ising_value(d, beta, b, pp, q, rate) == pytest.approx(phi, abs=1e-10)
+            best = _ising_value(d, beta, b, pp, q, rates_of[0])
+            eps = min(1e-3, pm / 2, (1 - q - pm) / 2)
+            for moved_pp, moved_q in ((pp, q + eps), (pp, q - eps), (pp + eps, q), (pp - eps, q)):
+                assert _ising_value(d, beta, b, moved_pp, moved_q, rates_of[0]) <= best + 1e-12

@@ -38,8 +38,9 @@ from graphld.samplers import (
 )
 from graphld.trees import canonicalize, truncate
 
-from helpers import (DictMarkedGraph, canon_raw, eta1_exact, scalar_assign_marks, scalar_sample_er,
-                     scalar_sample_fe, scalar_unrank_pair, star)
+from helpers import (DictMarkedGraph, assert_same_graph_arrays, canon_raw, eta1_exact, record_form,
+                     row_form, scalar_assign_marks, scalar_sample_er, scalar_sample_fe,
+                     scalar_unrank_pair, star)
 
 UNIF2 = (0.5, 0.5)
 XI_SYM = ((0.25, 0.25), (0.25, 0.25))
@@ -104,6 +105,8 @@ def test_marked_graph_json_round_trip():
 
 PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]], "vmarks": [1, 0, 1],
          "emarks": [{"u": 0, "v": 1, "yu": 1, "yv": 0}, {"u": 1, "v": 2, "yu": 0, "yv": 1}]}
+# the same graph as ``to_obj`` writes it: emarks[i] holds the marks at the ends of edges[i]
+PATH3_ROWS = {**PATH3, "emarks": [[1, 0], [0, 1]]}
 
 
 NOT_INTEGERS = [
@@ -136,8 +139,12 @@ def test_marked_graph_rejects_a_negative_vertex_count():
 def test_marked_graph_takes_numpy_integers():
     g = MarkedGraph(np.int64(3), np.array([[0, 1], [1, 2]]), np.array([1, 0, 1]),
                     {(np.int32(0), 1): np.uint8(1), (1, 0): 0, (1, 2): 0, (2, 1): np.int16(1)})
-    assert g.to_obj() == PATH3
+    assert g.to_obj() == PATH3_ROWS and record_form(g) == PATH3
     assert {type(x) for x in (g.n, *g.vmarks, *g.emarks.values(), *g.edges[0])} == {int}
+    assert {type(x) for row in g.to_obj()["emarks"] for x in row} == {int}
+    # the rows and the record form of earlier versions decode to the same arrays
+    for obj in (PATH3_ROWS, PATH3):
+        assert_same_graph_arrays(MarkedGraph.from_obj(obj), g)
 
 
 # an entry that the old per-entry checks reject (bool, non-integer) or keep
@@ -211,7 +218,11 @@ def _same_graph(got, want):
     assert got.edges == want.edges and got.vmarks == want.vmarks and got.emarks == want.emarks
     assert {type(x) for x in (*itertools.chain(*got.edges), *(got.vmarks or ()),
                               *(got.emarks or {}).values())} <= {int}
-    assert json.dumps(got.to_obj(), sort_keys=True) == json.dumps(want.to_obj(), sort_keys=True)
+    assert json.dumps(got.to_obj(), sort_keys=True) == json.dumps(row_form(want), sort_keys=True)
+    # the rows written by ``to_obj`` and the records written by the oracle,
+    # the file form of earlier versions, decode to the arrays of ``got``
+    for obj in (got.to_obj(), want.to_obj()):
+        assert_same_graph_arrays(MarkedGraph.from_obj(json.loads(json.dumps(obj))), got)
     assert list(got.degree_histogram().items()) == list(want.degree_histogram().items())
     assert got.adjacency() == want.adjacency()
 
@@ -232,6 +243,10 @@ def _same_graph(got, want):
 @example((2, [(0, 1)], [0, 0], {(0, 1): 0.5, (True, 0): 0}))  # a mark before a key
 @example((2, [(0, 1)], [0, 0], {(0, True): 0, (1, 0): 0.5}))  # a key before a mark
 @example((2, [(0, 1)], [0, 0], {(0, 1): 0, (True, 0): 0.5}))  # a mark, then its key
+@example((0, [], [], {}))                         # no vertices
+@example((3, [], [1, 0, 1], {}))                  # no edges
+@example((3, [(2, 1), (1, 0)], None, None))       # unmarked, edges listed as (v, u)
+@example((3, [(2, 1), (1, 0)], [1, 0, 1], {(0, 1): 1, (1, 0): 0, (1, 2): 0, (2, 1): 1}))
 def test_array_graph_is_the_dict_graph(args):
     want = _built(DictMarkedGraph, args)
     got = _built(MarkedGraph, args)
@@ -242,10 +257,20 @@ def test_array_graph_is_the_dict_graph(args):
     for twin in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
         assert type(twin) is MarkedGraph and twin._views is None
         _same_graph(twin, want)
-    # the same graph from its own edges and marks, from its file form and
+    # the same graph from its own edges and marks, from both file forms and
     # from arrays of its edges and per-edge marks
     _same_graph(MarkedGraph(got.n, got.edges, got.vmarks, got.emarks), want)
     _same_graph(MarkedGraph.from_obj(json.loads(json.dumps(got.to_obj()))), want)
+    _same_graph(MarkedGraph.from_obj(json.loads(json.dumps(want.to_obj()))), want)
+    # both file forms with every edge listed as (v, u), the last edge first
+    back = [(v, u) for u, v in reversed(want.edges)]
+    flipped = [{**want.to_obj(), "edges": [list(e) for e in back]}]
+    if want.is_marked:
+        flipped = [{**flipped[0], "emarks": [[want.emarks[e], want.emarks[e[::-1]]] for e in back]},
+                   {**flipped[0], "emarks": [{"u": u, "v": v, "yu": want.emarks[(u, v)],
+                                              "yv": want.emarks[(v, u)]} for u, v in back]}]
+    for obj in flipped:
+        _same_graph(MarkedGraph.from_obj(obj), want)
     if got.is_marked and got.edges and max(map(abs, (*got.vmarks, *got.emarks.values()))) < 2**62:
         ends = np.array(got.edges)[::-1, ::-1]
         marks = np.array([[got.emarks[(u, v)], got.emarks[(v, u)]] for u, v in ends.tolist()])
@@ -490,7 +515,8 @@ def test_array_marks_are_the_per_edge_loop(n, frac, k, seed):
     xi = tuple(tuple((i * k + j + 1) / total for j in range(k)) for i in range(k))
     a, b = make_rng(seed), make_rng(seed)
     got, want = assign_marks(g, nu, xi, a), scalar_assign_marks(g, nu, xi, b)
-    assert got.to_obj() == want.to_obj() and got.emarks == want.emarks
+    assert got.to_obj() == row_form(want) and got.emarks == want.emarks
+    assert_same_graph_arrays(MarkedGraph.from_obj(want.to_obj()), got)
     assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
 
 
