@@ -203,10 +203,10 @@ def _spread(vals: List[float]) -> float:
 def cmd_rate(args) -> int:
     from .rates import ReferenceLaw
 
-    config = _config(args, "ensemble", "depth", "input", "law", "beta", "kappa", "form")
+    config = _config(args, "ensemble", "depth", "input", "law", "kappa", "form")
     levels = _load_levels(args.input)
     law = ReferenceLaw.from_obj(_load_value(args.law))
-    beta = args.beta if args.beta is not None else levels[0].mean_degree()
+    beta = levels[0].mean_degree()  # a ValueError where level 1 has non-tree mass
     ensemble = args.ensemble.upper() if args.ensemble else None
     forms = _forms()
     wanted = list(forms) if args.form == "all" else [args.form]
@@ -437,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth", type=int)
     s.add_argument("--input", required=True, help="measure or level list JSON")
     s.add_argument("--law", required=True, help="reference law JSON")
-    s.add_argument("--beta", type=float)
     s.add_argument("--kappa", type=float)
     s.add_argument("--form", default="all",
                    choices=["all", "component", "intermediate", "combinatorial"])

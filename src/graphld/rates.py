@@ -708,8 +708,8 @@ class _ChainAnalysis:
     """One rate evaluation's view of a depth chain, built by ``_prepare``.
 
     ``short`` is None when the positive-mean machinery should run, +inf when
-    a gate fails, or the finite mean-degree-0 value.  ``beta`` is re-centred
-    at the measured mean degree for ER once the gates pass.  ``bases`` and
+    a gate fails, or the finite mean-degree-0 value.  ``beta`` becomes the law's
+    mean for FE and the measured mean degree for ER once the gates pass.  ``bases`` and
     ``component_bases`` are the one place that picks each depth's reference
     laws from ``law`` (depth 1) or from the chain (deeper).  The laws below,
     the chain's truncation defect, each pair law's symmetry defect and the
@@ -783,6 +783,10 @@ def _prepare(levels, beta, law, ensemble, kappa) -> _ChainAnalysis:
         if not match:
             an.short = math.inf
             return an
+    if ens == "FE":
+        if law.poisson_mean is None:
+            raise ValueError("FE evaluation needs a Poisson degree law reference")
+        beta = law.mean_degree()
     if ens == "ER":
         an.boundary = edge_density_rate(kappa, mean)
         if law.poisson_mean is None or abs(law.poisson_mean - mean) > GATE_TOL:
@@ -921,10 +925,10 @@ def _combinatorial_totals(an: _ChainAnalysis, report: RateReport, depth: int):
     h_intensity = relative_entropy(normalized, law.xibar_dict())
     s_vec = matching_entropy_sum(intensity)
     base = h_root + h_root_nu + 0.5 * beta * h_intensity + s_vec
-    if law.alpha is not None:  # the dominance gate put every degree of level 1 in alpha
-        base -= 2.0 * matching_entropy(beta) + math.fsum(
-            w * (math.lgamma(d + 1) + math.log(law.alpha.pmf(d)))
-            for d, w in level1.degree_law().items())
+    # the dominance gate put every degree of level 1 in degree_pmf, at p(d) > 0
+    base -= 2.0 * matching_entropy(beta) + math.fsum(
+        w * (math.lgamma(d + 1) + math.log(law.degree_pmf[d]))
+        for d, w in level1.degree_law().items())
     for h in range(1, depth + 1):
         lv = an.chain.level(h)
         efact = lv._memoized("log_factorials", h, lambda: math.fsum(

@@ -170,13 +170,10 @@ class MarkedGraph(_Frozen):
         by its first entry being a dict.  A graph that is not a dict, a record
         that is not a dict or that repeats the edge of an earlier record, and
         a malformed row raise ValueError naming it, such as ``emarks[3]``."""
-        vmarks = _of_type(obj, dict, "graph").get("vmarks")
-        emarks = None
-        if vmarks is not None:
-            emarks = _of_type(obj["emarks"], list, "emarks")
-            if emarks and isinstance(emarks[0], dict):
-                emarks = _record_marks(emarks)
-        return cls(obj["n"], obj["edges"], vmarks, emarks)
+        emarks = _of_type(obj, dict, "graph").get("emarks")
+        if emarks is not None and _of_type(emarks, list, "emarks") and isinstance(emarks[0], dict):
+            emarks = _record_marks(emarks)
+        return cls(obj["n"], obj["edges"], obj.get("vmarks"), emarks)
 
 
 def _record_marks(records: list) -> dict:

@@ -243,11 +243,15 @@ def test_rate_truth_chain_all_forms_zero(truth_fixture, tmp_path):
     assert obj["config_hash"] == json.loads(report.read_text())["config_hash"]
 
 
-def test_rate_and_verify_of_a_fixed_degree_law_need_no_ensemble(tmp_path):
-    # with a fixed-degree --law and no --ensemble, the three forms agree on an
-    # exact chain that deviates from the law; the combinatorial form used to
-    # drop its degree-law term, and verify failed three_form_agreement
-    law = ReferenceLaw.fixed_alpha({1: 0.5, 3: 0.5}, (0.5, 0.5), ((1.0,),))
+@pytest.mark.parametrize("degree", [{"alpha": {1: 0.5, 3: 0.5}}, {"poisson_mean": 2.0}],
+                         ids=["fixed", "poisson"])
+def test_rate_and_verify_of_a_fixed_degree_law_need_no_ensemble(degree, tmp_path, capsys):
+    # with a fixed-degree or a Poisson --law and no --ensemble, the three
+    # forms agree on an exact chain of mean degree 2.5 that deviates from the
+    # law; the combinatorial form used to drop its degree-law term, for a
+    # Poisson law at every mean but its own, and verify failed
+    # three_form_agreement
+    law = ReferenceLaw((0.5, 0.5), ((1.0,),), **degree)
     (tmp_path / "law.json").write_text(json.dumps(law.to_obj()))
     data = ReferenceLaw.fixed_alpha({1: 0.25, 3: 0.75}, (0.3, 0.7), ((1.0,),)).materialize()
     (tmp_path / "d1.json").write_text(json.dumps({"measure": data.to_obj()}))
@@ -260,6 +264,19 @@ def test_rate_and_verify_of_a_fixed_degree_law_need_no_ensemble(tmp_path):
     assert agreement["max_spread"] <= 1e-9
     assert agreement["values"]["component"] > 0.1
     assert run("verify", "--input", tmp_path / "chain.json", "--law", tmp_path / "law.json") == 0
+    # FE reads beta from its Poisson law: a mean of 2.5 against 2.0 is +inf
+    # in every form; a fixed law is no FE reference
+    capsys.readouterr()
+    code = run("rate", "--input", tmp_path / "chain.json", "--law", tmp_path / "law.json",
+               "--ensemble", "fe", "--form", "all", "--report", report)
+    if law.alpha is None:
+        assert code == 0
+        assert set(json.loads(report.read_text())["agreement"]["values"].values()) == {math.inf}
+    else:
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "rate_error",
+            "message": "FE evaluation needs a Poisson degree law reference"}
 
 
 def test_rate_single_form(truth_fixture, tmp_path):
@@ -587,7 +604,7 @@ def test_rate_of_a_mistyped_measure_is_bad_input(measure, message, tmp_path, cap
     law = ReferenceLaw.poisson(1.0, (1.0,), ((1.0,),))
     (tmp_path / "law.json").write_text(json.dumps(law.to_obj()))
     assert run("rate", "--input", tmp_path / "m.json", "--law", tmp_path / "law.json",
-               "--beta", 1.0, "--report", tmp_path / "rate.json") == 2
+               "--report", tmp_path / "rate.json") == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "bad_input"
     assert err["message"].startswith(f"ValueError: {message}")
@@ -640,11 +657,17 @@ def test_empirical_of_a_mark_that_is_not_an_integer_is_bad_input(path3, edit, fi
     ({"n": 3, "edges": [[0, 1], [1, 2]], "vmarks": [0, 0, 0],
       "emarks": [[0, 0], {"u": 1, "v": 2, "yu": 0, "yv": 0}]},
      "emarks[1] must be a pair, not {'u': 1, 'v': 2, 'yu': 0, 'yv': 0}"),
+    ({"n": 2, "edges": [[0, 1]], "emarks": [[0, 1]]},
+     "vertex and edge marks must be supplied together"),
+    ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0]},
+     "vertex and edge marks must be supplied together"),
 ], ids=["number", "null", "list", "emarks-number", "emarks-record-list", "row-of-3", "row-true",
-        "row-1.5", "rows-too-few", "row-then-record"])
+        "row-1.5", "rows-too-few", "row-then-record", "emarks-only", "vmarks-only"])
 def test_empirical_of_a_graph_of_the_wrong_type_is_bad_input(graph, message, tmp_path, capsys):
     # these used to end in an AttributeError traceback and exit 1, the code of a verify FAIL;
-    # the first entry of emarks tells records (a dict) from rows (anything else)
+    # the first entry of emarks tells records (a dict) from rows (anything else); edge
+    # marks without vertex marks were dropped (exit 0), and vertex marks without edge
+    # marks ended in a bare KeyError
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"graph": graph}))
     assert run("empirical", "--graph", path, "--out-prefix", tmp_path / "e") == 2
@@ -709,8 +732,9 @@ def cyclic_u2(tmp_path):
 
 
 def test_rate_of_a_cyclic_depth2_measure_is_bad_input(cyclic_u2, tmp_path, capsys):
-    # a U_2 with non-tree mass has no mean degree: `rate` without --beta
-    # exits 2 with a bad_input error, as a non-tree depth-1 measure does
+    # a U_2 with non-tree mass has no mean degree, and `rate` takes beta as
+    # the mean degree of level 1: it exits 2 with a bad_input error, as a
+    # non-tree depth-1 measure does
     u2, law = cyclic_u2
     capsys.readouterr()
     assert run("rate", "--input", u2, "--law", law,
@@ -899,6 +923,9 @@ BAD_INPUTS = {
     "fe_m_not_int": ["sample", "--ensemble", "fe", "--n", 10, "--m", "abc",
                      "--out", "g.json"],
     "unknown_subcommand": ["frobnicate", "--out", "g.json"],
+    # beta is the mean degree of level 1, or the mean of FE's Poisson law
+    "rate_beta_is_not_an_option": ["rate", "--input", "edge_L.json", "--law", "law.json",
+                                   "--beta", 1.0, "--report", "r.json"],
     "empirical_negative_depth": ["empirical", "--graph", "edge.json", "--depth", -1,
                                  "--out-prefix", "e"],
     "gibbs_negative_samples": ["gibbs", "--alpha", '{"2": 1.0}', "--nu", "[0.5,0.5]",
@@ -1117,12 +1144,12 @@ JSON_LITERALS = st.recursive(
 VALID_FLAGS = {
     "sample": {"--nu": "[0.5,0.5]", "--xi": "[[0.25,0.25],[0.25,0.25]]",
                "--alpha": '{"1": 0.5, "3": 0.5}'},
-    "rate": {"--input": "ntm.json", "--law": "law.json"},
+    "rate": {"--input": "edge_L.json", "--law": "law.json"},
     "gibbs": {"--alpha": '{"2": 1.0}', "--nu": "[0.5,0.5]", "--hfun": "[0.0,1.0]"},
 }
 FIXED_FLAGS = {
     "sample": ["--n", 6, "--kappa", 1.0, "--m", 3, "--out", "g.json"],
-    "rate": ["--beta", 1.0, "--report", "r.json"],
+    "rate": ["--report", "r.json"],
     "gibbs": ["--c", 1.5, "--samples", 0, "--out-prefix", "gb"],
 }
 

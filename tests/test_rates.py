@@ -1007,6 +1007,15 @@ def test_rate_chain_gates_and_reports():
     assert rep.value == pytest.approx(rep.boundary + generic.value, abs=1e-12)
     with pytest.raises(ValueError):
         component_rate([THREE_PATH], beta, uniform_poisson_law(2.0, 1, 1), "ER", kappa=2.0)
+    # FE takes beta from its Poisson law, whatever beta is passed: at the
+    # measured mean it is the generic value, elsewhere the mean gate gives +inf
+    chain = extension_chain(THREE_PATH, 2)
+    for fn in (component_rate, intermediate_rate, combinatorial_rate):
+        assert fn(chain, 0.5, law, "FE").value == fn(chain, beta, law).value
+        rep = fn(chain, beta, uniform_poisson_law(1.5, 1, 1), "FE")
+        assert rep.value == math.inf and rep.flags["mean_degree"] == pytest.approx(beta)
+        with pytest.raises(ValueError, match="FE evaluation needs a Poisson"):
+            fn(chain, 2.0, law_cm, "FE")
     # inconsistent chains are caller errors, not gates
     with pytest.raises(ValueError):
         component_rate([THREE_PATH, extension_chain(TreeMeasure({END1: 1.0}, 0.0, 1), 2).level(2)],
@@ -1119,13 +1128,17 @@ def _markov_closed_form(a_mat, nu, beta):
 @given(
     ref=st.dictionaries(st.integers(0, 4), st.integers(1, 5), min_size=1, max_size=5).filter(
         lambda ref: any(ref.keys())),
+    scale=st.one_of(st.floats(0.25, 0.8), st.floats(1.25, 3.0)),
+    seed=st.integers(0, 2**16),
     data=st.data(),
 )
-def test_fixed_degree_law_without_ensemble_forms_equal_their_closed_form(ref, data):
+def test_fixed_degree_law_without_ensemble_forms_equal_their_closed_form(ref, scale, seed, data):
     # without the CM gate, the degree law of level 1 may differ from the
-    # reference's alpha: each form is then the depth-1 closed form plus
-    # H(degree law | alpha), the combinatorial one included, whose
-    # degree-law term used to be added only for ensemble "CM"
+    # reference's degree law: each form is then the depth-1 closed form plus
+    # H(degree law | reference degree law), the combinatorial one included,
+    # whose degree-law term used to be added only for ensemble "CM" and then
+    # only for a fixed alpha; the reference is alpha or a Poisson law whose
+    # mean is scale times the data's
     degs = data.draw(st.dictionaries(st.sampled_from(sorted(ref)), st.integers(1, 5),
                                      min_size=1).filter(lambda degs: any(degs.keys())))
     k = data.draw(st.integers(1, 3))
@@ -1135,13 +1148,31 @@ def test_fixed_degree_law_without_ensemble_forms_equal_their_closed_form(ref, da
     nu = [w / sum(nu_w) for w in nu_w]
     alpha = DegreeLaw({d: c / sum(ref.values()) for d, c in ref.items()})
     deg = {d: c / sum(degs.values()) for d, c in degs.items()}
-    law = ReferenceLaw.fixed_alpha(alpha, nu, ((1.0,),))
     mu = markov_product_measure(deg, a_mat)
     beta = mu.mean_degree()
-    want = (math.fsum(w * math.log(w / alpha.pmf(d)) for d, w in deg.items())
-            + _markov_closed_form(a_mat, nu, beta))
-    for form in (component_rate, intermediate_rate, combinatorial_rate):
-        assert form([mu], beta, law).value == pytest.approx(want, abs=1e-12)
+    b = scale * beta
+    references = (
+        (ReferenceLaw.fixed_alpha(alpha, nu, ((1.0,),)), alpha.pmf),
+        (ReferenceLaw.poisson(b, nu, ((1.0,),)),
+         lambda d: math.exp(-b) * b**d / math.factorial(d)),
+    )
+    for law, pmf in references:
+        want = (math.fsum(w * math.log(w / pmf(d)) for d, w in deg.items())
+                + _markov_closed_form(a_mat, nu, beta))
+        for form in (component_rate, intermediate_rate, combinatorial_rate):
+            assert form([mu], beta, law).value == pytest.approx(want, abs=1e-12)
+    # against Poisson(b) each form is the same form against Poisson(beta)
+    # plus 2 edge_density_rate(b, beta), at depth 1 and along the depth-2
+    # chain of a forest, whose depth-2 summands do not vanish
+    forest = forest_chain(seed, depth=2)[2]
+    for levels, poisson in ((DepthChain([mu]), lambda m: ReferenceLaw.poisson(m, nu, ((1.0,),))),
+                            (forest, uniform_poisson_law)):
+        beta = levels.level(1).mean_degree()
+        b = scale * beta
+        for form in (component_rate, intermediate_rate, combinatorial_rate):
+            assert form(levels, beta, poisson(b)).value == pytest.approx(
+                form(levels, beta, poisson(beta)).value + 2.0 * edge_density_rate(b, beta),
+                abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
