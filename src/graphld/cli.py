@@ -49,11 +49,40 @@ def _config(args, *names: str, **parsed) -> dict:
     return {"subcommand": args.subcommand, **{k: getattr(args, k) for k in names}, **parsed}
 
 
+# Rows per piece of an array that `_write_json` streams: only this many rows
+# of a graph are held as Python lists and JSON text at a time.
+JSON_CHUNK_ROWS = 4096
+# The stand-in of a streamed array in the dumped payload; a command-line
+# argument cannot hold a NUL, so no echoed flag spells it.
+_ARRAY = "\0array\0"
+
+
 def _write_json(path: str, payload: dict, config: dict) -> None:
+    """Write ``payload`` and the run's metadata as one line of JSON with
+    sorted keys and compact separators.  A numpy array in the payload is
+    written as its ``tolist()`` would be, with the same bytes, a chunk of
+    ``JSON_CHUNK_ROWS`` rows at a time."""
     meta = {"config": config, "config_hash": _config_hash(config), "version": __version__}
-    blob = json.dumps({**payload, **meta}, sort_keys=True, separators=(",", ":"))
+    arrays = []
+
+    def stand_in(value):
+        np = sys.modules.get("numpy")  # no array exists unless numpy is loaded
+        if np is None or not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return _ARRAY
+
+    blob = json.dumps({**payload, **meta}, sort_keys=True, separators=(",", ":"),
+                      default=stand_in)
+    pieces = blob.split(json.dumps(_ARRAY))
     with open(path, "w") as f:
-        f.write(blob + "\n")
+        for piece, a in zip(pieces, arrays):
+            f.write(piece + "[")
+            for i in range(0, len(a), JSON_CHUNK_ROWS):
+                rows = json.dumps(a[i:i + JSON_CHUNK_ROWS].tolist(), separators=(",", ":"))
+                f.write(("," if i else "") + rows[1:-1])
+            f.write("]")
+        f.write(pieces[-1] + "\n")
 
 
 def _write_csv(path: str, rows: List[List], config: dict) -> None:
@@ -152,7 +181,7 @@ def cmd_sample(args) -> int:
     else:
         g = sample_er(args.n, cfg.kappa, rng)
     g = assign_marks(g, nu, xi, rng)
-    graph = g.to_obj()
+    graph = g._file_fields()
     _write_json(args.out, {"graph": graph, "n": g.n}, config)
     print(f"wrote {args.out} ({g.n} vertices, {len(graph['edges'])} edges)")
     return 0
@@ -174,6 +203,8 @@ def cmd_empirical(args) -> int:
         raise ValueError(f"--depth {args.depth} is negative")
     config = _config(args, "graph", "depth", "out_prefix")
     g = _load_graph(args.graph)
+    if g.n == 0:
+        raise ValueError("the graph has no vertices, so it has no empirical measures")
     outputs = []
     for h in range(args.depth + 1):
         name, m = (f"U{h}", component_measure(g, h)) if h else ("L", neighborhood_measure(g))
@@ -478,12 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand; malformed input of any kind, usage errors included,
-    ends in a structured ``bad_input`` error with exit code 2 instead of a
-    traceback."""
+    and a graph too large for memory end in a structured ``bad_input`` error
+    with exit code 2 instead of a traceback."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, RuntimeError, LookupError, TypeError, OSError, ArithmeticError) as e:
+    except (ValueError, RuntimeError, LookupError, TypeError, OSError, ArithmeticError,
+            MemoryError) as e:
         return _structured_error(f"{type(e).__name__}: {e}", "bad_input")
 
 

@@ -154,14 +154,18 @@ class MarkedGraph(_Frozen):
         order = np.argsort(first)
         return dict(zip(degrees[order].tolist(), counts[order].tolist()))
 
-    def to_obj(self) -> dict:
-        """The graph file form: ``edges`` and ``emarks`` are aligned m×2 rows,
-        ``emarks[i]`` the marks at the first and the second end of ``edges[i]``."""
-        obj = {"n": self.n, "edges": self._ends.tolist()}
+    def _file_fields(self) -> dict:
+        """The graph file form with its rows as arrays: ``edges`` and ``emarks``
+        are aligned m×2 rows, ``emarks[i]`` the marks at the first and the
+        second end of ``edges[i]``."""
+        fields = {"n": self.n, "edges": self._ends}
         if self.is_marked:
-            obj["vmarks"] = self._vm.tolist()
-            obj["emarks"] = self._em.tolist()
-        return obj
+            fields.update(vmarks=self._vm, emarks=self._em)
+        return fields
+
+    def to_obj(self) -> dict:
+        """The graph file form, ``_file_fields`` with its rows as lists."""
+        return {k: v if k == "n" else v.tolist() for k, v in self._file_fields().items()}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MarkedGraph":

@@ -37,6 +37,7 @@ import pytest
 from scipy import optimize, special, stats
 
 import graphld
+from graphld.cli import _write_json
 from graphld.gibbs import (
     TIE_TOL, _binomial_below, _binomial_tail, _finish_report, _rejection_counts, g_of_lambda,
     solve,
@@ -485,6 +486,12 @@ def row_form(g):
     if g.is_marked:
         obj["emarks"] = [[g.emarks[(u, v)], g.emarks[(v, u)]] for u, v in g.edges]
     return obj
+
+
+def oracle_graph_file(path, g, config):
+    """The graph file of ``g`` as `sample` wrote it before it streamed rows:
+    the whole graph as lists (``to_obj``), dumped in one piece."""
+    _write_json(path, {"graph": g.to_obj(), "n": g.n}, config)
 
 
 def assert_same_graph_arrays(got, want):

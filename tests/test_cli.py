@@ -6,6 +6,7 @@ directory; determinism checks compare output files byte for byte.
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -18,14 +19,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from graphld import __version__
+from graphld import cli, samplers
 from graphld.cli import main
-from graphld import samplers
 from graphld.measures import DegreeLaw, TreeMeasure
 from graphld.rates import ReferenceLaw, extension_chain
 from graphld.samplers import MarkedGraph
 
-from helpers import (assert_same_graph_arrays, per_draw_sampled_extension, record_form,
-                     run_python, star)
+from helpers import (assert_same_graph_arrays, oracle_graph_file, per_draw_sampled_extension,
+                     record_form, run_python, star)
 
 
 def run(*argv):
@@ -127,6 +128,49 @@ def test_sample_fe_edge_count_from_kappa(tmp_path):
     assert hashlib.sha256((old + "\n").encode()).hexdigest() == (
         "13d877d7525cb4e629c0218ee527be389970b28a4278ddc0f2b777e080f14d74")
     assert_same_graph_arrays(MarkedGraph.from_obj(json.loads(old)["graph"]), g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ensemble=st.sampled_from(["cm", "fe", "er"]), n=st.integers(0, 12),
+       seed=st.integers(0, 2**32), marks=st.integers(1, 2), chunk=st.integers(1, 3),
+       data=st.data())
+def test_sample_streams_the_bytes_of_the_whole_graph_oracle(tmp_path_factory, ensemble, n, seed,
+                                                            marks, chunk, data):
+    # sample writes graph.json from the graph's arrays, JSON_CHUNK_ROWS rows at
+    # a time (here 1 to 3, so rows cross chunk boundaries); the file must have
+    # the bytes of the whole graph turned into lists and dumped in one piece,
+    # with edges or without (m = 0 for degree 0, FE m = 0 and ER kappa = 0)
+    d = tmp_path_factory.mktemp("stream")
+    nu = (1.0 / marks,) * marks
+    xi = ((1.0 / marks**2,) * marks,) * marks
+    if ensemble == "cm":
+        degree = data.draw(st.sampled_from([0, 2] if n >= 3 else [0]), label="degree")
+        flags = ["--alpha", json.dumps({str(degree): 1.0})]
+        cfg = samplers.ModelConfig("CM", nu, xi, alpha=DegreeLaw({degree: 1.0}))
+        sample = functools.partial(samplers.sample_cm, n, cfg)
+    elif ensemble == "fe":
+        m = data.draw(st.integers(0, n * (n - 1) // 2), label="m")
+        flags = ["--m", m]
+        sample = functools.partial(samplers.sample_fe, n, m)
+    else:
+        kappa = data.draw(st.sampled_from([0.0, 1.5] if n >= 2 else [0.0]), label="kappa")
+        flags = ["--kappa", kappa]
+        sample = functools.partial(samplers.sample_er, n, kappa)
+    rng = samplers.make_rng(seed)
+    bare = sample(rng)
+    g = samplers.assign_marks(bare, nu, xi, rng)
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "JSON_CHUNK_ROWS", chunk)
+        assert run("sample", "--ensemble", ensemble, "--n", n, *flags, "--nu", json.dumps(nu),
+                   "--xi", json.dumps(xi), "--seed", seed, "--out", d / "graph.json") == 0
+        config = json.loads((d / "graph.json").read_text())["config"]
+        oracle_graph_file(d / "oracle.json", g, config)
+        # sample always marks its graph: an unmarked one goes through the writer alone
+        cli._write_json(d / "bare.json", {"graph": bare._file_fields(), "n": n}, config)
+        oracle_graph_file(d / "bare_oracle.json", bare, config)
+    for streamed, oracle, want in (("graph", "oracle", g), ("bare", "bare_oracle", bare)):
+        assert (d / f"{streamed}.json").read_bytes() == (d / f"{oracle}.json").read_bytes()
+        assert_same_graph_arrays(cli._load_graph(str(d / f"{streamed}.json")), want)
 
 
 @pytest.mark.parametrize("ensemble, flags", [
@@ -678,6 +722,19 @@ def test_empirical_of_a_graph_of_the_wrong_type_is_bad_input(graph, message, tmp
     assert os.listdir(tmp_path) == ["g.json"]
 
 
+def test_empirical_of_a_graph_without_vertices_is_bad_input(tmp_path, capsys):
+    # sample writes the empty graph; its measures, uniform over no vertices,
+    # used to fail as "ValueError: empty count table"
+    path = tmp_path / "g.json"
+    assert run("sample", "--ensemble", "er", "--n", 0, "--kappa", 0, "--out", path) == 0
+    capsys.readouterr()
+    assert run("empirical", "--graph", path, "--out-prefix", tmp_path / "e") == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "bad_input",
+        "message": "ValueError: the graph has no vertices, so it has no empirical measures"}
+    assert os.listdir(tmp_path) == ["g.json"]
+
+
 @pytest.mark.parametrize("second", [{"u": 0, "v": 1, "yu": 1, "yv": 0},
                                     {"u": 1, "v": 0, "yu": 0, "yv": 1}], ids=["same", "reversed"])
 def test_empirical_of_records_that_repeat_an_edge_is_bad_input(second, tmp_path, capsys):
@@ -878,6 +935,35 @@ def test_cm_sampler_that_gives_up_is_not_bad_input(tmp_path, monkeypatch, capsys
         "message": "sampler gave up: no simple pairing of this graphical degree sequence"
                    " in CM_RESTARTS = 0 restarts"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, sampler", [
+    (["sample", "--ensemble", "er", "--n", 10, "--kappa", 1, "--out", "g.json"], "sample_er"),
+    (["sample", "--ensemble", "cm", "--n", 10, "--alpha", '{"2": 1.0}', "--out", "g.json"],
+     "sample_cm"),
+    (["sample", "--ensemble", "fe", "--n", 10, "--m", 10, "--out", "g.json"], "sample_fe"),
+    (["empirical", "--graph", '{"graph": {"n": 10, "edges": []}}', "--out-prefix", "e"],
+     None),
+], ids=["er", "cm", "fe", "empirical"])
+def test_a_graph_too_large_for_memory_is_a_structured_error(argv, sampler, tmp_path, monkeypatch,
+                                                             capsys):
+    # at n = 10**11 numpy raises a MemoryError, which used to end in a
+    # traceback and exit 1, the code of a verify FAIL; the allocation is
+    # stood in for here, never made
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.chdir(tmp_path)
+    if sampler:
+        monkeypatch.setattr(samplers, sampler, too_large)
+    else:
+        monkeypatch.setattr(MarkedGraph, "from_obj", classmethod(too_large))
+    assert run(*argv) == 2
+    out = capsys.readouterr()
+    assert json.loads(out.out)["error"] == {
+        "type": "bad_input", "message": "MemoryError: Unable to allocate 745. GiB for an array"}
+    assert out.err == ""
+    assert os.listdir(tmp_path) == []
 
 
 def _bad_inputs(d):
