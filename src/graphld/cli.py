@@ -50,8 +50,9 @@ def _config(args, *names: str, **parsed) -> dict:
 
 
 # Rows per piece of an array that `_write_json` streams: only this many rows
-# of a graph are held as Python lists and JSON text at a time.
-JSON_CHUNK_ROWS = 4096
+# of a graph are held as Python lists and JSON text at a time.  The reader
+# takes a graph file's rows in pieces of at most 16 * JSON_CHUNK_ROWS bytes.
+JSON_CHUNK_ROWS = 1024
 # The stand-in of a streamed array in the dumped payload; a command-line
 # argument cannot hold a NUL, so no echoed flag spells it.
 _ARRAY = "\0array\0"
@@ -187,9 +188,101 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _piece_rows(piece, width: int):
+    """The rows in ``piece``, a uint8 array of JSON text, as an int64 array
+    of shape (k, 2) for width 2 and (k,) for width 0; None unless the text
+    spells them as the writer does (``[0,12],[3,4]``, ``0,12``: integers of
+    at most 18 digits, no sign and no leading zero)."""
+    import numpy as np
+
+    digit = piece - ord("0") < 10  # the uint8 difference wraps below "0"
+    first, last = digit.copy(), digit.copy()
+    first[1:] &= ~digit[:-1]
+    last[:-1] &= ~digit[1:]
+    start = np.flatnonzero(first)
+    size = np.flatnonzero(last) + 1 - start
+    # the text with each number cut to one "0"
+    form = np.where(digit, ord("0"), piece)[first | ~digit].tobytes()
+    row = b"[0,0]," if width else b"0,"
+    if form != (row * ((len(form) + 1) // len(row)))[:-1] or size.max() > 18 \
+            or ((piece[start] == ord("0")) & (size > 1)).any():
+        return None
+    at = np.flatnonzero(digit)
+    values = np.add.reduceat((piece[at] - ord("0")) * 10 ** (np.repeat(start + size, size) - 1 - at),
+                             np.cumsum(size) - size)
+    return values.reshape(-1, 2) if width else values
+
+
+def _field_rows(text: bytes, a: int, width: int):
+    """(rows, end): the rows of the array that opens at ``text[a]`` and
+    closes at ``text[end]``, read by ``_piece_rows`` a piece of at most
+    ``16 * JSON_CHUNK_ROWS`` bytes at a time, cut after a row; None if the
+    array is not in the writer's form."""
+    import numpy as np
+
+    if text.startswith(b"]", a + 1):
+        return np.empty((0, 2) if width else 0, np.int64), a + 1
+    end = text.find(b"]]" if width else b"]", a) + width // 2
+    buf, sep, pieces = np.frombuffer(text, np.uint8), b"]," if width else b",", []
+    a += 1
+    while end > a:
+        cut = end if end - a <= 16 * JSON_CHUNK_ROWS else \
+            text.rfind(sep, a, a + 16 * JSON_CHUNK_ROWS) + len(sep) - 1
+        rows = _piece_rows(buf[a:cut], width) if cut > a else None
+        if rows is None:
+            return None
+        pieces.append(rows)
+        if cut == end:
+            return np.concatenate(pieces), end
+        a = cut + 1
+    return None
+
+
+def _read_graph_file(path: str):
+    """The MarkedGraph arguments of a graph file in the layout of
+    ``_write_json``, its row fields read by ``_field_rows`` and the rest of
+    the text by ``json``; None for any other file."""
+    with open(path, "rb") as f:
+        text = f.read()
+    rows, cuts = [], [0]
+    for key, width in ((b'"graph":{"edges":[', 2), (b',"emarks":[', 2), (b',"vmarks":[', 0)):
+        a = text.find(key, cuts[-1])
+        if a < 0:
+            break
+        got = _field_rows(text, a + len(key) - 1, width)
+        if got is None:
+            return None
+        rows.append(got[0])
+        cuts += [a + len(key) - 1, got[1] + 1]
+    if len(rows) not in (1, 3):
+        return None
+    # the text with each row field replaced by a NaN: the writer's layout,
+    # with no other NaN, and the NaNs as the graph's row fields
+    nan, found = float("nan"), []
+    skeleton = b"NaN".join(text[a:b] for a, b in zip(cuts[::2], [*cuts[1::2], len(text)]))
+    try:
+        obj = json.loads(skeleton, parse_constant=lambda c: found.append(c) or nan)
+    except (ValueError, RecursionError):
+        return None
+    graph = obj.get("graph") if isinstance(obj, dict) else None
+    names = ("edges", "emarks", "vmarks")[:len(rows)]
+    if len(found) != len(rows) or not isinstance(graph, dict) \
+            or set(graph) != {"n", *names} or any(graph[k] is not nan for k in names) \
+            or (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode() != skeleton:
+        return None
+    edges, emarks, vmarks = rows if rows[1:] else (*rows, None, None)
+    return graph["n"], edges, vmarks, emarks
+
+
 def _load_graph(path: str):
+    """The graph of a ``--graph`` value: a graph file, read by
+    ``_read_graph_file`` if it is in the writer's layout, else, like any
+    other file or inline JSON, by ``json`` and ``MarkedGraph.from_obj``."""
     from .samplers import MarkedGraph
 
+    args = _read_graph_file(path) if os.path.isfile(path) else None
+    if args is not None:
+        return MarkedGraph(*args)
     obj = _load_value(path)
     if isinstance(obj, dict) and "graph" in obj:
         obj = obj["graph"]
@@ -205,9 +298,11 @@ def cmd_empirical(args) -> int:
     g = _load_graph(args.graph)
     if g.n == 0:
         raise ValueError("the graph has no vertices, so it has no empirical measures")
+    measures = [(f"U{h}", component_measure(g, h)) if h else ("L", neighborhood_measure(g))
+                for h in range(args.depth + 1)]
+    del g  # the graph's views are freed before the writer's strings are made
     outputs = []
-    for h in range(args.depth + 1):
-        name, m = (f"U{h}", component_measure(g, h)) if h else ("L", neighborhood_measure(g))
+    for name, m in measures:
         path = f"{args.out_prefix}_{name}"
         _write_json(f"{path}.json", {"measure": m.to_obj()}, config)
         _write_csv(f"{path}.csv", _measure_csv_rows(m), config)

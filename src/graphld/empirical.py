@@ -57,7 +57,9 @@ def _refine(views: "_GraphViews", ids, trees: List[CanonicalTree], roots: bool):
     deg = np.diff(indptr)
     out = np.empty(len(deg) if roots else len(code), dtype=indptr.dtype)
     new_trees: List[CanonicalTree] = []
-    for d in np.unique(deg).tolist():
+    # the degrees that occur, in increasing order (np.unique without index
+    # outputs would import numpy.ma to ask whether ``deg`` is masked)
+    for d in np.flatnonzero(np.bincount(deg)).tolist():
         us = np.flatnonzero(deg == d)
         cols = indptr[us, None] + np.arange(d)
         full = code[cols]

@@ -112,13 +112,20 @@ def matching_entropy_sum(intensity: Dict[Tuple[int, int], float]) -> float:
 # ---------------------------------------------------------------- reference law
 
 
+def _poisson_pmf(b: float, d: int) -> float:
+    """P(D = d) for D ~ Poisson(b), b > 0."""
+    return math.exp(-b + d * math.log(b) - math.lgamma(d + 1))
+
+
 class ReferenceLaw(_Frozen):
     """The i.i.d.-marks reference law on depth-1 stars.
 
-    The root degree follows either a fixed finite law or a Poisson law
-    truncated at a cap with neglected tail below 1e-12 (reported in
-    ``neglected_tail``; a table longer than ``POISSON_TABLE_LIMIT`` entries
-    raises ValueError before it is built); vertex marks are i.i.d. ``nu``
+    The root degree follows either a fixed finite law or a Poisson law,
+    whose ``degree_pmf`` table (what ``materialize`` lists) stops at a cap
+    with neglected tail below 1e-12 (reported in ``neglected_tail``; a table
+    longer than ``POISSON_TABLE_LIMIT`` entries raises ValueError before it
+    is built) while ``degree_density`` is positive at every degree; vertex
+    marks are i.i.d. ``nu``
     and each edge carries an ordered mark pair with the symmetrized law
     ``xibar``.  A fixed ``alpha`` that is not a ``DegreeLaw``, such as a
     dict from degree to weight, is checked by passing it to ``DegreeLaw``.
@@ -157,10 +164,7 @@ class ReferenceLaw(_Frozen):
                             f"poisson mean {b!r} needs a degree table of {cap + 1} entries"
                             f" (limit {POISSON_TABLE_LIMIT})"
                         )
-                    longer = {
-                        d: math.exp(-b + d * math.log(b) - math.lgamma(d + 1))
-                        for d in range(cap + 1)
-                    }
+                    longer = {d: _poisson_pmf(b, d) for d in range(cap + 1)}
                     longer_tail = 1.0 - math.fsum(longer.values())
                     # for means of about 500 and above the tail stalls at a
                     # rounding floor above POISSON_TAIL: keep the shorter table
@@ -191,6 +195,13 @@ class ReferenceLaw(_Frozen):
             return self.alpha.mean()
         return float(self.poisson_mean)
 
+    def degree_density(self, d: int) -> float:
+        """p(d), read from ``degree_pmf``; a Poisson law past its table gives
+        the pmf from the expression the table was built from."""
+        if d in self.degree_pmf or not self.poisson_mean:
+            return self.degree_pmf.get(d, 0.0)
+        return _poisson_pmf(float(self.poisson_mean), d)
+
     def nu_pmf(self, x: int) -> float:
         return self.nu[x] if 0 <= x < len(self.nu) else 0.0
 
@@ -217,7 +228,7 @@ class ReferenceLaw(_Frozen):
         if t.depth > 1:
             raise ValueError("star density is defined on depth <= 1 trees")
         d = t.root_degree
-        dens = self.degree_pmf.get(d, 0.0) * self.nu_pmf(t.mark)
+        dens = self.degree_density(d) * self.nu_pmf(t.mark)
         if dens == 0.0:
             return 0.0
         cells = Counter((pair, sub.mark) for pair, sub in t.children)
@@ -925,9 +936,9 @@ def _combinatorial_totals(an: _ChainAnalysis, report: RateReport, depth: int):
     h_intensity = relative_entropy(normalized, law.xibar_dict())
     s_vec = matching_entropy_sum(intensity)
     base = h_root + h_root_nu + 0.5 * beta * h_intensity + s_vec
-    # the dominance gate put every degree of level 1 in degree_pmf, at p(d) > 0
+    # the dominance gate gave every degree of level 1 a density p(d) > 0
     base -= 2.0 * matching_entropy(beta) + math.fsum(
-        w * (math.lgamma(d + 1) + math.log(law.degree_pmf[d]))
+        w * (math.lgamma(d + 1) + math.log(law.degree_density(d)))
         for d, w in level1.degree_law().items())
     for h in range(1, depth + 1):
         lv = an.chain.level(h)

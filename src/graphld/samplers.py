@@ -14,7 +14,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .measures import DegreeLaw, _check_mark_laws
-from .trees import LabeledTree, _Frozen, _as_index, _of_type
+from .trees import MAX_MARK, LabeledTree, _Frozen, _as_index, _of_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,8 +60,9 @@ class MarkedGraph(_Frozen):
         mark per vertex, and ``emarks`` either a dict {(u, v): y} with both
         directions of every edge or an m×2 array whose row i holds the marks
         at the first and the second end of ``edges[i]``.  The first fault in
-        input order raises ValueError: a bool or non-integer names its field
-        (``edges[3]``, ``vmarks[0]``, ``emarks[(0, 1)]``), then come
+        input order raises ValueError: a bool or non-integer, or a mark
+        outside [0, ``MAX_MARK``], names its field (``edges[3]``,
+        ``vmarks[0]``, ``emarks[(0, 1)]``, ``emarks[1]``), then come
         self-loops, endpoints out of range, duplicate edges and marks that do
         not match the edges."""
         import numpy as np  # here: importing samplers or gibbs must not pay for numpy
@@ -96,7 +97,7 @@ class MarkedGraph(_Frozen):
         if vmarks is not None:
             if len(vmarks) != n:
                 raise ValueError("vmarks length mismatch")
-            vmarks, bad = _leading_ints(vmarks, 0, "vmarks[{}]".format)
+            vmarks, bad = _leading_marks(vmarks, 0, "vmarks[{}]".format)
             if bad is not None:
                 raise bad
             emarks = _edge_marks(emarks, lo, hi, flip, n)[order]
@@ -177,7 +178,9 @@ class MarkedGraph(_Frozen):
         emarks = _of_type(obj, dict, "graph").get("emarks")
         if emarks is not None and _of_type(emarks, list, "emarks") and isinstance(emarks[0], dict):
             emarks = _record_marks(emarks)
-        return cls(obj["n"], obj["edges"], obj.get("vmarks"), emarks)
+        vmarks = obj.get("vmarks")
+        return cls(obj["n"], _of_type(obj["edges"], list, "edges"),
+                   None if vmarks is None else _of_type(vmarks, list, "vmarks"), emarks)
 
 
 def _record_marks(records: list) -> dict:
@@ -233,6 +236,17 @@ def _leading_ints(rows, width: int, name):
     return (table.reshape(k, width) if width else table), error
 
 
+def _leading_marks(rows, width: int, name):
+    """``_leading_ints`` of marks, which must also lie in [0, ``MAX_MARK``]."""
+    table, error = _leading_ints(rows, width, name)
+    out = (table < 0) | (table > MAX_MARK)
+    if out.any():
+        k = out.ravel().argmax() // max(width, 1)
+        bad = table[k:k + 1].tolist()[0]
+        return table[:k], ValueError(f"{name(k)} must be in [0, {MAX_MARK}], not {bad!r}")
+    return table, error
+
+
 def _edge_marks(emarks, lo, hi, flip, n: int):
     """The marks (y(lo, hi), y(hi, lo)) of each edge as an m×2 array, from a
     dict keyed by directed pairs or an m×2 array aligned with the input edges,
@@ -241,7 +255,7 @@ def _edge_marks(emarks, lo, hi, flip, n: int):
 
     m = len(lo)
     if not isinstance(emarks, dict):
-        marks, bad = _leading_ints(emarks, 2, "emarks[{}]".format)
+        marks, bad = _leading_marks(emarks, 2, "emarks[{}]".format)
         if bad is not None:
             raise bad
         if len(marks) != m:
@@ -250,7 +264,7 @@ def _edge_marks(emarks, lo, hi, flip, n: int):
     keys = list(emarks)
     name = lambda i: f"emarks[{keys[i]}]"
     pairs, bad = _leading_ints(keys, 2, name)
-    marks, bad_mark = _leading_ints(list(emarks.values()), 0, name)
+    marks, bad_mark = _leading_marks(list(emarks.values()), 0, name)
     # entries in order, each mark checked before its key
     if bad_mark is not None and (bad is None or len(marks) <= len(pairs)):
         bad = bad_mark

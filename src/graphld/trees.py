@@ -22,6 +22,8 @@ import weakref
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 _HDR = struct.Struct("<HH")
+# the largest mark the 16-bit header of an encoding holds
+MAX_MARK = 0xFFFF
 
 # a weak reference to the live tree of each encoding; an entry lives as long
 # as its tree

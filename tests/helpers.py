@@ -375,6 +375,14 @@ def scalar_unrank_pair(t, n):
     return u, u + 1 + (t - _pair_start(u, n))
 
 
+def _as_mark(value, path, *at):
+    """``_as_index`` of a mark, which must also lie in [0, 65535]."""
+    x = _as_index(value, path, *at)
+    if not 0 <= x <= 65535:
+        raise ValueError(f"{path.format(*at)} must be in [0, 65535], not {x!r}")
+    return x
+
+
 class DictMarkedGraph(_Frozen):
     """``MarkedGraph`` as it was before it stored arrays: edges as a sorted
     tuple of pairs, vertex marks as a tuple and edge marks as a dict, each
@@ -405,12 +413,12 @@ class DictMarkedGraph(_Frozen):
         if vmarks is not None:
             if len(vmarks) != n:
                 raise ValueError("vmarks length mismatch")
-            vmarks = tuple(_as_index(x, "vmarks[{}]", i) for i, x in enumerate(vmarks))
+            vmarks = tuple(_as_mark(x, "vmarks[{}]", i) for i, x in enumerate(vmarks))
             marks = {}
             for key, y in emarks.items():
                 a, b = key
                 at = "emarks[{}]"
-                marks[_as_index(a, at, key), _as_index(b, at, key)] = _as_index(y, at, key)
+                marks[_as_index(a, at, key), _as_index(b, at, key)] = _as_mark(y, at, key)
             emarks = marks
             for u, v in norm:
                 if (u, v) not in emarks or (v, u) not in emarks:

@@ -130,39 +130,47 @@ def test_sample_fe_edge_count_from_kappa(tmp_path):
     assert_same_graph_arrays(MarkedGraph.from_obj(json.loads(old)["graph"]), g)
 
 
-@settings(max_examples=80, deadline=None)
-@given(ensemble=st.sampled_from(["cm", "fe", "er"]), n=st.integers(0, 12),
-       seed=st.integers(0, 2**32), marks=st.integers(1, 2), chunk=st.integers(1, 3),
-       data=st.data())
-def test_sample_streams_the_bytes_of_the_whole_graph_oracle(tmp_path_factory, ensemble, n, seed,
-                                                            marks, chunk, data):
-    # sample writes graph.json from the graph's arrays, JSON_CHUNK_ROWS rows at
-    # a time (here 1 to 3, so rows cross chunk boundaries); the file must have
-    # the bytes of the whole graph turned into lists and dumped in one piece,
-    # with edges or without (m = 0 for degree 0, FE m = 0 and ER kappa = 0)
-    d = tmp_path_factory.mktemp("stream")
+@st.composite
+def sample_runs(draw):
+    """The arguments of a `sample` run over a small graph of any ensemble,
+    with edges or without (m = 0 for degree 0, FE m = 0 and ER kappa = 0),
+    and the unmarked graph it samples and the marked one it writes."""
+    ensemble = draw(st.sampled_from(["cm", "fe", "er"]), label="ensemble")
+    n, seed, marks = draw(st.integers(0, 12)), draw(st.integers(0, 2**32)), draw(st.integers(1, 2))
     nu = (1.0 / marks,) * marks
     xi = ((1.0 / marks**2,) * marks,) * marks
     if ensemble == "cm":
-        degree = data.draw(st.sampled_from([0, 2] if n >= 3 else [0]), label="degree")
+        degree = draw(st.sampled_from([0, 2] if n >= 3 else [0]), label="degree")
         flags = ["--alpha", json.dumps({str(degree): 1.0})]
         cfg = samplers.ModelConfig("CM", nu, xi, alpha=DegreeLaw({degree: 1.0}))
         sample = functools.partial(samplers.sample_cm, n, cfg)
     elif ensemble == "fe":
-        m = data.draw(st.integers(0, n * (n - 1) // 2), label="m")
+        m = draw(st.integers(0, n * (n - 1) // 2), label="m")
         flags = ["--m", m]
         sample = functools.partial(samplers.sample_fe, n, m)
     else:
-        kappa = data.draw(st.sampled_from([0.0, 1.5] if n >= 2 else [0.0]), label="kappa")
+        kappa = draw(st.sampled_from([0.0, 1.5] if n >= 2 else [0.0]), label="kappa")
         flags = ["--kappa", kappa]
         sample = functools.partial(samplers.sample_er, n, kappa)
     rng = samplers.make_rng(seed)
     bare = sample(rng)
-    g = samplers.assign_marks(bare, nu, xi, rng)
+    argv = ["sample", "--ensemble", ensemble, "--n", n, *flags, "--nu", json.dumps(nu),
+            "--xi", json.dumps(xi), "--seed", seed]
+    return argv, bare, samplers.assign_marks(bare, nu, xi, rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled=sample_runs(), chunk=st.integers(1, 3))
+def test_sample_streams_the_bytes_of_the_whole_graph_oracle(tmp_path_factory, sampled, chunk):
+    # sample writes graph.json from the graph's arrays, JSON_CHUNK_ROWS rows at
+    # a time (here 1 to 3, so rows cross chunk boundaries); the file must have
+    # the bytes of the whole graph turned into lists and dumped in one piece
+    d = tmp_path_factory.mktemp("stream")
+    argv, bare, g = sampled
+    n = g.n
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
         mp.setattr(cli, "JSON_CHUNK_ROWS", chunk)
-        assert run("sample", "--ensemble", ensemble, "--n", n, *flags, "--nu", json.dumps(nu),
-                   "--xi", json.dumps(xi), "--seed", seed, "--out", d / "graph.json") == 0
+        assert run(*argv, "--out", d / "graph.json") == 0
         config = json.loads((d / "graph.json").read_text())["config"]
         oracle_graph_file(d / "oracle.json", g, config)
         # sample always marks its graph: an unmarked one goes through the writer alone
@@ -171,6 +179,193 @@ def test_sample_streams_the_bytes_of_the_whole_graph_oracle(tmp_path_factory, en
     for streamed, oracle, want in (("graph", "oracle", g), ("bare", "bare_oracle", bare)):
         assert (d / f"{streamed}.json").read_bytes() == (d / f"{oracle}.json").read_bytes()
         assert_same_graph_arrays(cli._load_graph(str(d / f"{streamed}.json")), want)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("json.load was called")
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled=sample_runs(), chunk=st.integers(1, 3))
+def test_every_graph_file_sample_writes_loads_without_json_load(tmp_path_factory, sampled, chunk):
+    # _load_graph reads the row fields of the writer's files with numpy, a
+    # piece of 16 * JSON_CHUNK_ROWS bytes at a time (here 16 to 48 bytes, so
+    # rows cross pieces): with json.load gone they still load, to the arrays
+    # that json.load and from_obj give
+    d = tmp_path_factory.mktemp("read")
+    argv, bare, g = sampled
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "JSON_CHUNK_ROWS", chunk)
+        assert run(*argv, "--out", d / "graph.json") == 0
+        config = json.loads((d / "graph.json").read_text())["config"]
+        cli._write_json(d / "bare.json", {"graph": bare._file_fields(), "n": bare.n}, config)
+        for name, want in (("graph", g), ("bare", bare)):
+            path = d / f"{name}.json"
+            slow = MarkedGraph.from_obj(json.loads(path.read_text())["graph"])
+            with pytest.MonkeyPatch.context() as no_load:
+                no_load.setattr(json, "load", _refuse)
+                got = cli._load_graph(str(path))
+            assert_same_graph_arrays(got, slow)
+            assert_same_graph_arrays(got, want)
+
+
+def _writer_file(path, obj):
+    """``obj`` written in the layout of ``_write_json``."""
+    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _graph_outcome(path):
+    """What ``_load_graph`` makes of a file: its arrays, or its error."""
+    try:
+        g = cli._load_graph(str(path))
+    except Exception as e:  # the outcomes compared include errors main would not catch
+        return f"{type(e).__name__}: {e}"
+    return g.n, [None if a is None else (a.dtype.str, a.tolist()) for a in (g._ends, g._vm, g._em)]
+
+
+def _json_paths(value, path=()):
+    """The path of every node of a JSON value, the value itself first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, sub in items:
+        yield from _json_paths(sub, (*path, key))
+
+
+# values that a mutation writes over a node of a graph file
+MUTANTS = [None, -1, 0.5, 2**70, 2**63, 70000, math.nan, math.inf, -math.inf, "x", [], {}, True]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32), marked=st.booleans(),
+       chunk=st.integers(1, 3), data=st.data())
+def test_mutated_graph_files_read_the_same_by_both_readers(tmp_path_factory, n, seed, marked,
+                                                          chunk, data):
+    # a graph file in the writer's layout, mutated as an object (a node set to
+    # an odd value, deleted or duplicated, a row of three, a record among rows)
+    # and then as text (a digit replaced by "-", "1.0", "01", "1e3" or 2**63, a
+    # space inserted): the fast reader and the json.load path give the same
+    # graph or the same error, and the fast reader takes only files that are
+    # the writer's bytes of their own contents
+    d = tmp_path_factory.mktemp("mutant")
+    rng = samplers.make_rng(seed)
+    g = samplers.sample_er(n, 1.5, rng)
+    if marked:
+        g = samplers.assign_marks(g, (0.5, 0.5), ((0.25, 0.25), (0.25, 0.25)), rng)
+    obj = {"config": {"n": n, "seed": seed}, "graph": g.to_obj(), "n": n, "version": "x"}
+    for _ in range(data.draw(st.integers(0, 2), label="object mutations")):
+        at = data.draw(st.sampled_from(list(_json_paths(obj["graph"], ("graph",)))[1:]), label="at")
+        parent = functools.reduce(lambda o, k: o[k], at[:-1], obj)
+        op = data.draw(st.sampled_from(["set", "delete", "duplicate", "three", "record"]), label="op")
+        if op == "set":
+            parent[at[-1]] = data.draw(st.sampled_from(MUTANTS), label="value")
+        elif op == "delete":
+            del parent[at[-1]]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(at[-1], parent[at[-1]])
+        elif op == "three" and isinstance(parent[at[-1]], list):
+            parent[at[-1]] = [*parent[at[-1]], 0]
+        elif op == "record" and at[1] == "emarks" and len(at) == 3:
+            parent[at[-1]] = {"u": 0, "v": 1, "yu": 0, "yv": 0}
+    path = d / "graph.json"
+    _writer_file(path, obj)
+    text = path.read_text()
+    digits = [i for i, c in enumerate(text) if c.isdigit()]
+    if digits and data.draw(st.booleans(), label="replace a digit"):
+        i = data.draw(st.sampled_from(digits), label="digit")
+        new = data.draw(st.sampled_from(["-", "-1", "1.0", "01", "1e3", str(2**63)]), label="by")
+        text = text[:i] + new + text[i + 1:]
+    if data.draw(st.booleans(), label="insert a space"):
+        i = data.draw(st.integers(0, len(text)), label="space")
+        text = text[:i] + " " + text[i:]
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "JSON_CHUNK_ROWS", chunk)
+        fast = _graph_outcome(path)
+        if cli._read_graph_file(str(path)) is not None:
+            assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n" == text
+        mp.setattr(cli, "_read_graph_file", lambda path: None)
+        assert fast == _graph_outcome(path)
+
+
+def _path3(**edit):
+    """The graph file object of a marked path on 3 vertices, edited."""
+    graph = {"n": 3, "edges": [[0, 1], [1, 2]], "vmarks": [0, 0, 0], "emarks": [[0, 0], [0, 0]]}
+    return {"config": {}, "graph": {**graph, **edit}, "n": 3, "version": "x"}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace(b'"emarks":[[0,0],[0,0]]',
+                        b'"emarks":[{"u":0,"v":1,"yu":0,"yv":0},{"u":1,"v":2,"yu":0,"yv":0}]'),
+    lambda t: t.replace(b'"graph":{"edges":[[0,1],[1,2]],"emarks":[[0,0],[0,0]],',
+                        b'"graph":{"emarks":[[0,0],[0,0]],"edges":[[0,1],[1,2]],'),
+    lambda t: t.replace(b'"n":3,"version"', b'"n": 3,"version"'),
+    lambda t: t.replace(b"[1,2]", b"[1, 2]"),
+    lambda t: t.rstrip(b"\n"),
+    lambda t: t.replace(b'"version":"x"', '"version":"\u00e9"'.encode()),
+    lambda t: t.replace(b"[1,2]", b"[1,2,0]"),
+    lambda t: t.replace(b"[1,2]", b"[1,-2]"),
+    lambda t: t.replace(b"[1,2]", b"[1,02]"),
+    lambda t: t.replace(b"[1,2]", b"[1,2.0]"),
+    lambda t: t.replace(b"[1,2]", b"[1,2e0]"),
+    lambda t: t.replace(b"[1,2]", b"[1,%d]" % 2**63),
+    lambda t: t.replace(b"[1,2]", b"[1,2],"),
+    lambda t: t.replace(b'"vmarks":[0,0,0]', b'"vmarks":[0,0,0,]'),
+    lambda t: t.replace(b',"vmarks":[0,0,0]', b""),
+    lambda t: t.replace(b'"version":"x"', b'"version":NaN'),
+    lambda t: t.replace(b'"config":{}', b'"config":{"graph":{"edges":[[0,1]]}}'),
+], ids=["records", "key-order", "space-outside-rows", "space-in-a-row", "no-newline", "non-ascii",
+        "row-of-three", "sign", "leading-zero", "fraction", "exponent", "past-int64",
+        "trailing-comma", "trailing-comma-vmarks", "emarks-without-vmarks", "nan-elsewhere",
+        "graph-in-config"])
+def test_the_fast_reader_takes_only_the_writer_layout(edit, tmp_path):
+    # every other file goes to json.load and from_obj, whose outcome stands
+    path = tmp_path / "g.json"
+    _writer_file(path, _path3())
+    assert cli._read_graph_file(str(path)) is not None
+    path.write_bytes(edit(path.read_bytes()))
+    assert cli._read_graph_file(str(path)) is None
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"vmarks": [0, 0, 70000]}, "vmarks[2] must be in [0, 65535], not 70000"),
+    ({"vmarks": [0, 0, -1]}, "vmarks[2] must be in [0, 65535], not -1"),
+    ({"emarks": [[0, 0], [70000, 0]]}, "emarks[1] must be in [0, 65535], not [70000, 0]"),
+    ({"emarks": [[0, 0], [0, -1]]}, "emarks[1] must be in [0, 65535], not [0, -1]"),
+    ({"emarks": [{"u": 0, "v": 1, "yu": 70000, "yv": 0}, {"u": 1, "v": 2, "yu": 0, "yv": 0}]},
+     "emarks[(0, 1)] must be in [0, 65535], not 70000"),
+], ids=["vmark-70000", "vmark-negative", "emark-70000", "emark-negative", "record-70000"])
+@pytest.mark.parametrize("layout", ["writer", "spaced"])
+def test_empirical_of_a_mark_out_of_range_names_its_entry(edit, message, layout, tmp_path, capsys):
+    # these used to be "mark index out of range", with no entry named; the
+    # message is the same whichever reader takes the file
+    path = tmp_path / "g.json"
+    if layout == "writer":
+        _writer_file(path, _path3(**edit))
+    else:
+        path.write_text(json.dumps(_path3(**edit)))
+    assert run("empirical", "--graph", path, "--out-prefix", tmp_path / "e") == 2
+    out = capsys.readouterr()
+    assert json.loads(out.out)["error"] == {"type": "bad_input", "message": f"ValueError: {message}"}
+    assert out.err == ""
+    assert os.listdir(tmp_path) == ["g.json"]
+    # the writer's layout of a row mark past the range is read by the fast reader
+    fast = layout == "writer" and "70000" in message and "(0, 1)" not in message
+    assert (cli._read_graph_file(str(path)) is not None) == fast
+
+
+def test_empirical_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without index outputs imports numpy.ma (1.2 MiB and 11-16 ms)
+    # to ask whether its input is masked; building the views needs none of it
+    code = ("import sys\n"
+            "from graphld.cli import main\n"
+            "main(['sample', '--ensemble', 'er', '--n', '30', '--kappa', '2', '--nu', '[0.5, 0.5]',"
+            " '--seed', '1', '--out', 'g.json'])\n"
+            "main(['empirical', '--graph', 'g.json', '--depth', '2', '--out-prefix', 'e'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+    done = run_python(code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("ensemble, flags", [
@@ -573,6 +768,31 @@ def test_rate_and_verify_read_a_depth2_measure(er_depth2, capsys):
     assert out.splitlines()[-1] == "ALL PASS"
 
 
+@pytest.mark.parametrize("ensemble", [[], ["--ensemble", "er", "--kappa", 1.039]], ids=["none", "er"])
+def test_rate_of_a_graph_with_hubs_past_the_poisson_table_is_finite(ensemble, tmp_path, capsys):
+    # 20 hubs of degree 40 in 20 000 vertices: the Poisson(1.039) table stops
+    # at degree 16, and every form used to read +inf (verify: ALL PASS); the
+    # rate of a one-mark depth-1 law is H(degree law | Poisson(1.039))
+    d = tmp_path
+    assert run("sample", "--ensemble", "cm", "--n", 20000, "--alpha", '{"1": 0.999, "40": 0.001}',
+               "--nu", "[1.0]", "--xi", "[[1.0]]", "--seed", 1, "--out", d / "g.json") == 0
+    assert run("empirical", "--graph", d / "g.json", "--depth", 1, "--out-prefix", d / "emp") == 0
+    law = ReferenceLaw.poisson(1.039, (1.0,), ((1.0,),))
+    assert max(law.degree_pmf) < 40
+    (d / "law.json").write_text(json.dumps(law.to_obj()))
+    assert run("rate", "--input", d / "emp_L.json", "--law", d / "law.json", *ensemble,
+               "--form", "all", "--report", d / "rate.json") == 0
+    level = TreeMeasure.from_obj(json.loads((d / "emp_L.json").read_text())["measure"])
+    want = math.fsum(w * (math.log(w) + 1.039 - k * math.log(1.039) + math.lgamma(k + 1))
+                     for k, w in level.degree_law().items())
+    assert abs(want - 1.1016625827128683) <= 1e-12
+    values = json.loads((d / "rate.json").read_text())["agreement"]["values"]
+    assert all(abs(v - want) <= 1e-12 for v in values.values()), values
+    capsys.readouterr()
+    assert run("verify", "--input", d / "emp_L.json", "--law", d / "law.json", *ensemble) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ALL PASS"
+
+
 def test_rate_of_an_out_of_range_edge_mark_is_bad_input(er_depth2, capsys):
     # an edge mark the tree encoding cannot hold is bad input, not a traceback
     d = er_depth2
@@ -705,13 +925,16 @@ def test_empirical_of_a_mark_that_is_not_an_integer_is_bad_input(path3, edit, fi
      "vertex and edge marks must be supplied together"),
     ({"n": 2, "edges": [[0, 1]], "vmarks": [0, 0]},
      "vertex and edge marks must be supplied together"),
+    ({"n": 2, "edges": 5}, "edges must be a list, not 5"),
+    ({"n": 2, "edges": [[0, 1]], "vmarks": 5, "emarks": [[0, 0]]}, "vmarks must be a list, not 5"),
 ], ids=["number", "null", "list", "emarks-number", "emarks-record-list", "row-of-3", "row-true",
-        "row-1.5", "rows-too-few", "row-then-record", "emarks-only", "vmarks-only"])
+        "row-1.5", "rows-too-few", "row-then-record", "emarks-only", "vmarks-only", "edges-number",
+        "vmarks-number"])
 def test_empirical_of_a_graph_of_the_wrong_type_is_bad_input(graph, message, tmp_path, capsys):
     # these used to end in an AttributeError traceback and exit 1, the code of a verify FAIL;
     # the first entry of emarks tells records (a dict) from rows (anything else); edge
     # marks without vertex marks were dropped (exit 0), and vertex marks without edge
-    # marks ended in a bare KeyError
+    # marks ended in a bare KeyError; edges or vmarks of 5 used to be TypeErrors
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"graph": graph}))
     assert run("empirical", "--graph", path, "--out-prefix", tmp_path / "e") == 2

@@ -190,6 +190,30 @@ def test_reference_poisson_tail_and_materialize():
         huge.materialize()
 
 
+def _poisson_degree_entropy(degree_law, b):
+    """H(degree law | Poisson(b)), from the closed form of the Poisson pmf."""
+    return math.fsum(w * (math.log(w) + b - d * math.log(b) + math.lgamma(d + 1))
+                     for d, w in degree_law.items())
+
+
+@pytest.mark.parametrize("hub", [32, 33, 60])
+def test_poisson_reference_densities_past_the_table_are_the_pmf(hub):
+    # stars of degree 1 and ``hub`` against Poisson(mean degree): the table of
+    # mean 2.55 stops at degree 32, and past it the star density used to be 0,
+    # so every form read +inf; the rate is H(degree law | Poisson(beta))
+    m = TreeMeasure({star(0, [0]): 0.95, star(0, [0] * hub): 0.05}, 0.0, 1)
+    beta = m.mean_degree()
+    law = ReferenceLaw.poisson(beta, (1.0,), ((1.0,),))
+    assert (hub in law.degree_pmf) == (hub == 32)
+    want = _poisson_degree_entropy({1: 0.95, hub: 0.05}, beta)
+    for form in (component_rate, intermediate_rate, combinatorial_rate):
+        assert abs(form([m], beta, law).value - want) <= 1e-12, form.__name__
+    if hub == 33:
+        assert abs(want - 4.169878350461869) <= 1e-12
+    # inside the table the density is the table's entry, bit for bit
+    assert all(law.degree_density(d) == p for d, p in law.degree_pmf.items())
+
+
 def test_reference_roundtrip_and_validation():
     alpha = DegreeLaw({1: 0.5, 3: 0.5})
     law = ReferenceLaw.fixed_alpha(alpha, (0.4, 0.6), ((0.1, 0.2), (0.3, 0.4)))
